@@ -254,7 +254,9 @@ def _tf_edgengram(**kw):
         for t, p in stream:
             for n in range(mi, min(ma, len(t)) + 1):
                 out.append((t[:n], p))
-            if preserve and len(t) > ma:
+            # EdgeNGramTokenFilter.kt: the original survives whenever no
+            # gram equals it — shorter than minGram or longer than maxGram
+            if preserve and (len(t) < mi or len(t) > ma):
                 out.append((t, p))
         return out
     return apply

@@ -42,8 +42,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .format import (SEG_MANIFEST, build_and_write_segment, read_seg_manifest,
-                     seg_dirname)
+from .format import (SEG_MANIFEST, TERMS_ROW_GROUP, build_and_write_segment,
+                     read_seg_manifest, seg_dirname)
 
 INDEX_MANIFEST = "manifest.json"
 TERM_STATS_FILE = "term_stats.parquet"   # legacy single-file layout
@@ -327,7 +327,20 @@ def _reduce_term_shard(shard: int, index_dir: str, final: bool,
         return agg
     agg = agg.sort_by([("field", "ascending"), ("term", "ascending")])
     out = os.path.join(index_dir, TERM_STATS_DIR, f"shard={shard:04d}.parquet")
-    pq.write_table(agg, out + ".tmp")
+    # row groups of TERMS_ROW_GROUP terms are the reader's stats blocks
+    # (IndexReader.term_stats reads one per lookup); one never spans a
+    # field, so its footer min/max of `term` bound a single field's range.
+    # Sorted terms share long prefixes, hence DELTA_BYTE_ARRAY.
+    ends = pc.run_end_encode(agg["field"].combine_chunks()).run_ends \
+        .to_pylist()
+    with pq.ParquetWriter(out + ".tmp", agg.schema, compression="zstd",
+                          use_dictionary=["field"],
+                          column_encoding={"term": "DELTA_BYTE_ARRAY"}) as w:
+        start = 0
+        for end in ends:
+            w.write_table(agg.slice(start, end - start),
+                          row_group_size=TERMS_ROW_GROUP)
+            start = end
     os.replace(out + ".tmp", out)
     return None
 
@@ -348,8 +361,9 @@ def _write_term_stats(index_dir: str, manifests: list[dict]) -> int:
     Shard count scales with the estimated vocabulary (Σ per-segment
     unique_terms, an overcount — duplicates across segments only make
     shards smaller). Readers resolve a query term to its shard by the
-    same crc32 (reader.term_stats, the TermStates-style lookup) and prune
-    to one file + Parquet row-group predicate pushdown.
+    same crc32 (reader.term_stats, the TermStates-style lookup), then
+    binary-search the footer's per-row-group (field, min/max term) to
+    read the one 4096-term block that can hold the term.
 
     Returns the shard count (recorded in the manifest).
     """

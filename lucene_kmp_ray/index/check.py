@@ -18,7 +18,10 @@ Checks per segment:
 - segment manifest stats == re-derived sums.
 
 Global checks: manifest totals == Σ segment manifests; ``term_stats``
-equals the groupby-term aggregation of per-segment (df, ttf).
+equals the groupby-term aggregation of per-segment (df, ttf); every
+term-stats row group (the reader's stats block) holds one field, its
+terms ascend, its footer has min/max statistics of ``term``, and blocks
+ascend by (field, term) within a shard.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..util import forutil as fu
 from ..util.smallfloat import int_to_byte4_np
 from .format import DOCS_FILE, TERMS_FILE, decode_postings
-from .reader import INDEX_MANIFEST
+from .reader import FOOTER_STATS_MAX_BYTES, INDEX_MANIFEST, footer_min_max
 
 
 def check_segment(index_dir: str, seg_dir: str) -> dict:
@@ -332,5 +336,48 @@ def check_index(index_dir: str, parallel: bool = True) -> dict:
         .sort_by([("field", "ascending"), ("term", "ascending")])
     if not agg.equals(stats):
         errors.append("term stats disagree with per-segment terms")
+    errors += check_term_stats_blocks(index_dir)
     return {"ok": not errors, "doc_count": manifest["doc_count"],
             "segments": seg_reports, "errors": errors}
+
+
+def check_term_stats_blocks(index_dir: str) -> list[str]:
+    """The layout ``IndexReader.term_stats`` binary-searches: per shard
+    file, every row group holds one field, its terms ascend strictly,
+    its footer's min/max of ``term`` are its first and last term, and
+    each group's first (field, term) follows the previous group's last."""
+    from .builder import term_stats_location
+    loc = term_stats_location(index_dir)
+    paths = sorted(os.path.join(loc, n) for n in os.listdir(loc)) \
+        if os.path.isdir(loc) else [loc]
+    errors: list[str] = []
+    for path in paths:
+        pf = pq.ParquetFile(path)
+        names = pf.schema_arrow.names
+        prev = None
+        for g in range(pf.metadata.num_row_groups):
+            where = f"{os.path.basename(path)} row group {g}"
+            t = pf.read_row_group(g, columns=[c for c in ("field", "term")
+                                              if c in names])
+            if t.num_rows == 0:
+                continue
+            terms = t["term"]
+            fields = t["field"] if "field" in names else pa.array(["text"])
+            if pc.count_distinct(fields).as_py() != 1:
+                errors.append(f"{where}: spans fields")
+            if t.num_rows > 1 and not pc.all(
+                    pc.less(terms[:-1], terms[1:])).as_py():
+                errors.append(f"{where}: terms not ascending")
+            edges = (terms[0].as_py(), terms[-1].as_py())
+            st = footer_min_max(pf.metadata.row_group(g).column(
+                names.index("term")).statistics)
+            if st is None:  # allowed only where Arrow must drop a bound
+                if max(len(e.encode()) for e in edges) <= \
+                        FOOTER_STATS_MAX_BYTES:
+                    errors.append(f"{where}: no min/max statistics for term")
+            elif st != edges:
+                errors.append(f"{where}: term statistics != first/last term")
+            if prev is not None and (fields[0].as_py(), edges[0]) <= prev:
+                errors.append(f"{where}: not after the previous row group")
+            prev = (fields[-1].as_py(), edges[1])
+    return errors

@@ -16,11 +16,13 @@ lookup costs one 4096-term block, never the whole postings file.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..util import cfor
@@ -34,6 +36,19 @@ TERM_STATS_FILE = "term_stats.parquet"
 POSTINGS_CACHE_TERMS = 64  # decoded posting lists kept per segment reader
 PAYLOAD_GROUP_CACHE = 8    # payload row groups kept per segment reader
 TERM_ROW_CACHE = 64        # raw term payload rows kept per segment reader
+STATS_BLOCK_CACHE = 8      # global term-stats blocks kept per index reader
+# Arrow leaves a string bound longer than this out of a row group's footer
+# statistics; pyarrow then reports that bound as ''
+FOOTER_STATS_MAX_BYTES = 4096
+
+
+def footer_min_max(stats) -> tuple[str, str] | None:
+    """(min, max) of a string column chunk from its footer statistics,
+    or None when either bound is absent."""
+    if stats is None or not stats.has_min_max or "" in (stats.min,
+                                                        stats.max):
+        return None
+    return stats.min, stats.max
 
 
 class SegmentReader:
@@ -649,16 +664,16 @@ class IndexReader:
         self.doc_count = self.manifest["doc_count"]
         self.sum_total_term_freq = self.manifest["sum_total_term_freq"]
         # term-stats layout: sharded dir (shard = crc32(term) % n, written
-        # by builder._write_term_stats) or the legacy single file
+        # by builder._write_term_stats) or the legacy single file, which
+        # reads as a one-shard layout
         self._ts_shards = self.manifest.get("term_stats_shards")
-        ts_dir = os.path.join(index_dir, "term_stats")
-        if self._ts_shards is None and not os.path.isdir(ts_dir):
-            self._term_stats_path = os.path.join(index_dir, TERM_STATS_FILE)
-        else:
-            self._ts_shards = self._ts_shards or 1
-            self._term_stats_path = ts_dir
+        self._ts_dir = os.path.join(index_dir, "term_stats")
+        if self._ts_shards is None and not os.path.isdir(self._ts_dir):
+            self._ts_dir = None
+        self._ts_shards = self._ts_shards or 1
         self._stats_cache: dict[tuple[str, str], tuple[int, int]] = {}
-        self._stats_has_field: bool | None = None
+        self._ts_blocks: dict[int, tuple] = {}  # shard → block index
+        self._ts_block_cache: dict[tuple[int, int], dict] = {}
 
     def open_if_changed(self) -> "IndexReader | None":
         """``DirectoryReader.openIfChanged`` analog (DirectoryReader.kt:221,
@@ -722,47 +737,106 @@ class IndexReader:
         """Global (df, ttf) per term — the TermStates resolution step
         (index/TermStates.kt): stats precede scoring, are identical for
         every segment, and are resolved ONCE per (field, term) per reader
-        (the TermStates cache role). Uses Parquet predicate pushdown on the
-        sorted stats table (row-group pruning at scale)."""
-        if not terms:
-            return {}
-        sharded = self._ts_shards is not None
-        if self._stats_has_field is None:
-            schema_src = self._term_stats_path if not sharded else \
-                os.path.join(self._term_stats_path,
-                             sorted(os.listdir(self._term_stats_path))[0])
-            self._stats_has_field = "field" in {
-                f.name for f in pq.read_schema(schema_src)}
+        (the TermStates cache role). A term hashes to its shard file; the
+        shard's footer locates the one row group (≤ 4096 terms of one
+        field) that can hold it, and only that block is read and
+        binary-searched — the cost of a segment dictionary lookup, not of
+        the shard."""
         missing = sorted({t for t in terms
                           if (field, t) not in self._stats_cache})
         if missing:
-            if sharded:
-                # shard-prune: read only the files the query terms hash to
-                from .builder import term_shard
-                by_shard: dict[int, list[str]] = {}
-                for term, s in zip(missing,
-                                   term_shard(missing, self._ts_shards)):
-                    by_shard.setdefault(int(s), []).append(term)
-                parts = []
-                for s, ts in sorted(by_shard.items()):
-                    filters = [("term", "in", ts)]
-                    if self._stats_has_field:
-                        filters.append(("field", "=", field))
-                    parts.append(pq.read_table(
-                        os.path.join(self._term_stats_path,
-                                     f"shard={s:04d}.parquet"),
-                        filters=filters))
-                t = pa.concat_tables(parts)
-            else:
-                filters = [("term", "in", missing)]
-                if self._stats_has_field:
-                    filters.append(("field", "=", field))
-                t = pq.read_table(self._term_stats_path, filters=filters)
-            found = dict(zip(t["term"].to_pylist(),
-                             zip(t["df"].to_pylist(), t["ttf"].to_pylist())))
+            from .builder import term_shard
+            by_block: dict[tuple[int, int], list[str]] = {}
+            for term, s in zip(missing, term_shard(missing, self._ts_shards)):
+                _, _, los, his, groups = self._stats_blocks(int(s))
+                key = (field, term)
+                i = bisect.bisect_right(los, key) - 1
+                if i >= 0 and key <= his[i]:
+                    by_block.setdefault((int(s), groups[i]), []).append(term)
+            found: dict[str, tuple[int, int]] = {}
+            for (s, g), ts in by_block.items():
+                blk = self._stats_block(s, g).get(field)
+                if blk is None:  # a block spanning fields around this one
+                    continue
+                arr, df, ttf = blk
+                pos = np.searchsorted(arr, ts)
+                for term, j in zip(ts, pos):
+                    if j < len(arr) and arr[j] == term:
+                        found[term] = (int(df[j]), int(ttf[j]))
             for term in missing:
                 self._stats_cache[(field, term)] = found.get(term, (0, 0))
         return {term: self._stats_cache[(field, term)] for term in terms}
+
+    def _stats_file(self, shard: int) -> str:
+        if self._ts_dir is None:
+            return os.path.join(self.index_dir, TERM_STATS_FILE)
+        return os.path.join(self._ts_dir, f"shard={shard:04d}.parquet")
+
+    def _stats_blocks(self, shard: int) -> tuple:
+        """Block index of one stats shard, built from its footer on first
+        use: ``(ParquetFile, field per row group, first keys, last keys,
+        row groups)``, a key being (field, term) and ascending across the
+        non-empty groups. A group's field is None when its footer does
+        not show one (files written before blocks were field-aligned are
+        one group over every field); such a group, or one without min/max
+        statistics of ``term`` (a bound over FOOTER_STATS_MAX_BYTES), is
+        read once to find its first and last key."""
+        bi = self._ts_blocks.get(shard)
+        if bi is not None:
+            return bi
+        pf = pq.ParquetFile(self._stats_file(shard))
+        md, names = pf.metadata, pf.schema_arrow.names
+        fields = []
+        for g in range(md.num_row_groups):
+            if "field" not in names:  # legacy single-field table
+                fields.append("text")
+                continue
+            fs = footer_min_max(
+                md.row_group(g).column(names.index("field")).statistics)
+            fields.append(fs[0] if fs and fs[0] == fs[1] else None)
+        bi = self._ts_blocks[shard] = (pf, fields, [], [], [])
+        _, _, los, his, groups = bi
+        for g in range(md.num_row_groups):
+            if md.row_group(g).num_rows == 0:
+                continue
+            ts = footer_min_max(
+                md.row_group(g).column(names.index("term")).statistics)
+            f = fields[g]
+            if f is not None and ts is not None:
+                lo, hi = (f, ts[0]), (f, ts[1])
+            else:
+                blk = self._stats_block(shard, g)
+                first, last = min(blk), max(blk)
+                lo, hi = (first, blk[first][0][0]), (last, blk[last][0][-1])
+            los.append(lo)
+            his.append(hi)
+            groups.append(g)
+        return bi
+
+    def _stats_block(self, shard: int, g: int) -> dict:
+        """Row group ``g`` of a stats shard as ``{field: (sorted terms,
+        df, ttf)}``, LRU-cached like ``SegmentReader._payload_group``."""
+        blk = self._ts_block_cache.pop((shard, g), None)
+        if blk is None:
+            pf, fields = self._ts_blocks[shard][:2]
+            f = fields[g]
+            t = pf.read_row_group(g, columns=["term", "df", "ttf"] +
+                                  (["field"] if f is None else []))
+            if f is None:  # spans fields, or no footer statistics
+                runs = pc.run_end_encode(t["field"].combine_chunks())
+                fs, ends = runs.values.to_pylist(), runs.run_ends.to_pylist()
+            else:
+                fs, ends = [f], [t.num_rows]
+            blk, start = {}, 0
+            for f, end in zip(fs, ends):
+                part = t.slice(start, end - start)
+                blk[f] = (part["term"].to_numpy(), part["df"].to_numpy(),
+                          part["ttf"].to_numpy())
+                start = end
+        self._ts_block_cache[(shard, g)] = blk  # (re-)insert = most recent
+        while len(self._ts_block_cache) > STATS_BLOCK_CACHE:
+            self._ts_block_cache.pop(next(iter(self._ts_block_cache)))
+        return blk
 
 
 class MultiReader:

@@ -149,6 +149,19 @@ def _isin_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     return sorted_arr[idx] == values
 
 
+def _ring_counts(flags: np.ndarray, starts: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """Per-doc count of set per-vertex ``flags`` over flat rings (doc i
+    owns vertices ``[starts[i], starts[i] + counts[i])``). Only the
+    non-empty docs' starts go to reduceat: they ascend strictly, so each
+    sum runs to the next non-empty doc's start and the last to the end."""
+    out = np.zeros(len(counts), np.int64)
+    ring = counts > 0
+    if ring.any():
+        out[ring] = np.add.reduceat(flags.astype(np.int64), starts[ring])
+    return out
+
+
 def _lookup_scores(cand: np.ndarray, docs: np.ndarray,
                    scores: np.ndarray) -> np.ndarray:
     """Scores of cand docs (must all be present in docs, ascending)."""
@@ -1103,13 +1116,8 @@ class Searcher:
             docs = np.empty(0, np.int64)
             return docs, np.empty(0, dtype=dt)
 
-        safe_starts = np.minimum(starts, len(y) - 1)  # reduceat bounds:
-        # trailing shape-less docs clamp to the last vertex and zero below
-
         def per_doc_count(flags: np.ndarray) -> np.ndarray:
-            s = np.add.reduceat(flags.astype(np.int64), safe_starts)
-            s[counts == 0] = 0
-            return s
+            return _ring_counts(flags, starts, counts)
 
         def per_doc_any(flags: np.ndarray) -> np.ndarray:
             return per_doc_count(flags) > 0
@@ -1188,12 +1196,9 @@ class Searcher:
         starts = off[:-1]
         if not len(y):
             return np.empty(0, np.int64), np.empty(0, dtype=dt)
-        safe_starts = np.minimum(starts, len(y) - 1)
 
         def per_doc_count(flags):
-            s = np.add.reduceat(flags.astype(np.int64), safe_starts)
-            s[counts == 0] = 0
-            return s
+            return _ring_counts(flags, starts, counts)
 
         ring = tuple(q.polygon)
         m = len(ring)
@@ -1270,12 +1275,9 @@ class Searcher:
         starts = off[:-1]
         if not len(y):
             return np.empty(0, np.int64), np.empty(0, dtype=dt)
-        safe_starts = np.minimum(starts, len(y) - 1)
 
         def per_doc_count(flags):
-            s = np.add.reduceat(flags.astype(np.int64), safe_starts)
-            s[counts == 0] = 0
-            return s
+            return _ring_counts(flags, starts, counts)
 
         cy, cx, r = q.center_lat, q.center_lon, q.radius
 

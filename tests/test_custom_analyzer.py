@@ -243,3 +243,15 @@ def test_edgengram_filter_component():
          .add_token_filter("edgengram", minGramSize=1, maxGramSize=3,
                            preserveOriginal="true").build())
     assert b("abcde") == ["a", "ab", "abc", "abcde"]
+
+
+def test_edgengram_preserve_original_keeps_short_tokens():
+    a = (CustomAnalyzer.builder().with_tokenizer("whitespace")
+         .add_token_filter("edgengram", minGramSize=3, maxGramSize=4,
+                           preserveOriginal="true").build())
+    # "ab" is below minGramSize: no grams, the original stays
+    assert a("ab abcde abc") == ["ab", "abc", "abcd", "abcde", "abc"]
+    plain = (CustomAnalyzer.builder().with_tokenizer("whitespace")
+             .add_token_filter("edgengram", minGramSize=3, maxGramSize=4)
+             .build())
+    assert plain("ab abcde abc") == ["abc", "abcd", "abc"]
