@@ -280,9 +280,13 @@ def _read_seg_term_stats(index_dir: str, seg: int) -> pa.Table:
     path = os.path.join(index_dir, "segments", seg_dirname(seg),
                         "terms.parquet")
     cols = {f.name for f in pq.read_schema(path)}
+    t = pq.read_table(path, columns=[c for c in ("field", "term", "df", "ttf")
+                                     if c in cols])
+    # df/ttf are int32 in the flat-postings dictionary, int64 before it
+    t = t.cast(pa.schema([f.with_type(pa.int64()) if f.name in ("df", "ttf")
+                          else f for f in t.schema]))
     if "field" in cols:
-        return pq.read_table(path, columns=["field", "term", "df", "ttf"])
-    t = pq.read_table(path, columns=["term", "df", "ttf"])
+        return t
     return t.add_column(0, "field",
                         pa.array(["text"] * t.num_rows, pa.string()))
 

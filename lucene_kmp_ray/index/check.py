@@ -8,6 +8,12 @@ scan is embarrassingly parallel and IO-bound); the driver then checks the
 global manifest and term_stats aggregation.
 
 Checks per segment:
+- postings pointers: ``doc_ptr``/``pos_ptr`` ascend from 0 and stay inside
+  their files; each ``postings.doc`` record is exactly its docs stream,
+  its freqs stream (present iff ``ttf > df``) and, for a multi-block
+  term, its skip/impact metadata; each ``postings.pos`` record is exactly
+  its ``ttf``-value positions stream (so the last records end at the file
+  sizes);
 - terms strictly ascending (BytesRef order == code-point order);
 - decoded docIDs strictly ascending, in ``[0, doc_count)``; ``df`` matches;
 - ``ttf`` == Σ freqs; freqs ≥ 1; positions per entry strictly ascending,
@@ -36,7 +42,9 @@ import pyarrow.parquet as pq
 
 from ..util import forutil as fu
 from ..util.smallfloat import int_to_byte4_np
-from .format import DOCS_FILE, TERMS_FILE, decode_postings
+from .format import DOCS_FILE, decode_postings
+from .postings import (DOC_FILE, POS_FILE, TERMS_FILE, read_terms_table,
+                       stream_nbytes)
 from .reader import FOOTER_STATS_MAX_BYTES, INDEX_MANIFEST, footer_min_max
 
 
@@ -47,8 +55,12 @@ def check_segment(index_dir: str, seg_dir: str) -> dict:
     with open(os.path.join(d, "manifest.json")) as f:
         man = json.load(f)
     docs_t = pq.read_table(os.path.join(d, DOCS_FILE))
-    terms_t = pq.read_table(os.path.join(d, TERMS_FILE))
     n_docs = docs_t.num_rows
+    errors += check_postings_files(d)
+    if errors:  # the pointers cannot be followed safely
+        return {"seg": man["seg"], "ok": False, "errors": errors,
+                "doc_count": n_docs, "unique_terms": man.get("unique_terms")}
+    terms_t = read_terms_table(d)
     if n_docs != man["doc_count"]:
         errors.append(f"doc_count {n_docs} != manifest {man['doc_count']}")
 
@@ -169,6 +181,49 @@ def check_segment(index_dir: str, seg_dir: str) -> dict:
     _check_bloom_sidecar(d, terms_t, errors)
     return {"seg": man["seg"], "ok": not errors, "errors": errors,
             "doc_count": n_docs, "unique_terms": terms_t.num_rows}
+
+
+def check_postings_files(seg_dir: str) -> list[str]:
+    """The record layout the dictionary's pointers promise (segments of
+    the old all-in-``terms.parquet`` layout have no pointers to check)."""
+    t = pq.read_table(os.path.join(seg_dir, TERMS_FILE))
+    if "doc_ptr" not in t.column_names:
+        return []
+    errors: list[str] = []
+    df = t["df"].to_numpy().astype(np.int64)
+    ttf = t["ttf"].to_numpy().astype(np.int64)
+    files = {}
+    for col, name in (("doc_ptr", DOC_FILE), ("pos_ptr", POS_FILE)):
+        ptr = t[col].to_numpy().astype(np.int64)
+        buf = np.fromfile(os.path.join(seg_dir, name), np.uint8)
+        if len(ptr) and (ptr[0] != 0 or np.any(np.diff(ptr) < 0)):
+            errors.append(f"{name}: pointers do not ascend from 0")
+        elif len(ptr) and ptr[-1] > len(buf):
+            errors.append(f"{name}: a record starts past the end of file")
+        files[name] = (ptr, np.append(ptr, len(buf)), buf)
+    if np.any(ttf < df):
+        errors.append("a term has ttf < df")
+    if errors:
+        return errors
+    terms = t["term"]
+    (ptr, bounds, doc), (pptr, pbounds, pos) = files[DOC_FILE], files[POS_FILE]
+    nb = (df + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
+    has = ttf > df
+    try:
+        dl = stream_nbytes(doc, ptr, df)
+        fl = np.zeros_like(dl)
+        fl[has] = stream_nbytes(doc, ptr[has] + dl[has], df[has])
+        expect = dl + fl + np.where(nb > 1, 12 * nb, 0)
+        pexpect = stream_nbytes(pos, pptr, ttf)
+    except IndexError:
+        return ["postings streams run past the end of their file"]
+    for name, got, want in ((DOC_FILE, np.diff(bounds), expect),
+                            (POS_FILE, np.diff(pbounds), pexpect)):
+        bad = np.flatnonzero(got != want)
+        if len(bad):
+            errors.append(f"{name}: {len(bad)} records do not match their "
+                          f"streams, first term {terms[int(bad[0])]}")
+    return errors
 
 
 def _check_bloom_sidecar(seg_dir: str, terms_t, errors: list[str]) -> None:
@@ -381,3 +436,13 @@ def check_term_stats_blocks(index_dir: str) -> list[str]:
                 errors.append(f"{where}: not after the previous row group")
             prev = (fields[-1].as_py(), edges[1])
     return errors
+
+
+if __name__ == "__main__":
+    import sys
+
+    if len(sys.argv) != 2:
+        sys.exit("usage: python -m lucene_kmp_ray.index.check INDEX_DIR")
+    report = check_index(sys.argv[1], parallel=False)
+    print(json.dumps(report, indent=1))
+    sys.exit(0 if report["ok"] else 1)

@@ -5,28 +5,26 @@ on-disk postings and, at open, loads every term's docs/freqs into plain
 arrays ("bytes are loaded up-front"), trading heap for the fastest
 possible postings access — the hot-segment / testing codec.
 
-Engine form: one Parquet read of the field's payload row-groups, then
-ONE bulk C pass per column (``util/cfor.decode_streams_bulk``, the same
-kernel the k-way merge reads with) into CSR arrays::
+Engine form: one read of the field's contiguous ``postings.doc`` range,
+then ONE bulk C pass per stream kind (``postings.decode_streams``, the
+same kernel the k-way merge reads with) into CSR arrays::
 
     docs_flat[offs[o]:offs[o+1]], freqs_flat[offs[o]:offs[o+1]]
 
 keyed by the field-local term ord (index/ords.py). ``SegmentReader``
-consults an attached DirectField before its lazy per-term row-group
+consults an attached DirectField before its lazy per-term record
 path, so every search path that goes through ``postings()`` gets the
 in-memory postings transparently.
 
 Scale note: direct mode holds ~``sum_ttf`` int64s per field per actor —
 size it like the reference does (hot segments, small-but-hammered
-indexes), not as the default; the lazy row-group reader stays the
+indexes), not as the default; the lazy per-term reader stays the
 100-TB path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..util import forutil as fu
 
 __all__ = ["DirectField"]
 
@@ -41,43 +39,11 @@ class DirectField:
         self._lo = lo
         self._arr = segment_reader._term_arr
         self.size = hi - lo
-        idxs = np.arange(lo, hi, dtype=np.int64)
-        cols = ["df", "ttf", "docs_enc", "freqs_enc"]
-        t = segment_reader._payload_rows(idxs, cols)
-        self.df = t["df"].to_numpy().astype(np.int64)
-        self.ttf = t["ttf"].to_numpy().astype(np.int64)
-        self.offs = np.empty(self.size + 1, np.int64)
-        self.offs[0] = 0
-        np.cumsum(self.df, out=self.offs[1:])
-
-        from ..util.cfor import decode_streams_bulk
-        bulk = decode_streams_bulk(t["docs_enc"], self.df)
-        if bulk is not None:
-            d_flat, _ = bulk
-            f_flat, _ = decode_streams_bulk(t["freqs_enc"], self.df)
-            if len(d_flat):
-                # per-stream delta restart: global cumsum minus each
-                # stream's carried prefix (merge.py's read-side trick)
-                cs = np.cumsum(d_flat)
-                st = self.offs[:-1]
-                carried = cs[st] - d_flat[st]
-                d_flat = cs - np.repeat(carried, self.df)
-            self.docs_flat = d_flat
-            self.freqs_flat = f_flat
-        else:
-            # numpy fallback: per-term block decode (reference path)
-            docs_parts, freq_parts = [], []
-            denc = t["docs_enc"].to_pylist()
-            fenc = t["freqs_enc"].to_pylist()
-            for i in range(self.size):
-                n = int(self.df[i])
-                docs_parts.append(
-                    fu.delta_decode(fu.decode_blocks(denc[i], n)))
-                freq_parts.append(fu.decode_blocks(fenc[i], n))
-            self.docs_flat = (np.concatenate(docs_parts)
-                              if docs_parts else np.empty(0, np.int64))
-            self.freqs_flat = (np.concatenate(freq_parts)
-                               if freq_parts else np.empty(0, np.int64))
+        p = segment_reader.postings_file
+        self.df = p.df[lo:hi].astype(np.int64)
+        self.ttf = p.ttf[lo:hi].astype(np.int64)
+        self.docs_flat, self.freqs_flat, self.offs = p.docs_freqs(
+            np.arange(lo, hi, dtype=np.int64))
 
     # -- lookups --------------------------------------------------------------
 

@@ -6,10 +6,12 @@ analog of a Lucene segment produced by one DWPT flush
 ``FreqProxTermsWriter.kt:63``), re-expressed as one vectorized function over
 an Arrow table of documents. Layout per segment directory:
 
-- ``terms.parquet`` — one row per term, terms in unsigned-byte (== UTF-8
-  code-point) order: ``term, df, ttf, docs_enc, freqs_enc, pos_enc,
-  block_last_doc, block_max_freq, block_min_norm``. ``docs_enc`` is
-  delta+FOR over ascending local docIDs in 128-doc blocks (ForDeltaUtil
+- ``terms.parquet`` + ``postings.doc`` + ``postings.pos`` — the term
+  dictionary and the flat postings files it points into
+  (index/postings.py). Logically one row per term, terms in unsigned-byte
+  (== UTF-8 code-point) order: ``term, df, ttf, docs_enc, freqs_enc,
+  pos_enc, block_last_doc, block_max_freq, block_min_norm``. ``docs_enc``
+  is delta+FOR over ascending local docIDs in 128-doc blocks (ForDeltaUtil
   semantics), ``freqs_enc`` FOR over term freqs, ``pos_enc`` FOR over
   within-doc delta-encoded positions. The ``block_*`` lists are the skip +
   impact metadata (one entry per 128-doc block: last docID, max freq, min
@@ -39,9 +41,9 @@ import pyarrow.parquet as pq
 
 from ..util import forutil as fu
 from ..util.smallfloat import int_to_byte4_np
+from .postings import write_postings
 
-TERMS_FILE = "terms.parquet"
-TERMS_ROW_GROUP = 4096  # terms per row group (the reader-side "term block")
+TERMS_ROW_GROUP = 4096  # terms per term-stats row group (a stats block)
 DOCS_FILE = "docs.parquet"
 VECTORS_FILE = "vectors.parquet"
 VECTORS_Q_FILE = "vectors_q.parquet"
@@ -623,10 +625,8 @@ def write_segment(index_dir: str, terms_table: pa.Table, docs_table: pa.Table,
     # keeps crashed attempts invisible to completed_segments' "seg=" scan.
     tmp_dir = tempfile.mkdtemp(prefix="_tmp." + seg_dirname(seg) + ".",
                                dir=seg_root)
-    # modest row groups = the reader's term blocks: a lookup reads only
-    # the (field,term)-sorted group(s) it touches, never the whole file
-    pq.write_table(terms_table, os.path.join(tmp_dir, TERMS_FILE),
-                   row_group_size=TERMS_ROW_GROUP)
+    # dictionary + flat postings files: a term lookup reads one record
+    write_postings(tmp_dir, terms_table)
     pq.write_table(docs_table, os.path.join(tmp_dir, DOCS_FILE))
     if vectors_table is not None:
         pq.write_table(vectors_table, os.path.join(tmp_dir, VECTORS_FILE))

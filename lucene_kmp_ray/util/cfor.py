@@ -150,8 +150,7 @@ def decode_streams_bulk(col, counts: np.ndarray):
     binary column) in one C pass — the k-way merge's read side.  Returns
     ``(values_flat int64, value_offsets)`` (stream s's values are
     ``values[offs[s]:offs[s+1]]``) or None without a C lib."""
-    L = lib()
-    if L is None:
+    if lib() is None:
         return None
     import pyarrow as pa
     if isinstance(col, pa.ChunkedArray):
@@ -159,14 +158,27 @@ def decode_streams_bulk(col, counts: np.ndarray):
     bufs = col.buffers()
     offsets = np.frombuffer(bufs[1], np.int32)[
         col.offset:col.offset + len(col) + 1].astype(np.int64)
-    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None         else np.empty(0, np.uint8)
+    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None \
+        else np.empty(0, np.uint8)
+    return decode_streams_at(data, offsets[:-1], counts)
+
+
+def decode_streams_at(data: np.ndarray, starts: np.ndarray,
+                      counts: np.ndarray):
+    """``decode_streams_bulk`` over streams starting at byte offsets
+    ``starts`` of one buffer (a stream needs no end: its value count
+    bounds it), or None without a C lib."""
+    L = lib()
+    if L is None:
+        return None
+    data = np.ascontiguousarray(data, dtype=np.uint8)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     total = int(counts.sum())
     voffs = np.empty(len(counts) + 1, np.int64)
     voffs[0] = 0
     np.cumsum(counts, out=voffs[1:])
     out = np.empty(total, np.int64)
-    sstarts = np.ascontiguousarray(offsets[:-1])
+    sstarts = np.ascontiguousarray(starts, dtype=np.int64)
     out_offs = np.ascontiguousarray(voffs[:-1])
     L.decode_streams(data.ctypes.data, len(data), sstarts.ctypes.data,
                      counts.ctypes.data, len(counts),

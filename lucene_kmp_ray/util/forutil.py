@@ -424,44 +424,6 @@ def decode_blocks_masked(buf, n: int, mask: np.ndarray,
     return out
 
 
-def decode_for_single_blocks(bufs: list, counts: np.ndarray):
-    """Bulk-decode MANY single-block plain-FOR streams (each ``bufs[i]``
-    one ≤128-value block, e.g. a df≤128 term's docs_enc) in one pass —
-    the read-side mirror of the bulk encoder: a wide MultiTermQuery
-    expansion otherwise pays one Python decode_blocks call per matched
-    term (~20µs × 10^4 terms). Per-value extraction reads an aligned
-    8-byte little-endian window at the value's bit offset and
-    shifts/masks — valid for widths ≤ 57 (docID deltas and freqs are far
-    below; wider blocks must take the per-term path). Returns
-    ``(values_flat, run_starts)``; caller splits by ``counts``.
-    """
-    n = len(bufs)
-    if n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    lens = np.fromiter((len(b) for b in bufs), np.int64, count=n)
-    buf = np.frombuffer(b"".join(bufs) + b"\x00" * 8, np.uint8)
-    starts_b = np.cumsum(lens) - lens          # per-stream byte offset
-    widths = buf[starts_b].astype(np.int64)
-    if (widths & PATCHED_FLAG).any() or (widths > 57).any():
-        raise ValueError("bulk path requires plain FOR, width <= 57")
-    counts = np.asarray(counts, np.int64)
-    total = int(counts.sum())
-    run_starts = np.cumsum(counts) - counts
-    vrun = np.repeat(np.arange(n), counts)
-    iib = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-    w = widths[vrun]
-    bit0 = (starts_b[vrun] + 1) * 8 + iib * w
-    byte0 = bit0 >> 3
-    # gather an 8-byte window per value → uint64 little-endian
-    win = buf[byte0[:, None] + np.arange(8)]
-    win64 = win.astype(np.uint64) @ (np.uint64(1) <<
-                                     (np.uint64(8) * np.arange(8,
-                                                               dtype=np.uint64)))
-    mask = (np.uint64(1) << w.astype(np.uint64)) - np.uint64(1)
-    vals = (win64 >> (bit0 & 7).astype(np.uint64)) & mask
-    return vals.astype(np.int64), run_starts
-
-
 def delta_encode(sorted_vals: np.ndarray) -> np.ndarray:
     """First value kept absolute, then gaps (input must be ascending)."""
     v = np.asarray(sorted_vals, dtype=np.int64)

@@ -46,6 +46,62 @@ def test_corrupt_postings_detected(built_index, tmp_path):
     assert not rep["ok"]
 
 
+def test_truncated_postings_file_detected(built_index, tmp_path):
+    work = str(tmp_path / "truncated")
+    shutil.copytree(built_index, work)
+    p = f"{work}/segments/seg=00001/postings.doc"
+    with open(p, "rb") as f:
+        data = f.read()
+    with open(p, "wb") as f:
+        f.write(data[:-1])
+    rep = check_segment(work, "segments/seg=00001")
+    assert not rep["ok"]
+    assert any("postings" in e for e in rep["errors"]), rep["errors"]
+
+
+def test_check_command_line(built_index, tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+
+    def run(idx):
+        return subprocess.run(
+            [sys.executable, "-m", "lucene_kmp_ray.index.check", idx],
+            capture_output=True, text=True, env=env, timeout=300)
+
+    ok = run(built_index)
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["ok"]
+    work = str(tmp_path / "cli")
+    shutil.copytree(built_index, work)
+    with open(f"{work}/segments/seg=00000/postings.pos", "ab") as f:
+        f.write(b"\x00")
+    bad = run(work)
+    assert bad.returncode == 1
+    assert not json.loads(bad.stdout)["ok"]
+
+
+def test_shifted_postings_pointer_detected(built_index, tmp_path):
+    import numpy as np
+    import pyarrow as pa
+
+    work = str(tmp_path / "shifted")
+    shutil.copytree(built_index, work)
+    p = f"{work}/segments/seg=00002/terms.parquet"
+    t = pq.read_table(p)
+    ptr = t["doc_ptr"].to_numpy().copy()
+    ptr[len(ptr) // 2] += 1
+    t = t.set_column(t.schema.get_field_index("doc_ptr"), "doc_ptr",
+                     pa.array(ptr.astype(np.int64)))
+    pq.write_table(t, p)
+    rep = check_segment(work, "segments/seg=00002")
+    assert not rep["ok"]
+    assert any("postings.doc" in e for e in rep["errors"]), rep["errors"]
+
+
 def test_corrupt_term_vectors_detected(tmp_path):
     """CheckIndex's 'test: term vectors...' section: a freq that
     disagrees with its positions list is caught."""

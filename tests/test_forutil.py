@@ -109,29 +109,10 @@ def test_decode_blocks_masked_equivalence():
                 assert not out[lo:hi].any()
 
 
-def test_decode_for_single_blocks_bulk():
-    """Bulk single-block FOR decode == per-stream decode_blocks."""
-    import numpy as np
-
-    from lucene_kmp_ray.util import forutil as fu
-    rng = np.random.default_rng(11)
-    encs, counts, expect = [], [], []
-    for _ in range(300):
-        n = int(rng.integers(1, 129))
-        vals = rng.integers(0, 1 << int(rng.integers(1, 40)), n)
-        encs.append(fu.encode_blocks(vals))
-        counts.append(n)
-        expect.append(vals)
-    flat, starts = fu.decode_for_single_blocks(encs, np.array(counts))
-    for i, (st, n) in enumerate(zip(starts, counts)):
-        assert np.array_equal(flat[st:st + n], expect[i]), i
-
-
 def test_codec_roundtrip_hypothesis():
     """Property-based round-trips of the FOR/PFor codecs (hypothesis):
     arbitrary non-negative int lists survive encode->decode for both
-    block codecs, masked decode matches on selected blocks, and the bulk
-    single-block decoder agrees wherever eligible."""
+    block codecs."""
     import numpy as np
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -150,12 +131,5 @@ def test_codec_roundtrip_hypothesis():
             fu.decode_blocks(fu.encode_blocks(v), len(v)), v)
         assert np.array_equal(
             fu.decode_blocks(fu.encode_blocks_pfor(v), len(v)), v)
-        if 0 < len(v) <= fu.BLOCK_SIZE and (v < (1 << 50)).all():
-            try:
-                flat, starts = fu.decode_for_single_blocks(
-                    [fu.encode_blocks(v)], np.array([len(v)]))
-                assert np.array_equal(flat, v)
-            except ValueError:
-                pass  # width > 57: per-term path owns it
 
     roundtrip()

@@ -10,6 +10,7 @@ import pytest
 from lucene_kmp_ray.index.builder import build_index
 from lucene_kmp_ray.index.grouped import (build_index_grouped,
                                           estimate_head_terms)
+from lucene_kmp_ray.index.postings import DOC_FILE, POS_FILE, read_terms_table
 from lucene_kmp_ray.sources.corpus import corpus_dataset
 
 SF = "/root/testdata/sf0.001"
@@ -49,9 +50,12 @@ def test_identical_segment_files(pair):
     with open(f"{a}/manifest.json") as f:
         segs = [s["dir"] for s in json.load(f)["segments"]]
     for d in segs:
-        ta = pq.read_table(f"{a}/{d}/terms.parquet")
-        tb = pq.read_table(f"{b}/{d}/terms.parquet")
+        ta = read_terms_table(f"{a}/{d}")
+        tb = read_terms_table(f"{b}/{d}")
         assert ta.equals(tb), f"terms mismatch in {d}"
+        for f in (DOC_FILE, POS_FILE):
+            assert open(f"{a}/{d}/{f}", "rb").read() == \
+                open(f"{b}/{d}/{f}", "rb").read(), f"{f} mismatch in {d}"
         da = pq.read_table(f"{a}/{d}/docs.parquet")
         db = pq.read_table(f"{b}/{d}/docs.parquet")
         assert da.equals(db), f"docs mismatch in {d}"
@@ -89,7 +93,10 @@ def test_sparse_doc_ids_match_dense_rank_path(tmp_path, ray_session):
     assert ma["doc_count"] == mb["doc_count"] == sparse.num_rows
     for s in ma["segments"]:
         d = s["dir"]
-        assert pq.read_table(f"{a}/{d}/terms.parquet").equals(
-            pq.read_table(f"{b}/{d}/terms.parquet")), d
+        assert read_terms_table(f"{a}/{d}").equals(
+            read_terms_table(f"{b}/{d}")), d
+        for f in (DOC_FILE, POS_FILE):
+            assert open(f"{a}/{d}/{f}", "rb").read() == \
+                open(f"{b}/{d}/{f}", "rb").read(), (f, d)
         assert pq.read_table(f"{a}/{d}/docs.parquet").equals(
             pq.read_table(f"{b}/{d}/docs.parquet")), d

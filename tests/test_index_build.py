@@ -133,10 +133,15 @@ def test_interrupted_build_equals_uninterrupted(tmp_path, ray_session,
     man = build_index(corpus_dataset("/root/testdata/sf0.001"), part,
                       segment_size=100)
     assert len(man["segments"]) == 5
+    from lucene_kmp_ray.index.postings import (DOC_FILE, POS_FILE,
+                                               read_terms_table)
     for seg_meta in man["segments"]:
         d = seg_meta["dir"]
-        assert pq.read_table(f"{part}/{d}/terms.parquet").equals(
-            pq.read_table(f"{full}/{d}/terms.parquet"))
+        assert read_terms_table(f"{part}/{d}").equals(
+            read_terms_table(f"{full}/{d}"))
+        for f in (DOC_FILE, POS_FILE):
+            assert open(f"{part}/{d}/{f}", "rb").read() == \
+                open(f"{full}/{d}/{f}", "rb").read(), f
         assert pq.read_table(f"{part}/{d}/docs.parquet").equals(
             pq.read_table(f"{full}/{d}/docs.parquet"))
     from lucene_kmp_ray.index.builder import term_stats_location

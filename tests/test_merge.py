@@ -99,9 +99,14 @@ def test_force_merge_matches_single_segment_build(built):
     with open(f"{one}/manifest.json") as f:
         import json
         seg_1 = json.load(f)["segments"][0]["dir"]
-    tm = pq.read_table(f"{work}/{seg_m}/terms.parquet")
-    t1 = pq.read_table(f"{one}/{seg_1}/terms.parquet")
+    from lucene_kmp_ray.index.postings import (DOC_FILE, POS_FILE,
+                                               read_terms_table)
+    tm = read_terms_table(f"{work}/{seg_m}")
+    t1 = read_terms_table(f"{one}/{seg_1}")
     assert tm.equals(t1)
+    for f in (DOC_FILE, POS_FILE):
+        assert open(f"{work}/{seg_m}/{f}", "rb").read() == \
+            open(f"{one}/{seg_1}/{f}", "rb").read(), f
     dm = pq.read_table(f"{work}/{seg_m}/docs.parquet")
     d1 = pq.read_table(f"{one}/{seg_1}/docs.parquet")
     assert dm.equals(d1)
@@ -285,9 +290,14 @@ def test_delete_merge_bit_equivalent_to_filtered_rebuild(ray_session,
     with open(f"{idx_a}/manifest.json") as f:
         import json
         db = json.load(open(f"{idx_b}/manifest.json"))["segments"][0]["dir"]
-    ta = pq.read_table(f"{idx_a}/{da}/terms.parquet")
-    tb = pq.read_table(f"{idx_b}/{db}/terms.parquet")
+    from lucene_kmp_ray.index.postings import (DOC_FILE, POS_FILE,
+                                               read_terms_table)
+    ta = read_terms_table(f"{idx_a}/{da}")
+    tb = read_terms_table(f"{idx_b}/{db}")
     assert ta.equals(tb), "terms tables diverge after reclaim"
+    for f in (DOC_FILE, POS_FILE):
+        assert open(f"{idx_a}/{da}/{f}", "rb").read() == \
+            open(f"{idx_b}/{db}/{f}", "rb").read(), f
     assert pq.read_table(f"{idx_a}/{da}/docs.parquet").equals(
         pq.read_table(f"{idx_b}/{db}/docs.parquet"))
 
@@ -401,3 +411,7 @@ def test_bulk_merge_bit_equivalent_to_python_fallback(built, tmp_path):
         a = pq.read_table(f"{idx}/segments/{seg_dirname(900)}/{f}")
         b = pq.read_table(f"{idx}/segments/{seg_dirname(901)}/{f}")
         assert a.equals(b), f
+    for f in ("postings.doc", "postings.pos"):
+        a = open(f"{idx}/segments/{seg_dirname(900)}/{f}", "rb").read()
+        b = open(f"{idx}/segments/{seg_dirname(901)}/{f}", "rb").read()
+        assert a == b, f
