@@ -2429,7 +2429,7 @@ def _doc_diamonds(d: np.ndarray):
 
 def _shape_box_relations_all(sf_dir: str):
     """Shape-valued docs vs a box, every ShapeField.QueryRelation: the
-    generic flat-ring kernel (searcher._score_shape_box) over list<double>
+    generic flat-ring kernel (searcher._shape_box_docs) over list<double>
     doc-values columns; the oracle reduces the SAME diamonds to exact L1
     arithmetic (a diamond is the L1 ball, so box relations are separable
     per axis). One row per (relation, matching doc)."""
@@ -2484,7 +2484,7 @@ def _shape_circle_relations_all(sf_dir: str):
     """Shape docs vs a query CIRCLE (LatLonShapeQuery with Circle over
     the doc-values path, Circle2D.kt relations): the generic ring
     kernel with vertex/center/clamped-edge-distance predicates
-    (searcher._score_shape_circle); the oracle reduces circle-vs-
+    (searcher._shape_circle_docs); the oracle reduces circle-vs-
     diamond to exact closed forms. Reuses the shape index."""
     import pandas as pd
 
@@ -2508,7 +2508,7 @@ def _shape_circle_relations_all(sf_dir: str):
 def _shape_polygon_relations_all(sf_dir: str):
     """Shape docs vs a query POLYGON (LatLonShapeQuery with Polygon over
     the doc-values path): the generic ring-ring kernel
-    (searcher._score_shape_polygon); for two L1 balls each relation
+    (searcher._shape_polygon_docs); for two L1 balls each relation
     reduces to |c_doc − c_query|_1 vs the radii — the oracle's exact
     arithmetic. Reuses _shape_box_relations_all's index."""
     import pandas as pd

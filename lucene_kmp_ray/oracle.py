@@ -6656,7 +6656,7 @@ def geo_xy_polygon_all(polygon: tuple, holes: tuple = ()) -> str:
     """XYPolygon mirror: the lat/lon crossing-number SQL with (x, y)
     mapped onto the ray-cast axes (y = scan axis, x = ray axis) and
     vertices snapped to float32 exactly like the engine
-    (Searcher._score_xy_polygon)."""
+    (searcher._xy_polygon_docs)."""
     import numpy as np
 
     def snap(ring):
@@ -6691,7 +6691,7 @@ ORDER BY doc_id
 def geo_xy_line_all(line: tuple, buffer: float) -> str:
     """XYLine mirror: min over edges of clamped point-to-segment
     squared distance <= buffer^2, same float64 edge constants from
-    float32-snapped vertices as Searcher._score_xy_line."""
+    float32-snapped vertices as searcher._xy_line_docs."""
     import numpy as np
 
     pts = [(float(np.float32(px)), float(np.float32(py)))
@@ -9076,7 +9076,7 @@ ORDER BY s.score DESC, s.doc_id LIMIT {k}
 def geo_polygon_all(polygon: tuple, holes: tuple = ()) -> str:
     """LatLonPoint.newPolygonQuery mirror: crossing-number ray cast
     unrolled per edge (horizontal edges contribute nothing), holes
-    subtract. Same arithmetic as Searcher._ring_contains."""
+    subtract. Same arithmetic as searcher._ring_contains."""
     def ring_sql(ring) -> str:
         terms = []
         n = len(ring)
@@ -9106,7 +9106,7 @@ def geo_line_all(line: tuple, buffer_deg: float) -> str:
     """GeoLineQuery mirror (``geo/Line.kt`` + ``geo/Line2D.kt`` planar
     proximity): min over edges of clamped point-to-segment squared
     distance <= buffer^2. Same expression tree and the same precomputed
-    float64 edge constants as Searcher._score_geo_line, so DuckDB and
+    float64 edge constants as searcher._geo_line_docs, so DuckDB and
     numpy agree bit-for-bit; line vertices sit off the synthetic
     coordinate grid so no doc lands on the decision boundary."""
     edges = []

@@ -4,9 +4,7 @@ plus the end-to-end search path over the geo metadata index."""
 import numpy as np
 import pytest
 
-from lucene_kmp_ray.search.searcher import Searcher
-
-ring = Searcher._ring_contains
+from lucene_kmp_ray.search.searcher import _ring_contains as ring
 
 SQUARE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
 # concave "L" shape

@@ -67,6 +67,11 @@ def test_boolean_matches_gating(searcher, corpus_texts):
                                (Occur.SHOULD, TermQuery("zzznope")),
                                minimum_should_match=2)
     assert searcher.matches(q_msm, d_both) is None
+    # nothing required: at least one SHOULD must match, as in search
+    q_none = BooleanQuery.build((Occur.SHOULD, TermQuery("zzznope")),
+                                (Occur.SHOULD, TermQuery("yyynope")))
+    assert searcher.search(q_none).total_hits == 0
+    assert searcher.matches(q_none, d_both) is None
     # FILTER contributes its matches (BooleanWeight: required clauses)
     q_f = BooleanQuery.build((Occur.MUST, TermQuery("spark")),
                              (Occur.FILTER, TermQuery("the")))

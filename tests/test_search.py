@@ -224,6 +224,26 @@ def test_explain_matches_score(searcher):
     assert ex2["value"] == pytest.approx(td2.score_docs[0].score, rel=1e-6)
     assert searcher.explain(TermQuery("zzz"), 0)["value"] == 0.0
 
+    # explain gates boolean clauses like search: a missed MUST or FILTER
+    # clause or a matched MUST_NOT clause leaves the doc unmatched
+    def hit_ids(q):
+        return {h.doc_id: h.score
+                for h in searcher.search(q, k=1000).score_docs}
+
+    spark, join = hit_ids(TermQuery("spark")), hit_ids(TermQuery("join"))
+    docs = (sorted(spark.keys() - join.keys())[:3]
+            + sorted(spark.keys() & join.keys())[:3])
+    for q in (BooleanQuery.build((Occur.MUST, TermQuery("spark")),
+                                 (Occur.MUST, TermQuery("join"))),
+              BooleanQuery.build((Occur.MUST, TermQuery("spark")),
+                                 (Occur.MUST_NOT, TermQuery("join"))),
+              BooleanQuery.build((Occur.FILTER, TermQuery("join")),
+                                 (Occur.SHOULD, TermQuery("spark")))):
+        scores = hit_ids(q)
+        for d in docs:
+            assert searcher.explain(q, d)["value"] == \
+                pytest.approx(scores.get(d, 0.0), rel=1e-6)
+
 
 def _ann_recall(brute, approx) -> float:
     recalls = []

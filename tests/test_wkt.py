@@ -171,7 +171,7 @@ def _line_dist2(lat, lon, line):
 
 
 def test_geo_line_vs_bruteforce():
-    from lucene_kmp_ray.search.searcher import Searcher
+    from lucene_kmp_ray.search.searcher import Searcher, _geo_line_docs
     line = ((-5.0, -10.0), (0.0, 0.0), (3.0, 12.0))
     rng = np.random.default_rng(7)
     lat = rng.uniform(-15, 15, 400)
@@ -184,12 +184,13 @@ def test_geo_line_vs_bruteforce():
     class FakeSim:
         dtype = np.dtype(np.float64)
 
-    s = Searcher.__new__(Searcher)
-    s.sim = FakeSim()
-    docs, scores = s._score_geo_line(
-        FakeSR(), GeoLineQuery(line, buf), 1.0)
+    q = GeoLineQuery(line, buf)
     exp = [i for i in range(400)
            if _line_dist2(lat[i], lon[i], line) <= buf * buf]
+    assert _geo_line_docs(FakeSR(), q).tolist() == exp
+    s = Searcher.__new__(Searcher)
+    s.sim = FakeSim()
+    docs, scores = s._score(FakeSR(), q, 1.0)
     assert docs.tolist() == exp
     assert (scores == 1.0).all()
 
@@ -205,26 +206,21 @@ def _np_col(arr):
 
 
 def test_geo_line_degenerate_point():
-    from lucene_kmp_ray.search.searcher import Searcher
+    from lucene_kmp_ray.search.searcher import _geo_line_docs
     lat = np.array([0.0, 1.0, 3.0])
     lon = np.array([0.0, 1.0, 3.0])
 
     class FakeSR:
         doc_meta = {"lat": _np_col(lat), "lon": _np_col(lon)}
 
-    class FakeSim:
-        dtype = np.dtype(np.float64)
-
-    s = Searcher.__new__(Searcher)
-    s.sim = FakeSim()
     # single-vertex "line" = buffered point match
-    docs, _ = s._score_geo_line(
-        FakeSR(), GeoLineQuery(((1.0, 1.0), (1.0, 1.0)), 0.5), 1.0)
+    docs = _geo_line_docs(
+        FakeSR(), GeoLineQuery(((1.0, 1.0), (1.0, 1.0)), 0.5))
     assert docs.tolist() == [1]
     # zero buffer matches only points exactly on a segment (dyadic
     # coordinates so the projection round-trips in float64)
-    docs, _ = s._score_geo_line(
-        FakeSR(), GeoLineQuery(((0.0, 0.0), (2.0, 2.0)), 0.0), 1.0)
+    docs = _geo_line_docs(
+        FakeSR(), GeoLineQuery(((0.0, 0.0), (2.0, 2.0)), 0.0))
     assert docs.tolist() == [0, 1]
 
 
