@@ -53,6 +53,20 @@ TV_ROW_GROUP = 16384  # tv rows per row group (~100-300 docs → pruned gets)
 SEG_MANIFEST = "manifest.json"
 
 
+def sorted_codes(values: pa.Array) -> tuple[np.ndarray, pa.Array]:
+    """Each string's rank among the distinct values, and those values
+    sorted: ``values == sorted_values.take(ranks)``. One Arrow
+    dictionary-encode plus a C++ sort of the dictionary — bytewise UTF-8
+    order == code-point order, the BytesRef term order of
+    TermsHashPerField.sortTerms — so no Python string objects."""
+    enc = values.dictionary_encode()
+    order = pc.sort_indices(enc.dictionary).to_numpy().astype(np.int64)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[enc.indices.to_numpy()], \
+        pc.take(enc.dictionary, pa.array(order))
+
+
 def invert_field(texts, n_docs: int, analyzer=None,
                  entries_out: dict | None = None):
     """Invert one field's values → (doc_lengths, norms, field terms table,
@@ -76,21 +90,8 @@ def invert_field(texts, n_docs: int, analyzer=None,
     norms = int_to_byte4_np(doc_lengths)
     total = len(flat_tokens)
 
-    # Token → dense code via Arrow dictionary encode (C++), then remap codes
-    # to sorted-term rank (sort order = code-point == UTF-8 byte order, the
-    # BytesRef term order of TermsHashPerField.sortTerms).
-    dict_arr = flat_tokens.dictionary_encode()
-    codes = dict_arr.indices.to_numpy().astype(np.int64) if total else \
-        np.empty(0, np.int64)
-    # sorted-term rank via Arrow's C++ string sort (bytewise on UTF-8 ==
-    # code-point order, the BytesRef term order of
-    # TermsHashPerField.sortTerms) — no Python string objects
-    dictionary = dict_arr.dictionary
-    vorder = pc.sort_indices(dictionary).to_numpy().astype(np.int64)
-    uniques = pc.take(dictionary, pa.array(vorder))
-    rank = np.empty(len(dictionary), dtype=np.int64)
-    rank[vorder] = np.arange(len(dictionary))
-    scodes = rank[codes]
+    # token → sorted-term rank
+    scodes, uniques = sorted_codes(flat_tokens)
 
     # sort occurrences by (term, doc); stable keeps positions ascending
     nd = max(n_docs, 1)
@@ -497,17 +498,7 @@ def term_vectors_of(texts, doc_ids: np.ndarray, field: str,
     })
     if not total:
         return empty
-    import pyarrow.compute as pc
-    dict_arr = flat_tokens.dictionary_encode()
-    codes = dict_arr.indices.to_numpy().astype(np.int64)
-    # Arrow C++ string sort (bytewise UTF-8 == code-point order), no
-    # Python string objects — same as invert_field
-    dictionary = dict_arr.dictionary
-    vorder = pc.sort_indices(dictionary).to_numpy().astype(np.int64)
-    uniques = pc.take(dictionary, pa.array(vorder))
-    rank = np.empty(len(dictionary), dtype=np.int64)
-    rank[vorder] = np.arange(len(dictionary))
-    scodes = rank[codes]
+    scodes, uniques = sorted_codes(flat_tokens)
 
     nt = len(uniques)
     key = doc_of * nt + scodes  # doc-major, term-minor
