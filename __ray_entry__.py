@@ -2618,7 +2618,7 @@ def _term_stats_grouped(sf_dir: str):
     pytest-only."""
     import ray.data as rd
 
-    from lucene_kmp_ray.index.builder import term_stats_location
+    from lucene_kmp_ray.index.builder import global_term_stats
     from lucene_kmp_ray.index.grouped import build_index_grouped
     from lucene_kmp_ray.sources.corpus import corpus_dataset
 
@@ -2629,11 +2629,12 @@ def _term_stats_grouped(sf_dir: str):
                             segment_size=SEGMENT_SIZE,
                             lineage_source=sf_dir)
 
-    def text_only(b: pa.Table) -> pa.Table:
-        return b.filter(pc.equal(b["field"], "text")) \
-                .select(["term", "df", "ttf"])
-    return rd.read_parquet(term_stats_location(index_dir)) \
-             .map_batches(text_only, batch_format="pyarrow")
+    return rd.from_arrow(_text_term_stats(global_term_stats(index_dir)))
+
+
+def _text_term_stats(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t["field"], "text")).select(["term", "df",
+                                                          "ttf"])
 
 
 def _feature_blend(sf_dir: str):
@@ -3665,24 +3666,19 @@ def _corpus_summary(sf_dir: str):
 def _term_stats(sf_dir: str):
     """Text-field (term, df, ttf) — the single-field view (back-compat)."""
     import ray.data as rd
+
+    from lucene_kmp_ray.index.builder import global_term_stats
     index_dir = _ensure_index(sf_dir)
-
-    from lucene_kmp_ray.index.builder import term_stats_location
-
-    def text_only(b: pa.Table) -> pa.Table:
-        return b.filter(pc.equal(b["field"], "text")) \
-                .select(["term", "df", "ttf"])
-    return rd.read_parquet(term_stats_location(index_dir)) \
-             .map_batches(text_only, batch_format="pyarrow")
+    return rd.from_arrow(_text_term_stats(global_term_stats(index_dir)))
 
 
 def _term_stats_fields(sf_dir: str):
     """Full (field, term, df, ttf) across text + title."""
     import ray.data as rd
 
-    from lucene_kmp_ray.index.builder import term_stats_location
+    from lucene_kmp_ray.index.builder import global_term_stats
     index_dir = _ensure_index(sf_dir)
-    return rd.read_parquet(term_stats_location(index_dir))
+    return rd.from_arrow(global_term_stats(index_dir))
 
 
 def _field_stats(sf_dir: str):
@@ -3749,12 +3745,8 @@ def _collection_stats(sf_dir: str):
     index_dir = _ensure_index(sf_dir)
     with open(os.path.join(index_dir, "manifest.json")) as f:
         m = json.load(f)
-    import pyarrow.parquet as pq
-
-    from lucene_kmp_ray.index.builder import term_stats_location
-    uniq = pq.read_table(
-        term_stats_location(index_dir),
-        columns=["term"], filters=[("field", "=", "text")]).num_rows
+    from lucene_kmp_ray.index.builder import global_term_stats
+    uniq = _text_term_stats(global_term_stats(index_dir)).num_rows
     return pd.DataFrame({
         "doc_count": [m["doc_count"]],
         "sum_total_term_freq": [m["sum_total_term_freq"]],
@@ -3945,12 +3937,11 @@ def _page2(sf_dir: str):
 
 def _count_term(sf_dir: str, term: str):
     import pandas as pd
-    import pyarrow.parquet as pq
 
-    from lucene_kmp_ray.index.builder import term_stats_location
+    from lucene_kmp_ray.index.builder import global_term_stats
     index_dir = _ensure_index(sf_dir)
-    t = pq.read_table(term_stats_location(index_dir),
-                      filters=[("term", "=", term)])
+    t = global_term_stats(index_dir)
+    t = t.filter(pc.equal(t["term"], term))
     n = int(t["df"][0].as_py()) if t.num_rows else 0
     return pd.DataFrame({"n": [n]})
 

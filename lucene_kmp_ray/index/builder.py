@@ -26,47 +26,27 @@ Scale notes (designed for 10^12 docs / 256 nodes, tested single-node):
 - Resume: segments whose manifest exists are skipped at the *read* (filtered
   before the shuffle), and the per-segment write is atomic (tmp dir + rename)
   — a failed run redoes only unfinished segments (north rule lineage).
-- Global term stats (df/ttf summed over segments — the TermStates/
-  CollectionStatistics resolution of IndexSearcher, SURVEY §2.4) are a
-  groupby over per-segment term rows: vocabulary-sized, i.e. tiny relative
-  to postings, and already pre-aggregated per segment (combiner pattern).
+- The commit writes no global term stats: each segment dictionary holds
+  its terms' df/ttf, and readers sum them at query time (the TermStates
+  resolution of IndexSearcher, SURVEY §2.4; ``IndexReader.term_stats``).
+  Per-field collection stats are summed from the segment manifests.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .format import (SEG_MANIFEST, TERMS_ROW_GROUP, build_and_write_segment,
+from .format import (SEG_MANIFEST, build_and_write_segment,
                      read_seg_manifest, seg_dirname)
 
 INDEX_MANIFEST = "manifest.json"
-TERM_STATS_FILE = "term_stats.parquet"   # legacy single-file layout
-TERM_STATS_DIR = "term_stats"            # sharded layout (shard=NNNN.parquet)
-TERMS_PER_SHARD = 2_000_000              # target vocabulary rows per shard
 DEFAULT_SEGMENT_SIZE = 100_000
-
-
-def term_stats_location(index_dir: str) -> str:
-    """Path of the committed global term stats: the sharded directory
-    when present, else the legacy single file (old indexes)."""
-    d = os.path.join(index_dir, TERM_STATS_DIR)
-    return d if os.path.isdir(d) else os.path.join(index_dir,
-                                                   TERM_STATS_FILE)
-
-
-def term_shard(terms, n_shards: int) -> np.ndarray:
-    """Stable shard id per term: crc32(utf-8) mod n_shards — identical in
-    the writer (partition assignment) and the reader (shard lookup);
-    deterministic across processes, unlike Python's hash()."""
-    import zlib
-    return np.fromiter((zlib.crc32(t.encode("utf-8")) % n_shards
-                        for t in terms), dtype=np.int64, count=len(terms))
 
 
 def completed_segments(index_dir: str) -> set[int]:
@@ -223,13 +203,19 @@ def build_index_sharded(shards: list[dict], make_docs, index_dir: str,
 def commit_index(index_dir: str, manifests: list[dict],
                  build_sec: float | None = None,
                  analyzer_name: str = "standard") -> dict:
-    """Write global term stats + manifest (phase 2 of the two-phase commit).
+    """Write the global manifest (phase 2 of the two-phase commit).
 
     Per-field collection stats aggregate across segments under ``fields``
     (the CollectionStatistics per field, SURVEY §2.4); the top-level stats
-    stay the text field's for back-compat.
+    stay the text field's for back-compat. Term stats are not written:
+    readers sum them from the segment dictionaries, so the global copy
+    that older commits kept (``term_stats/``, ``term_stats.parquet``) is
+    removed.
     """
-    ts_shards = _write_term_stats(index_dir, manifests)
+    shutil.rmtree(os.path.join(index_dir, "term_stats"), ignore_errors=True)
+    legacy = os.path.join(index_dir, "term_stats.parquet")
+    if os.path.exists(legacy):
+        os.remove(legacy)
     field_stats: dict[str, dict] = {}
     for m in manifests:
         # old manifests (pre-field) carry only top-level text stats
@@ -252,7 +238,6 @@ def commit_index(index_dir: str, manifests: list[dict],
         "doc_count": sum(m["doc_count"] for m in manifests),
         "sum_total_term_freq": sum(m["sum_total_term_freq"] for m in manifests),
         "sum_doc_freq": sum(m["sum_doc_freq"] for m in manifests),
-        "term_stats_shards": ts_shards,
         "fields": field_stats,
         "segments": [{k: m.get(k) for k in
                       ("seg", "doc_count", "sum_total_term_freq",
@@ -273,141 +258,33 @@ def commit_index(index_dir: str, manifests: list[dict],
     return manifest
 
 
-def _read_seg_term_stats(index_dir: str, seg: int) -> pa.Table:
-    """One segment's (field, term, df, ttf); legacy tables (no field
-    column) read as field='text'."""
+def global_term_stats(index_dir: str) -> pa.Table:
+    """``(field, term, df, ttf)`` summed over every segment of the
+    committed manifest, sorted by (field, term): the whole global stats
+    table, for tools that want all of it (a reader resolves single terms
+    with ``IndexReader.term_stats``). Legacy segments without a field
+    column read as field='text'."""
     import pyarrow.parquet as pq
-    path = os.path.join(index_dir, "segments", seg_dirname(seg),
-                        "terms.parquet")
-    cols = {f.name for f in pq.read_schema(path)}
-    t = pq.read_table(path, columns=[c for c in ("field", "term", "df", "ttf")
-                                     if c in cols])
-    # df/ttf are int32 in the flat-postings dictionary, int64 before it
-    t = t.cast(pa.schema([f.with_type(pa.int64()) if f.name in ("df", "ttf")
-                          else f for f in t.schema]))
-    if "field" in cols:
-        return t
-    return t.add_column(0, "field",
-                        pa.array(["text"] * t.num_rows, pa.string()))
-
-
-def _agg_term_tables(parts: list[pa.Table]) -> pa.Table:
-    """Sum df/ttf over (field, term) across partial tables."""
+    with open(os.path.join(index_dir, INDEX_MANIFEST)) as f:
+        segs = [m["dir"] for m in json.load(f)["segments"]]
+    parts = []
+    for d in segs:
+        path = os.path.join(index_dir, d, "terms.parquet")
+        cols = {f.name for f in pq.read_schema(path)}
+        t = pq.read_table(path, columns=[c for c in ("field", "term", "df",
+                                                     "ttf") if c in cols])
+        # df/ttf are int32 in the flat-postings dictionary, int64 before it
+        t = t.cast(pa.schema([f.with_type(pa.int64())
+                              if f.name in ("df", "ttf") else f
+                              for f in t.schema]))
+        if "field" not in cols:
+            t = t.add_column(0, "field",
+                             pa.array(["text"] * t.num_rows, pa.string()))
+        parts.append(t.select(["field", "term", "df", "ttf"]))
     agg = pa.concat_tables(parts).group_by(["field", "term"]) \
         .aggregate([("df", "sum"), ("ttf", "sum")])
     # select-by-name before the positional rename: pyarrow versions differ
     # on whether the group key lands first or last
     return agg.select(["field", "term", "df_sum", "ttf_sum"]) \
-        .rename_columns(["field", "term", "df", "ttf"])
-
-
-def _split_by_shard(t: pa.Table, n_shards: int) -> list[pa.Table]:
-    if n_shards == 1:
-        return [t]
-    sh = term_shard(t["term"].to_pylist(), n_shards)
-    mask = pa.array(sh)
-    import pyarrow.compute as pc
-    return [t.filter(pc.equal(mask, s)) for s in range(n_shards)]
-
-
-def _partial_term_stats_sharded(index_dir: str, segs: list[int],
-                                n_shards: int):
-    """Combiner: partially aggregate one chunk of per-segment term tables
-    and split the result by term shard (one return object per shard, so
-    the per-shard reducers fetch ONLY their slice from the object store)."""
-    agg = _agg_term_tables([_read_seg_term_stats(index_dir, s)
-                            for s in segs])
-    parts = _split_by_shard(agg, n_shards)
-    return parts[0] if n_shards == 1 else tuple(parts)
-
-
-def _reduce_term_shard(shard: int, index_dir: str, final: bool,
-                       *pieces: pa.Table) -> pa.Table | None:
-    """Reduce one term shard: sum partials; at the final level sort and
-    write ``term_stats/shard=NNNN.parquet`` atomically (tmp + rename)."""
-    import pyarrow.parquet as pq
-    agg = _agg_term_tables(list(pieces))
-    if not final:
-        return agg
-    agg = agg.sort_by([("field", "ascending"), ("term", "ascending")])
-    out = os.path.join(index_dir, TERM_STATS_DIR, f"shard={shard:04d}.parquet")
-    # row groups of TERMS_ROW_GROUP terms are the reader's stats blocks
-    # (IndexReader.term_stats reads one per lookup); one never spans a
-    # field, so its footer min/max of `term` bound a single field's range.
-    # Sorted terms share long prefixes, hence DELTA_BYTE_ARRAY.
-    ends = pc.run_end_encode(agg["field"].combine_chunks()).run_ends \
-        .to_pylist()
-    with pq.ParquetWriter(out + ".tmp", agg.schema, compression="zstd",
-                          use_dictionary=["field"],
-                          column_encoding={"term": "DELTA_BYTE_ARRAY"}) as w:
-        start = 0
-        for end in ends:
-            w.write_table(agg.slice(start, end - start),
-                          row_group_size=TERMS_ROW_GROUP)
-            start = end
-    os.replace(out + ".tmp", out)
-    return None
-
-
-_REDUCE_FANIN = 32  # partials merged per tree-reduction node
-
-
-def _write_term_stats(index_dir: str, manifests: list[dict]) -> int:
-    """Global (field, term → df, ttf) stats as a HIVE-SHARDED directory
-    (``term_stats/shard=NNNN.parquet``, shard = crc32(term) % n) built by
-    a tree of Ray tasks all the way down (VERDICT r3 #1): per-segment
-    term tables are already pre-aggregated (combiner pattern, SURVEY
-    §2.6); chunk-partial tasks aggregate 16 segments each and SPLIT by
-    term shard; per-shard reducers tree-merge (fan-in 32) and write their
-    shard file. The driver only schedules refs — at a 10^9+-term web
-    vocabulary nothing vocabulary-sized ever materializes in one process.
-
-    Shard count scales with the estimated vocabulary (Σ per-segment
-    unique_terms, an overcount — duplicates across segments only make
-    shards smaller). Readers resolve a query term to its shard by the
-    same crc32 (reader.term_stats, the TermStates-style lookup), then
-    binary-search the footer's per-row-group (field, min/max term) to
-    read the one 4096-term block that can hold the term.
-
-    Returns the shard count (recorded in the manifest).
-    """
-    import shutil
-
-    segs = [m["seg"] for m in manifests]
-    est_vocab = sum(m.get("unique_terms") or 0 for m in manifests)
-    n_shards = max(1, min(1024, -(-est_vocab // TERMS_PER_SHARD)))
-
-    out_dir = os.path.join(index_dir, TERM_STATS_DIR)
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(out_dir)
-    legacy = os.path.join(index_dir, TERM_STATS_FILE)
-    if os.path.exists(legacy):  # superseded single-file layout
-        os.remove(legacy)
-
-    chunks = [segs[i:i + 16] for i in range(0, len(segs), 16)]
-    if len(chunks) == 1 and n_shards == 1:
-        # small index: one combiner + one reducer, no task round-trip
-        part = _partial_term_stats_sharded(index_dir, chunks[0], 1)
-        _reduce_term_shard(0, index_dir, True, part)
-        return 1
-
-    import ray
-    part_fn = ray.remote(_partial_term_stats_sharded)
-    reduce_fn = ray.remote(_reduce_term_shard)
-    # level 0: chunk partials, one return object PER SHARD
-    if n_shards == 1:
-        shard_refs = [[part_fn.remote(index_dir, c, 1) for c in chunks]]
-    else:
-        outs = [part_fn.options(num_returns=n_shards)
-                .remote(index_dir, c, n_shards) for c in chunks]
-        shard_refs = [[o[s] for o in outs] for s in range(n_shards)]
-    # per-shard tree reduction, fan-in _REDUCE_FANIN, final level writes
-    finals = []
-    for s, refs in enumerate(shard_refs):
-        while len(refs) > _REDUCE_FANIN:
-            refs = [reduce_fn.remote(s, index_dir, False,
-                                     *refs[i:i + _REDUCE_FANIN])
-                    for i in range(0, len(refs), _REDUCE_FANIN)]
-        finals.append(reduce_fn.remote(s, index_dir, True, *refs))
-    ray.get(finals)
-    return n_shards
+        .rename_columns(["field", "term", "df", "ttf"]) \
+        .sort_by([("field", "ascending"), ("term", "ascending")])

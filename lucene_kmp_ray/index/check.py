@@ -5,7 +5,7 @@ manifests claim, exactly in the spirit of ``index/CheckIndex.kt:487``
 (postings re-walked at ``:1033-1055``, norms, stored fields, per-field
 stats). Segments are verified by parallel Ray tasks (one per segment — the
 scan is embarrassingly parallel and IO-bound); the driver then checks the
-global manifest and term_stats aggregation.
+global manifest against the segments.
 
 Checks per segment:
 - postings pointers: ``doc_ptr``/``pos_ptr`` ascend from 0 and stay inside
@@ -23,11 +23,10 @@ Checks per segment:
 - ``norm`` byte == SmallFloat.intToByte4(length) for every doc;
 - segment manifest stats == re-derived sums.
 
-Global checks: manifest totals == Σ segment manifests; ``term_stats``
-equals the groupby-term aggregation of per-segment (df, ttf); every
-term-stats row group (the reader's stats block) holds one field, its
-terms ascend, its footer has min/max statistics of ``term``, and blocks
-ascend by (field, term) within a shard.
+Global checks: manifest doc_count == Σ segment doc counts; per field, the
+manifest's ``sum_doc_freq`` / ``sum_total_term_freq`` == Σ df / Σ ttf over
+the segment dictionaries, the same df/ttf that ``IndexReader.term_stats``
+sums for the scorer.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ import json
 import os
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..util import forutil as fu
@@ -45,7 +42,7 @@ from ..util.smallfloat import int_to_byte4_np
 from .format import DOCS_FILE, decode_postings
 from .postings import (DOC_FILE, POS_FILE, TERMS_FILE, read_terms_table,
                        stream_nbytes)
-from .reader import FOOTER_STATS_MAX_BYTES, INDEX_MANIFEST, footer_min_max
+from .reader import INDEX_MANIFEST
 
 
 def check_segment(index_dir: str, seg_dir: str) -> dict:
@@ -378,64 +375,23 @@ def check_index(index_dir: str, parallel: bool = True) -> dict:
     # global aggregates
     if sum(r["doc_count"] for r in seg_reports) != manifest["doc_count"]:
         errors.append("global doc_count != Σ segment doc_count")
-    from .builder import _read_seg_term_stats
-    parts = [_read_seg_term_stats(index_dir, m["seg"])
-             for m in manifest["segments"]]
-    agg = pa.concat_tables(parts).group_by(["field", "term"]) \
-        .aggregate([("df", "sum"), ("ttf", "sum")]) \
-        .select(["field", "term", "df_sum", "ttf_sum"]) \
-        .rename_columns(["field", "term", "df", "ttf"]) \
-        .sort_by([("field", "ascending"), ("term", "ascending")])
-    from .builder import term_stats_location
-    stats = pq.read_table(term_stats_location(index_dir)) \
-        .sort_by([("field", "ascending"), ("term", "ascending")])
-    if not agg.equals(stats):
-        errors.append("term stats disagree with per-segment terms")
-    errors += check_term_stats_blocks(index_dir)
+    from .builder import global_term_stats
+    sums = global_term_stats(index_dir).group_by("field") \
+        .aggregate([("df", "sum"), ("ttf", "sum")])
+    got = {f: (df, ttf) for f, df, ttf in zip(
+        *(sums[c].to_pylist() for c in ("field", "df_sum", "ttf_sum")))}
+    per = manifest.get("fields") or {"text": manifest}
+    for f in sorted(set(per) | set(got)):
+        df, ttf = got.get(f, (0, 0))
+        want = per.get(f, {})
+        if want.get("sum_doc_freq", 0) != df:
+            errors.append(f"field {f}: manifest sum_doc_freq "
+                          f"{want.get('sum_doc_freq')} != Σ df {df}")
+        if want.get("sum_total_term_freq", 0) != ttf:
+            errors.append(f"field {f}: manifest sum_total_term_freq "
+                          f"{want.get('sum_total_term_freq')} != Σ ttf {ttf}")
     return {"ok": not errors, "doc_count": manifest["doc_count"],
             "segments": seg_reports, "errors": errors}
-
-
-def check_term_stats_blocks(index_dir: str) -> list[str]:
-    """The layout ``IndexReader.term_stats`` binary-searches: per shard
-    file, every row group holds one field, its terms ascend strictly,
-    its footer's min/max of ``term`` are its first and last term, and
-    each group's first (field, term) follows the previous group's last."""
-    from .builder import term_stats_location
-    loc = term_stats_location(index_dir)
-    paths = sorted(os.path.join(loc, n) for n in os.listdir(loc)) \
-        if os.path.isdir(loc) else [loc]
-    errors: list[str] = []
-    for path in paths:
-        pf = pq.ParquetFile(path)
-        names = pf.schema_arrow.names
-        prev = None
-        for g in range(pf.metadata.num_row_groups):
-            where = f"{os.path.basename(path)} row group {g}"
-            t = pf.read_row_group(g, columns=[c for c in ("field", "term")
-                                              if c in names])
-            if t.num_rows == 0:
-                continue
-            terms = t["term"]
-            fields = t["field"] if "field" in names else pa.array(["text"])
-            if pc.count_distinct(fields).as_py() != 1:
-                errors.append(f"{where}: spans fields")
-            if t.num_rows > 1 and not pc.all(
-                    pc.less(terms[:-1], terms[1:])).as_py():
-                errors.append(f"{where}: terms not ascending")
-            edges = (terms[0].as_py(), terms[-1].as_py())
-            st = footer_min_max(pf.metadata.row_group(g).column(
-                names.index("term")).statistics)
-            if st is None:  # allowed only where Arrow must drop a bound
-                if max(len(e.encode()) for e in edges) <= \
-                        FOOTER_STATS_MAX_BYTES:
-                    errors.append(f"{where}: no min/max statistics for term")
-            elif st != edges:
-                errors.append(f"{where}: term statistics != first/last term")
-            if prev is not None and (fields[0].as_py(), edges[0]) <= prev:
-                errors.append(f"{where}: not after the previous row group")
-            prev = (fields[-1].as_py(), edges[1])
-    return errors
 
 
 if __name__ == "__main__":

@@ -43,7 +43,6 @@ from ..util import forutil as fu
 from ..util.smallfloat import int_to_byte4_np
 from .postings import write_postings
 
-TERMS_ROW_GROUP = 4096  # terms per term-stats row group (a stats block)
 DOCS_FILE = "docs.parquet"
 VECTORS_FILE = "vectors.parquet"
 VECTORS_Q_FILE = "vectors_q.parquet"

@@ -16,7 +16,7 @@ The syntax subset of the reference's JavaCC-generated classic parser
     [batch TO data]           term range (inclusive); {..} exclusive
     title:[a TO b]            field-scoped range / phrase / term
     spark^2.5                 boost
-    sp\*rk  foo\:bar          backslash-escaped specials (literal)
+    sp\\*rk  foo\\:bar          backslash-escaped specials (literal)
     (spark OR data) AND join  grouping
 
 Field prefixes (``title:foo``) scope the clause to that field

@@ -30,6 +30,24 @@ def test_corrupt_stats_detected(built_index, tmp_path):
     assert any("sum_total_term_freq" in e for e in rep["errors"])
 
 
+def test_corrupt_global_field_stats_detected(built_index, tmp_path):
+    """The manifest's per-field sums must equal Σ df / Σ ttf over the
+    segment dictionaries, the figures the scorer's term stats add up."""
+    work = str(tmp_path / "corrupt_global")
+    shutil.copytree(built_index, work)
+    with open(f"{work}/manifest.json") as f:
+        man = json.load(f)
+    man["fields"]["title"]["sum_doc_freq"] += 1
+    with open(f"{work}/manifest.json", "w") as f:
+        json.dump(man, f)
+    rep = check_index(work, parallel=False)
+    assert not rep["ok"]
+    assert rep["errors"] == [
+        f"field title: manifest sum_doc_freq "
+        f"{man['fields']['title']['sum_doc_freq']} != Σ df "
+        f"{man['fields']['title']['sum_doc_freq'] - 1}"]
+
+
 def test_corrupt_postings_detected(built_index, tmp_path):
     work = str(tmp_path / "corrupt2")
     shutil.copytree(built_index, work)

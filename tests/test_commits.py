@@ -97,3 +97,32 @@ def test_snapshot_requires_commits(tmp_path):
     sdp = SnapshotDeletionPolicy()
     with pytest.raises(KeyError):
         sdp.release(str(tmp_path), 1)
+
+
+def test_retained_commit_scores_with_its_own_stats(tmp_path):
+    """A reader on an older generation sums df/ttf over that commit's
+    segments only, not over the latest commit's, and so scores like an
+    index holding just those segments."""
+    import pyarrow as pa
+
+    from lucene_kmp_ray.index.builder import commit_index
+    from lucene_kmp_ray.index.format import build_and_write_segment
+
+    def seg(d, n, texts):
+        ids = range(10 * n, 10 * n + len(texts))
+        return build_and_write_segment(pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "url": [f"u{i}" for i in ids], "text": texts}), n, d)
+
+    d, alone = str(tmp_path / "gens"), str(tmp_path / "alone")
+    first = seg(d, 0, ["spark join", "spark"])
+    commit_index(d, [first])
+    commit_index(d, [first, seg(d, 1, ["spark spark", "spark ray", "ray"])])
+    commit_index(alone, [seg(alone, 0, ["spark join", "spark"])])
+    old, new = IndexReader(d, commit=1), IndexReader(d)
+    assert old.doc_count == 2 and new.doc_count == 5
+    assert old.term_stats(["spark", "ray"]) == {"spark": (2, 2),
+                                               "ray": (0, 0)}
+    assert new.term_stats(["spark", "ray"]) == {"spark": (4, 5),
+                                               "ray": (2, 2)}
+    assert _hits(old) == _hits(IndexReader(alone))

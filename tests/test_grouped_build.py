@@ -63,9 +63,8 @@ def test_identical_segment_files(pair):
 
 def test_identical_term_stats(pair):
     a, b = pair
-    from lucene_kmp_ray.index.builder import term_stats_location
-    assert pq.read_table(term_stats_location(a)).equals(
-        pq.read_table(term_stats_location(b)))
+    from lucene_kmp_ray.index.builder import global_term_stats
+    assert global_term_stats(a).equals(global_term_stats(b))
 
 
 def test_sparse_doc_ids_match_dense_rank_path(tmp_path, ray_session):

@@ -86,10 +86,10 @@ def test_ray_build_and_manifest(built_index):
 
 
 def test_global_term_stats(built_index, corpus_texts):
-    import pyarrow.parquet as pq
-    from lucene_kmp_ray.index.builder import term_stats_location
-    stats = pq.read_table(term_stats_location(built_index),
-                          filters=[("field", "=", "text")])
+    import pyarrow.compute as pc
+    from lucene_kmp_ray.index.builder import global_term_stats
+    stats = global_term_stats(built_index)
+    stats = stats.filter(pc.equal(stats["field"], "text"))
     inv = _brute_index(corpus_texts)
     got = {t: (df, ttf) for t, df, ttf in zip(*[stats[c].to_pylist()
                                                 for c in ("term", "df", "ttf")])}
@@ -144,9 +144,8 @@ def test_interrupted_build_equals_uninterrupted(tmp_path, ray_session,
                 open(f"{full}/{d}/{f}", "rb").read(), f
         assert pq.read_table(f"{part}/{d}/docs.parquet").equals(
             pq.read_table(f"{full}/{d}/docs.parquet"))
-    from lucene_kmp_ray.index.builder import term_stats_location
-    assert pq.read_table(term_stats_location(part)).equals(
-        pq.read_table(term_stats_location(full)))
+    from lucene_kmp_ray.index.builder import global_term_stats
+    assert global_term_stats(part).equals(global_term_stats(full))
 
 
 def test_crashed_tmp_dir_does_not_break_resume(tmp_path, ray_session):

@@ -139,9 +139,9 @@ def test_add_indexes(built, tmp_path, ray_session):
         orig = json.load(f)
     for k in ("doc_count", "sum_total_term_freq", "sum_doc_freq"):
         assert man[k] == 2 * orig[k]
-    from lucene_kmp_ray.index.builder import term_stats_location
-    ts_dest = pq.read_table(term_stats_location(dest))
-    ts_one = pq.read_table(term_stats_location(one))
+    from lucene_kmp_ray.index.builder import global_term_stats
+    ts_dest = global_term_stats(dest)
+    ts_one = global_term_stats(one)
     assert ts_dest["term"].to_pylist() == ts_one["term"].to_pylist()
     assert [2 * v for v in ts_one["df"].to_pylist()] == \
         ts_dest["df"].to_pylist()
