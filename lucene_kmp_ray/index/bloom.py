@@ -17,7 +17,8 @@ Parquet segment layout:
   format documents (primary-key style fields).
 
 The hash is vectorized across same-length keys for the build path
-(``murmur128_bulk``) and asserted equal to the scalar transcription in
+(``murmur128_bulk``, which reads an Arrow term column straight from its
+buffers) and asserted equal to the scalar transcription in
 tests/test_bloom.py. False-negative freedom is asserted against real
 segment vocabularies (the contract CheckIndex verifies).
 """
@@ -27,6 +28,10 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from .postings import _binary_parts
 
 BLOOM_FILE = "bloom.npz"
 _SEED = 104729  # StringHelper.murmurhash3_x64_128's fixed seed
@@ -100,30 +105,43 @@ def murmur128(data: bytes, seed: int = _SEED) -> tuple[int, int]:
     return h1, h2
 
 
-def murmur128_bulk(keys: list[bytes], seed: int = _SEED) -> np.ndarray:
-    """(n, 2) uint64 of (h1, h2) per key — vectorized across keys of
-    equal length (the segment-build path hashes a whole vocabulary)."""
-    out = np.empty((len(keys), 2), dtype=np.uint64)
-    if not keys:
-        return out
-    lengths = np.fromiter((len(k) for k in keys), dtype=np.int64,
-                          count=len(keys))
+def murmur128_bulk(keys, seed: int = _SEED) -> np.ndarray:
+    """(n, 2) uint64 of (h1, h2) per key — a list of bytes, or an Arrow
+    string/binary array hashed straight from its buffers (UTF-8 bytes of
+    each term) — vectorized across keys of equal length (the
+    segment-build path hashes a whole vocabulary)."""
+    if isinstance(keys, (pa.Array, pa.ChunkedArray)):
+        data, offs = _binary_parts(keys)
+        data = np.frombuffer(data, np.uint8)
+    else:
+        data = np.frombuffer(b"".join(keys), np.uint8)
+        offs = np.zeros(len(keys) + 1, np.int64)
+        np.cumsum([len(k) for k in keys], out=offs[1:])
+    lengths = np.diff(offs)
+    out = np.empty((len(lengths), 2), dtype=np.uint64)
     order = np.argsort(lengths, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) \
+        if len(order) else []
     with np.errstate(over="ignore"):
-        i = 0
-        while i < len(order):
-            j = i
-            ln = lengths[order[i]]
-            while j < len(order) and lengths[order[j]] == ln:
-                j += 1
-            idx = order[i:j]
-            buf = np.frombuffer(b"".join(keys[q] for q in idx),
-                                dtype=np.uint8).reshape(len(idx), ln)
-            h1, h2 = _bulk_same_len(buf, int(ln), seed)
+        for idx in groups:  # keys of one length, gathered as a matrix
+            ln = int(lengths[idx[0]])
+            buf = data[offs[idx][:, None] + np.arange(ln)]
+            h1, h2 = _bulk_same_len(buf, ln, seed)
             out[idx, 0] = h1
             out[idx, 1] = h2
-            i = j
     return out
+
+
+def terms_by_field(terms_table) -> list[tuple[str, "pa.ChunkedArray"]]:
+    """``(field, Arrow term column)`` per field of a (field, term)
+    table, in table order; a table without a ``field`` column is all
+    ``text``."""
+    term = terms_table["term"]
+    if "field" not in terms_table.column_names:
+        return [("text", term)] if len(term) else []
+    fcol = terms_table["field"].cast(pa.string())
+    return [(f, term.filter(pc.equal(fcol, f)))
+            for f in pc.unique(fcol).to_pylist()]
 
 
 def _bulk_same_len(buf: np.ndarray, length: int, seed: int):
@@ -229,9 +247,10 @@ class FuzzySet:
         for pos in self._positions(h1, h2):
             self.bits[pos >> 6] |= np.uint64(1 << (pos & 63))
 
-    def add_values(self, values: list[bytes]) -> None:
-        """Vectorized bulk add (the segment-build path)."""
-        if not values:
+    def add_values(self, values) -> None:
+        """Vectorized bulk add (the segment-build path): a list of bytes
+        or an Arrow string array (see ``murmur128_bulk``)."""
+        if len(values) == 0:
             return
         h = murmur128_bulk(values)
         mask = np.uint64(self.bloom_size)
@@ -302,16 +321,9 @@ def build_segment_bloom(terms_table, seg_dir: str,
     term dictionary (BloomFilteringPostingsFormat.FieldsWriter role:
     one FuzzySet per field, downsized before save, skipped when
     saturated > 0.9). Returns {field: saturation}."""
-    fields = (terms_table["field"].to_pylist()
-              if "field" in terms_table.column_names
-              else ["text"] * terms_table.num_rows)
-    terms = terms_table["term"].to_pylist()
-    by_field: dict[str, list[bytes]] = {}
-    for f, t in zip(fields, terms):
-        by_field.setdefault(f, []).append(t.encode("utf-8"))
     sets: dict[str, FuzzySet] = {}
     stats: dict[str, float] = {}
-    for f, keys in by_field.items():
+    for f, keys in terms_by_field(terms_table):
         fs = FuzzySet.create_optimal_set(len(keys), target_fpp)
         fs.add_values(keys)
         small = fs.downsize(0.5)

@@ -35,9 +35,12 @@ import json
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..util import forutil as fu
+from ..util.cfor import SortedTerms
 from ..util.smallfloat import int_to_byte4_np
 from .format import DOCS_FILE, decode_postings
 from .postings import (DOC_FILE, POS_FILE, TERMS_FILE, read_terms_table,
@@ -78,11 +81,11 @@ def check_segment(index_dir: str, seg_dir: str) -> dict:
                           f"SmallFloat(length), first at doc {bad[0]}")
     lengths = docs_t["length"].to_numpy().astype(np.int64)
 
-    terms = terms_t["term"].to_pylist()
+    # terms decode one at a time, for error messages only
+    terms = SortedTerms(terms_t["term"])
     tfields = terms_t["field"].to_pylist() \
         if "field" in terms_t.column_names else ["text"] * len(terms)
-    if any((tfields[i], terms[i]) >= (tfields[i + 1], terms[i + 1])
-           for i in range(len(terms) - 1)):
+    if not _keys_ascending(terms_t):
         errors.append("(field, term) keys not strictly ascending")
 
     per_field_sums: dict[str, list[int]] = {}  # field -> [df, ttf, nterms]
@@ -223,23 +226,31 @@ def check_postings_files(seg_dir: str) -> list[str]:
     return errors
 
 
+def _keys_ascending(terms_t) -> bool:
+    """(field, term) keys strictly ascending, compared as UTF-8 bytes
+    (BytesRef order == code-point order) by Arrow, row against row."""
+    n = terms_t.num_rows
+    if n < 2:
+        return True
+    term = terms_t["term"]
+    ok = pc.less(term.slice(0, n - 1), term.slice(1))
+    if "field" in terms_t.column_names:
+        f = terms_t["field"].cast(pa.string())
+        f0, f1 = f.slice(0, n - 1), f.slice(1)
+        ok = pc.or_(pc.less(f0, f1), pc.and_(pc.equal(f0, f1), ok))
+    return bool(pc.all(ok).as_py())
+
+
 def _check_bloom_sidecar(seg_dir: str, terms_t, errors: list[str]) -> None:
     """'test: bloom filter' — the sidecar must answer MAYBE for every
     term actually in the dictionary (false negatives are corruption;
     false positives are by design)."""
-    from .bloom import load_segment_bloom, murmur128_bulk
+    from .bloom import load_segment_bloom, murmur128_bulk, terms_by_field
     import numpy as np
     blooms = load_segment_bloom(seg_dir)
     if blooms is None:
         return
-    fields = (terms_t["field"].to_pylist()
-              if "field" in terms_t.column_names
-              else ["text"] * terms_t.num_rows)
-    terms = terms_t["term"].to_pylist()
-    by_field: dict[str, list[bytes]] = {}
-    for f, t in zip(fields, terms):
-        by_field.setdefault(f, []).append(t.encode("utf-8"))
-    for f, keys in by_field.items():
+    for f, keys in terms_by_field(terms_t):
         fs = blooms.get(f)
         if fs is None:  # saturated filters are legitimately skipped
             continue

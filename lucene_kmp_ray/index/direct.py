@@ -33,11 +33,10 @@ class DirectField:
     """One field's postings decoded up-front (DirectPostingsFormat)."""
 
     def __init__(self, segment_reader, field: str = "text"):
-        segment_reader.terms_table
         lo, hi = segment_reader.field_range(field)
         self.field = field
         self._lo = lo
-        self._arr = segment_reader._term_arr
+        self._terms = segment_reader.term_search
         self.size = hi - lo
         p = segment_reader.postings_file
         self.df = p.df[lo:hi].astype(np.int64)
@@ -49,11 +48,8 @@ class DirectField:
 
     def ord_of(self, term: str) -> int:
         """Field-local ord, or -1 (the DirectField binary search)."""
-        i = int(np.searchsorted(
-            self._arr[self._lo:self._lo + self.size], term))
-        if i < self.size and self._arr[self._lo + i] == term:
-            return i
-        return -1
+        i = self._terms.find(term, self._lo, self._lo + self.size)
+        return i - self._lo if i >= 0 else -1
 
     def postings_ord(self, ord: int) -> tuple[np.ndarray, np.ndarray]:
         s, e = self.offs[ord], self.offs[ord + 1]

@@ -22,16 +22,23 @@ this module only adds the enum surface and the cross-segment map:
   maps (segment, segment ord) → global ord and global ord → term
   (``index/OrdinalMap.kt`` getGlobalOrds/lookupTerm role).
 
-Scale note: OrdinalMap.build merges per-segment vocab string arrays on
-the caller (np.unique k-way merge) — the vocabulary is the memory-
-bounded side (≪ postings); the 100-TB path for a *global* vocabulary
-job is the distributed ``groupby(term)`` in index/grouped.py, not this
-reader-side join.
+Both stay on the Arrow term column: the enum seeks with the
+dictionary's byte-wise search (``util.cfor.SortedTerms``), and
+OrdinalMap.build forms the union with ``format.sorted_codes`` (one
+Arrow dictionary-encode + sort, the merge's idiom), so no Python string
+is made per term. Scale note: the union runs on the caller — the
+vocabulary is the memory-bounded side (≪ postings); the 100-TB path for
+a *global* vocabulary job is the distributed ``groupby(term)`` in
+index/grouped.py, not this reader-side join.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+
+from ..util.cfor import SortedTerms
+from .format import sorted_codes
 
 __all__ = ["SeekStatus", "TermsOrdEnum", "OrdinalMap"]
 
@@ -49,9 +56,8 @@ class TermsOrdEnum:
     sorted Parquet term dictionary (OrdsSegmentTermsEnum role)."""
 
     def __init__(self, segment_reader, field: str = "text"):
-        segment_reader.terms_table  # materialize the vocabulary strings
         self._lo, self._hi = segment_reader.field_range(field)
-        self._arr = segment_reader._term_arr
+        self._terms = segment_reader.term_search
         self._ord = -1  # unpositioned
 
     def size(self) -> int:
@@ -75,7 +81,7 @@ class TermsOrdEnum:
     def term(self) -> str | None:
         if self._ord < 0 or self._ord >= self.size():
             return None
-        return str(self._arr[self._lo + self._ord])
+        return self._terms[self._lo + self._ord]
 
     # -- seeking -------------------------------------------------------------
 
@@ -86,9 +92,9 @@ class TermsOrdEnum:
         self._ord = int(ord)
 
     def seek_exact(self, term: str) -> bool:
-        i = int(np.searchsorted(self._arr[self._lo:self._hi], term))
-        if i < self.size() and self._arr[self._lo + i] == term:
-            self._ord = i
+        i = self._terms.find(term, self._lo, self._hi)
+        if i >= 0:
+            self._ord = i - self._lo
             return True
         return False
 
@@ -96,14 +102,20 @@ class TermsOrdEnum:
         """Position on the smallest term >= ``term``; returns the
         SeekStatus (END leaves the enum unpositioned, like the
         exhausted reference enum)."""
-        i = int(np.searchsorted(self._arr[self._lo:self._hi], term))
-        if i >= self.size():
-            self._ord = self.size()
-            return SeekStatus.END
-        self._ord = i
-        return (SeekStatus.FOUND
-                if self._arr[self._lo + i] == term
-                else SeekStatus.NOT_FOUND)
+        status, i = _seek_ceil(self._terms, term, self._lo, self._hi)
+        self._ord = i - self._lo  # size() at END
+        return status
+
+
+def _seek_ceil(terms: SortedTerms, term: str, lo: int,
+               hi: int) -> tuple[str, int]:
+    """(SeekStatus, row) of the smallest term >= ``term`` in rows
+    ``[lo, hi)``; row is ``hi`` at END."""
+    i = terms.ceil(term, lo, hi)
+    if i >= hi:
+        return SeekStatus.END, hi
+    return (SeekStatus.FOUND if terms[i] == term
+            else SeekStatus.NOT_FOUND), i
 
 
 class OrdinalMap:
@@ -111,13 +123,14 @@ class OrdinalMap:
     (core/index/OrdinalMap.kt).
 
     ``global_ords[s]`` maps segment ``s``'s per-field ords to ords in
-    the merged distinct vocabulary ``values`` (sorted, so global ords
-    compare like terms — the invariant OrdinalMap guarantees).
+    the merged distinct vocabulary ``values`` (a ``SortedTerms`` over
+    the sorted Arrow union, so global ords compare like terms — the
+    invariant OrdinalMap guarantees).
     ``first_segment`` / ``first_segment_ord`` record, per global ord,
     the first segment containing the term (getFirstSegmentNumber /
     getFirstSegmentOrd)."""
 
-    def __init__(self, values: np.ndarray,
+    def __init__(self, values: SortedTerms,
                  global_ords: list[np.ndarray],
                  first_segment: np.ndarray,
                  first_segment_ord: np.ndarray):
@@ -128,24 +141,19 @@ class OrdinalMap:
 
     @classmethod
     def build(cls, segment_readers, field: str = "text") -> "OrdinalMap":
-        vocabs = []
-        for sr in segment_readers:
-            sr.terms_table
-            lo, hi = sr.field_range(field)
-            vocabs.append(sr._term_arr[lo:hi])
-        if vocabs:
-            merged = np.unique(np.concatenate(vocabs))
-        else:
-            merged = np.array([], dtype=object)
-        global_ords = [np.searchsorted(merged, v).astype(np.int64)
-                       for v in vocabs]
+        vocabs = [sr.field_terms(field)[0] for sr in segment_readers]
+        codes, merged = sorted_codes(pa.chunked_array(
+            vocabs, pa.string()).combine_chunks())
+        bounds = np.cumsum([0] + [len(v) for v in vocabs])
+        global_ords = [codes[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         first_segment = np.full(len(merged), -1, dtype=np.int64)
         first_segment_ord = np.full(len(merged), -1, dtype=np.int64)
         for s in range(len(vocabs) - 1, -1, -1):
             g = global_ords[s]
             first_segment[g] = s
             first_segment_ord[g] = np.arange(len(g), dtype=np.int64)
-        return cls(merged, global_ords, first_segment, first_segment_ord)
+        return cls(SortedTerms(merged), global_ords, first_segment,
+                   first_segment_ord)
 
     @property
     def value_count(self) -> int:
@@ -155,21 +163,14 @@ class OrdinalMap:
         return int(self.global_ords[segment][segment_ord])
 
     def term_at(self, global_ord: int) -> str:
-        return str(self.values[global_ord])
+        return self.values[global_ord]
 
     def lookup_term(self, term: str) -> int:
         """Global ord of ``term``, or -1 if absent (lookupTerm role)."""
-        i = int(np.searchsorted(self.values, term))
-        if i < len(self.values) and self.values[i] == term:
-            return i
-        return -1
+        return self.values.find(term)
 
     def seek_ceil(self, term: str) -> tuple[str, int]:
         """(SeekStatus, global ord) of the smallest term >= ``term``;
         ord is value_count at END (the merged-enum contract used by the
         term_ords_seek driver entry)."""
-        i = int(np.searchsorted(self.values, term))
-        if i >= len(self.values):
-            return SeekStatus.END, len(self.values)
-        return (SeekStatus.FOUND if self.values[i] == term
-                else SeekStatus.NOT_FOUND), i
+        return _seek_ceil(self.values, term, 0, len(self.values))

@@ -19,9 +19,9 @@ with the same segmentation, so per-segment doc order is identical
 (validated at open via each segment's (seg, doc_count, doc_id_min,
 doc_id_max) and lazily by doc_id equality when the merged doc_meta is
 first materialized). Every field-scoped call routes to the sub-reader
-owning that field (manifest["fields"]); the ``field_terms →
-terms_table / union_docs`` triple used by the MultiTermQuery rewrite is
-served by pinning the last field-routed sub-reader — same
+owning that field (manifest["fields"]); the ``field_terms /
+prefix_range → term_at / union_docs`` sequence of the MultiTermQuery
+rewrite is served by pinning the last field-routed sub-reader — same
 thread-confinement contract as Lucene's reader classes.
 """
 
@@ -82,6 +82,12 @@ class ParallelSegmentReader:
     def field_terms(self, field):
         return self._route(field).field_terms(field)
 
+    def term_ceil(self, key, field="text"):
+        return self._route(field).term_ceil(key, field)
+
+    def prefix_range(self, prefix, field="text"):
+        return self._route(field).prefix_range(prefix, field)
+
     def term_vectors(self, doc_ids, field=None):
         if field is not None:
             return self._route(field).term_vectors(doc_ids, field)
@@ -91,10 +97,13 @@ class ParallelSegmentReader:
         return self._default.term_vectors(doc_ids, field)
 
     # ---- pinned (must follow a field-routed call, the MultiTermQuery
-    # rewrite's field_terms -> terms_table / union_docs sequence) ----
+    # rewrite's field_terms -> term_at / union_docs sequence) ----
     @property
     def terms_table(self):
         return self._pinned.terms_table
+
+    def term_at(self, i):
+        return self._pinned.term_at(i)
 
     def union_docs(self, idxs):
         return self._pinned.union_docs(idxs)

@@ -8,6 +8,11 @@ the state a query actor holds once per actor, SURVEY §2.3).
 
 Term lookup is a binary search over the sorted term column (the role of the
 FST block-tree index, which we deliberately do not port — SURVEY §1.4). The
+column stays the Arrow string array read from ``terms.parquet``:
+``util.cfor.SortedTerms`` searches its offsets and data buffers byte-wise
+(UTF-8 byte order is code-point order), so opening a dictionary builds no
+Python object per term. Multi-term queries expand through the same search
+(prefix and range bounds) or an Arrow kernel over the field's slice. The
 reader opens with the dictionary (field, term, df, ttf and one pointer per
 term into each flat postings file, index/postings.py); a term-row miss is
 one positioned read of that term's ``postings.doc`` record, plus one of
@@ -52,7 +57,7 @@ class SegmentReader:
         self.doc_count = seg_meta["doc_count"]
         self.soft_deletes_field = soft_deletes_field
         self._terms: pa.Table | None = None
-        self._term_arr: np.ndarray | None = None
+        self._term_search: cfor.SortedTerms | None = None
         self._postings: SegmentPostings | None = None
         self._field_ranges: dict[str, tuple[int, int]] | None = None
         self._norms: dict[str, np.ndarray] = {}
@@ -101,18 +106,16 @@ class SegmentReader:
     @property
     def terms_table(self) -> pa.Table:
         """The term DICTIONARY (field + term columns, sorted by
-        (field, term)). Opening it reads ``terms.parquet`` — the
-        vocabulary, df/ttf and the postings-file pointers — and opens the
-        segment's two postings files once; postings bytes read per term
-        on demand (``term_row``)."""
+        (field, term)), as Arrow. Opening it reads ``terms.parquet`` —
+        the vocabulary, df/ttf and the postings-file pointers — opens the
+        segment's two postings files once, and wraps the term column in a
+        ``SortedTerms`` search over its buffers; no term becomes a Python
+        string until a caller asks for it (``term_at``). Postings bytes
+        read per term on demand (``term_row``)."""
         if self._terms is None:
             p = self._postings = SegmentPostings(self.dir)
             self._terms = p.dictionary
-            # per-element conversion, not ChunkedArray.to_numpy(): that is
-            # ~15x faster, but perfbench query_cold (8 segments, 1-CPU VM)
-            # then peaked 50-90 MB (~10%) higher in resident memory
-            self._term_arr = np.asarray(self._terms["term"].to_pylist(),
-                                        dtype=object)
+            self._term_search = cfor.SortedTerms(self._terms["term"])
             # (field, term)-sorted dictionary → per-field contiguous row
             # ranges (one block-tree per field,
             # Lucene90BlockTreeTermsWriter.kt:153); legacy single-field
@@ -127,7 +130,7 @@ class SegmentReader:
                                          np.append(0, ends[:-1]), ends):
                         self._field_ranges[f] = (int(lo), int(hi))
             else:
-                self._field_ranges = {"text": (0, len(self._term_arr))}
+                self._field_ranges = {"text": (0, len(p))}
         return self._terms
 
     @property
@@ -141,11 +144,35 @@ class SegmentReader:
         self.terms_table
         return self._field_ranges.get(field, (0, 0))
 
-    def field_terms(self, field: str) -> tuple[np.ndarray, int]:
-        """(sorted term array of the field, row offset of its range)."""
-        self.terms_table
+    def field_terms(self, field: str) -> tuple[pa.Array, int]:
+        """(the field's sorted Arrow term slice, row offset of its
+        range)."""
         lo, hi = self.field_range(field)
-        return self._term_arr[lo:hi], lo
+        return self.term_search.array.slice(lo, hi - lo), lo
+
+    def term_at(self, i: int) -> str:
+        """The term of GLOBAL dictionary row ``i``."""
+        return self.term_search[i]
+
+    @property
+    def term_search(self) -> "cfor.SortedTerms":
+        """The byte-wise search over the whole sorted term column (rows
+        are global; restrict it to a field with ``field_range``)."""
+        self.terms_table
+        return self._term_search
+
+    def term_ceil(self, key: str, field: str = "text") -> int:
+        """GLOBAL row of the field's first term >= ``key`` (the field's
+        range end when there is none) — seekCeil."""
+        return self.term_search.ceil(key, *self.field_range(field))
+
+    def prefix_range(self, prefix: str,
+                     field: str = "text") -> tuple[int, int]:
+        """GLOBAL rows ``[lo, hi)`` of the field's terms that start with
+        ``prefix`` — every one of them, whatever code point follows."""
+        st = self.term_search
+        lo, hi = self.field_range(field)
+        return st.ceil(prefix, lo, hi), st.prefix_end(prefix, lo, hi)
 
     @property
     def norms(self) -> np.ndarray:
@@ -352,13 +379,10 @@ class SegmentReader:
                 if fs is not None and not fs.may_contain(
                         term.encode("utf-8")):
                     return None
-        self.terms_table
-        lo, hi = self.field_range(field)
-        arr = self._term_arr
-        i = lo + int(np.searchsorted(arr[lo:hi], term))
-        if i < hi and arr[i] == term:
-            return i
-        return None
+            self.terms_table
+        i = self._term_search.find(term,
+                                   *self._field_ranges.get(field, (0, 0)))
+        return i if i >= 0 else None
 
     def term_ord(self, term: str, field: str = "text") -> int | None:
         """``term_index``, looked up once per (field, term) for the

@@ -56,7 +56,7 @@ def export_segment_postings(sr, fields: tuple[str, ...] | None = None
     doc_ids = sr.doc_meta["doc_id"].to_numpy()
     field_col = terms["field"].to_pylist() if "field" in terms.column_names \
         else ["text"] * terms.num_rows
-    term_col = terms["term"].to_pylist()
+    term_col = sr.term_search  # decodes one term per TERM line
     want = set(fields) if fields is not None else None
     cur_field = None
     for i in range(terms.num_rows):

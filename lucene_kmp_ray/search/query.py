@@ -144,16 +144,25 @@ class DisjunctionMaxQuery(Query):
 
 
 class MultiTermQuery(Query):
-    field = "text"  # overridden by subclass dataclass fields
     """Base of the term-predicate expansion family
     (``search/MultiTermQuery.kt``): the predicate expands against each
     segment's sorted term dictionary and matching docs score a constant
     ``boost`` (CONSTANT_SCORE rewrite — the default used when a filter-like
     query over many terms would blow the BM25 stats budget; wrap in
-    BoostQuery to change the constant)."""
+    BoostQuery to change the constant). Expansion stays on the Arrow term
+    column: bounds from the dictionary's byte-wise search, or one Arrow
+    kernel over the field's slice."""
+    field = "text"  # overridden by subclass dataclass fields
 
-    def matches(self, terms_sorted) -> "object":
-        """→ bool ndarray over the segment's sorted term array."""
+    def rows(self, sr) -> "object":
+        """Ascending GLOBAL dictionary rows of segment reader ``sr``
+        whose terms match (int64 ndarray)."""
+        import numpy as np
+        arr, lo = sr.field_terms(self.field)
+        return np.flatnonzero(self.matches_arrow(arr)) + lo
+
+    def matches_arrow(self, term_arr) -> "object":
+        """→ bool ndarray over the field's sorted Arrow term slice."""
         raise NotImplementedError
 
 
@@ -163,13 +172,10 @@ class PrefixQuery(MultiTermQuery):
     prefix: str
     field: str = "text"
 
-    def matches(self, terms_sorted):
+    def rows(self, sr):
         import numpy as np
-        lo = np.searchsorted(terms_sorted, self.prefix)
-        hi = np.searchsorted(terms_sorted, self.prefix + "\U0010ffff")
-        out = np.zeros(len(terms_sorted), dtype=bool)
-        out[lo:hi] = True
-        return out
+        return np.arange(*sr.prefix_range(self.prefix, self.field),
+                         dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -182,18 +188,17 @@ class TermRangeQuery(MultiTermQuery):
     include_upper: bool = True
     field: str = "text"
 
-    def matches(self, terms_sorted):
+    def rows(self, sr):
         import numpy as np
-        n = len(terms_sorted)
-        lo = 0 if self.lower is None else int(np.searchsorted(
-            terms_sorted, self.lower, side="left" if self.include_lower
-            else "right"))
-        hi = n if self.upper is None else int(np.searchsorted(
-            terms_sorted, self.upper, side="right" if self.include_upper
-            else "left"))
-        out = np.zeros(n, dtype=bool)
-        out[lo:hi] = True
-        return out
+        lo, hi = sr.field_range(self.field)
+        # key + "\0" is the least string above key: ceil of it skips key
+        if self.lower is not None:
+            lo = sr.term_ceil(self.lower if self.include_lower
+                              else self.lower + "\0", self.field)
+        if self.upper is not None:
+            hi = sr.term_ceil(self.upper + "\0" if self.include_upper
+                              else self.upper, self.field)
+        return np.arange(lo, max(lo, hi), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -205,11 +210,6 @@ class WildcardQuery(MultiTermQuery):
     pattern: str
     field: str = "text"
 
-    def matches(self, terms_sorted):
-        import re
-        return _regex_matches(terms_sorted,
-                              _wildcard_to_regex(self.pattern), re)
-
     def matches_arrow(self, term_arr):
         return _regex_matches_arrow(term_arr,
                                     _wildcard_to_regex(self.pattern))
@@ -220,10 +220,6 @@ class RegexpQuery(MultiTermQuery):
     """``search/RegexpQuery.kt`` — full-term-anchored regexp."""
     regexp: str
     field: str = "text"
-
-    def matches(self, terms_sorted):
-        import re
-        return _regex_matches(terms_sorted, self.regexp, re)
 
     def matches_arrow(self, term_arr):
         return _regex_matches_arrow(term_arr, self.regexp)
@@ -244,21 +240,6 @@ class FuzzyQuery(MultiTermQuery):
     def __post_init__(self):
         if not 0 <= self.max_edits <= 2:
             raise ValueError("max_edits must be 0..2 (LevenshteinAutomata)")
-
-    def matches(self, terms_sorted):
-        import numpy as np
-        t = self.term
-        k = self.max_edits
-        pre = t[:self.prefix_length]
-        out = np.zeros(len(terms_sorted), dtype=bool)
-        lo = np.searchsorted(terms_sorted, pre)
-        hi = np.searchsorted(terms_sorted, pre + "\U0010ffff") if pre else \
-            len(terms_sorted)
-        for i in range(int(lo), int(hi)):
-            c = terms_sorted[i]
-            if abs(len(c) - len(t)) <= k and _edit_distance_le(t, c, k):
-                out[i] = True
-        return out
 
     def matches_arrow(self, term_arr):
         """Vectorized pre-screen before the exact banded DP: length band
@@ -310,10 +291,12 @@ class TermInSetQuery(MultiTermQuery):
     term_set: tuple[str, ...]
     field: str = "text"
 
-    def matches(self, terms_sorted):
-        import numpy as np
-        return np.isin(terms_sorted,
-                       np.asarray(sorted(set(self.term_set)), dtype=object))
+    def matches_arrow(self, term_arr):
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        return pc.is_in(term_arr, value_set=pa.array(
+            sorted(set(self.term_set)), pa.string())) \
+            .to_numpy(zero_copy_only=False)
 
 
 def _wildcard_to_regex(pattern: str) -> str:
@@ -329,25 +312,24 @@ def _wildcard_to_regex(pattern: str) -> str:
     return "".join(parts)
 
 
-def _regex_matches(terms_sorted, pattern: str, re_mod):
-    import numpy as np
-    rx = re_mod.compile(pattern)
-    return np.fromiter((rx.fullmatch(t) is not None for t in terms_sorted),
-                       dtype=bool, count=len(terms_sorted))
-
-
 def _regex_matches_arrow(term_arr, pattern: str):
     """Anchored regex over the Arrow term column — ONE RE2 kernel call
     (the compiled-automaton-over-the-FST analog; at a web vocabulary the
     per-term Python loop was the MultiTermQuery hot spot, VERDICT r1 #8).
-    Returns None when RE2 rejects the pattern (caller falls back to the
-    Python re loop — e.g. lookarounds)."""
+    A pattern RE2 rejects (lookarounds, backreferences) runs Python's
+    ``re`` over the slice instead, decoding one term at a time."""
+    import numpy as np
     import pyarrow.compute as pc
     try:
         mask = pc.match_substring_regex(term_arr, f"^(?:{pattern})$")
     except Exception:
-        return None
-    import numpy as np
+        import re
+
+        from ..util.cfor import SortedTerms
+        rx = re.compile(pattern)
+        return np.fromiter((rx.fullmatch(t) is not None
+                            for t in SortedTerms(term_arr)),
+                           dtype=bool, count=len(term_arr))
     return mask.to_numpy(zero_copy_only=False).astype(bool)
 
 

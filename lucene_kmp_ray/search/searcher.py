@@ -46,6 +46,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..index.format import sorted_codes
 from ..index.reader import IndexReader, SegmentReader
 from ..similarity.bm25 import BM25Similarity
 from .query import (EARTH_MEAN_RADIUS_METERS,
@@ -636,16 +637,16 @@ class Searcher:
         TestPhrasePrefixQuery.kt:68-80): sorted unique index terms
         starting with ``prefix`` across all segments. Feed the result
         into a MultiPhraseQuery slot for phrase-prefix search."""
-        out: set[str] = set()
+        parts = []
         for sr in self.reader.segment_readers:
-            arr, _ = sr.field_terms(field)
-            lo = int(np.searchsorted(arr, prefix))
-            hi = int(np.searchsorted(arr, prefix + "\U0010ffff"))
-            out.update(arr[lo:hi].tolist())
-        terms = tuple(sorted(out))
+            arr, flo = sr.field_terms(field)
+            lo, hi = sr.prefix_range(prefix, field)
+            parts.append(arr.slice(lo - flo, hi - lo))
+        union = sorted_codes(pa.chunked_array(parts, pa.string())
+                             .combine_chunks())[1]
         if max_expansions is not None:
-            terms = terms[:max_expansions]
-        return terms
+            union = union.slice(0, max_expansions)
+        return tuple(union.to_pylist())
 
     def nearest(self, lat: float, lon: float, n: int,
                 lat_field: str = "lat", lon_field: str = "lon",
@@ -1571,16 +1572,7 @@ def _field_exists_docs(sr: SegmentReader, q: FieldExistsQuery):
 def _multiterm_docs(sr: SegmentReader, q: MultiTermQuery):
     """CONSTANT_SCORE rewrite: union of matching terms' postings
     (MultiTermQuery.kt rewrite family)."""
-    fld = getattr(q, "field", "text")
-    arr, lo = sr.field_terms(fld)
-    mask = None
-    if hasattr(q, "matches_arrow"):
-        hi = lo + len(arr)
-        mask = q.matches_arrow(sr.terms_table["term"].slice(lo, hi - lo)
-                               .combine_chunks())
-    if mask is None:
-        mask = q.matches(arr)
-    idxs = np.flatnonzero(mask) + lo
+    idxs = q.rows(sr)
     if len(idxs) == 0:
         return np.empty(0, np.int64)
     return sr.union_docs(idxs)

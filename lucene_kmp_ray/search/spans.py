@@ -241,21 +241,9 @@ def _candidates(sr, q: SpanQuery) -> np.ndarray:
         return _intersect(_candidates(sr, q.big),
                           _candidates(sr, q.little))
     if isinstance(q, SpanMultiTermQueryWrapper):
-        idxs = _expanded_rows(sr, q)
+        idxs = q.query.rows(sr)
         return sr.union_docs(idxs) if len(idxs) else np.empty(0, np.int64)
     raise TypeError(f"unsupported span query: {q!r}")
-
-
-def _expanded_rows(sr, q: "SpanMultiTermQueryWrapper") -> np.ndarray:
-    arr, lo = sr.field_terms(q.field)
-    mask = None
-    if hasattr(q.query, "matches_arrow"):
-        hi = lo + len(arr)
-        mask = q.query.matches_arrow(
-            sr.terms_table["term"].slice(lo, hi - lo).combine_chunks())
-    if mask is None:
-        mask = q.query.matches(arr)
-    return np.flatnonzero(mask) + lo
 
 
 def _doc_spans(sr, q: SpanQuery, doc: int) -> list[tuple[int, int, int]]:
@@ -307,12 +295,10 @@ def _doc_spans(sr, q: SpanQuery, doc: int) -> list[tuple[int, int, int]]:
         return [l for l in little
                 if any(b[0] <= l[0] and l[1] <= b[1] for b in big)]
     if isinstance(q, SpanMultiTermQueryWrapper):
-        arr, lo = sr.field_terms(q.field)
         out = []
-        for i in _expanded_rows(sr, q):
-            term = str(arr[i - lo])
+        for i in q.query.rows(sr):
             out.extend(_doc_spans(
-                sr, SpanTermQuery(term, q.field), doc))
+                sr, SpanTermQuery(sr.term_at(i), q.field), doc))
         out.sort(key=lambda t: (t[0], t[1]))
         return out
     raise TypeError(f"unsupported span query: {q!r}")

@@ -314,3 +314,43 @@ void decode_streams(const uint8_t *buf, int64_t buflen,
         }
     }
 }
+
+/* ---- term dictionary search: byte-wise binary search over rows [lo, hi)
+ * of a sorted Arrow string array (offsets int32, or int64 when wide; data
+ * the values buffer).  UTF-8 byte order is code-point order, so this is
+ * the order the dictionary was sorted in.
+ *   mode 0: the row equal to key, or -1;
+ *   mode 1: lower bound — the first row >= key (hi if none);
+ *   mode 2: prefix end — the first row that is > key and does not start
+ *           with key (hi if none), so rows [lower bound, prefix end) are
+ *           exactly the rows that start with key.
+ * A row r is "before" the answer iff cmp(r) < 0, where for modes 0/1 r
+ * sorts below key and for mode 2 r's first len(key) bytes are <= key. */
+int64_t term_search(const void *offsets, int wide, const uint8_t *data,
+                    int64_t lo, int64_t hi, const uint8_t *key,
+                    int64_t klen, int mode) {
+    const int32_t *o32 = (const int32_t *)offsets;
+    const int64_t *o64 = (const int64_t *)offsets;
+    int64_t a = lo, b = hi;
+    while (a < b) {
+        int64_t mid = a + ((b - a) >> 1);
+        int64_t s = wide ? o64[mid] : o32[mid];
+        int64_t e = wide ? o64[mid + 1] : o32[mid + 1];
+        int64_t rlen = e - s;
+        int64_t n = rlen < klen ? rlen : klen;
+        int c = n ? memcmp(data + s, key, (size_t)n) : 0;
+        int before = (mode == 2) ? (c <= 0)
+                                 : (c < 0 || (c == 0 && rlen < klen));
+        if (before) a = mid + 1;
+        else b = mid;
+    }
+    if (mode != 0) return a;
+    if (a < hi) {
+        int64_t s = wide ? o64[a] : o32[a];
+        int64_t e = wide ? o64[a + 1] : o32[a + 1];
+        if (e - s == klen &&
+            (klen == 0 || memcmp(data + s, key, (size_t)klen) == 0))
+            return a;
+    }
+    return -1;
+}

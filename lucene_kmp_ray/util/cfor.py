@@ -5,22 +5,32 @@ gather/cumsum of ``SegmentReader.positions_for_entries`` into one C
 pass over the encoded stream — the numpy path stays as the fallback
 and the semantic reference (tests/test_cfor.py fuzzes both against
 each other over random posting shapes, widths and PFor exceptions).
-Same compile-once-per-source-hash pattern as ``analysis/cviterbi.py``.
+It also holds the term dictionary search ``SortedTerms`` runs over an
+Arrow string array's buffers (``bisect`` is its fallback,
+tests/test_term_search.py fuzzes both against ``sorted``).
+Same compile-once-per-source-hash pattern as ``analysis/cviterbi.py``;
+a failed compile warns once per process and every caller takes its
+fallback.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import hashlib
 import os
 import subprocess
 import tempfile
+import warnings
+from collections.abc import Sequence
 
 import numpy as np
+import pyarrow as pa
 
 _SRC = os.path.join(os.path.dirname(__file__), "_cfor.c")
 _CACHED: "ctypes.CDLL | None | bool" = False
 _CACHED_PID = -1
+_WARNED_PID = -1
 
 
 def _compile() -> "ctypes.CDLL | None":
@@ -51,18 +61,115 @@ def _compile() -> "ctypes.CDLL | None":
     lib.encode_pack_csr.argtypes = [vp, vp, i64, vp, vp, vp, vp]
     lib.decode_streams.restype = None
     lib.decode_streams.argtypes = [vp, i64, vp, vp, i64, vp, vp]
+    lib.term_search.restype = i64
+    lib.term_search.argtypes = [vp, i32, vp, i64, i64, ctypes.c_char_p,
+                                i64, i32]
     return lib
 
 
 def lib() -> "ctypes.CDLL | None":
-    global _CACHED, _CACHED_PID
+    global _CACHED, _CACHED_PID, _WARNED_PID
     if _CACHED is False or _CACHED_PID != os.getpid():
         try:
             _CACHED = _compile()
-        except Exception:
+        except Exception as e:
             _CACHED = None
+            if _WARNED_PID != os.getpid():
+                _WARNED_PID = os.getpid()
+                detail = getattr(e, "stderr", None) or b""
+                if isinstance(detail, bytes):
+                    detail = detail.decode("utf-8", "replace")
+                warnings.warn(
+                    f"lucene_kmp_ray C kernels unavailable, using the slow "
+                    f"fallbacks: {e!r} {detail.strip()}".rstrip(),
+                    RuntimeWarning, stacklevel=2)
         _CACHED_PID = os.getpid()
     return _CACHED
+
+
+EXACT, CEIL, PREFIX_END = 0, 1, 2  # term_search modes
+
+
+class SortedTerms(Sequence):
+    """A sorted Arrow string array, searched in place. ``find``, ``ceil``
+    and ``prefix_end`` binary-search its offsets and data buffers with
+    the C ``term_search`` (``bisect`` over the same buffers without a C
+    library); ``[i]`` decodes one term. Nothing is built per term, so
+    wrapping a 700k-term dictionary costs no conversion. Rows are
+    compared as UTF-8 bytes, whose order is code-point order."""
+
+    def __init__(self, arr):
+        if isinstance(arr, pa.ChunkedArray):  # one chunk: no copy
+            arr = arr.chunk(0) if arr.num_chunks == 1 else \
+                arr.combine_chunks()
+        t = arr.type
+        if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
+            raise TypeError(f"SortedTerms needs a string array, not {t}")
+        self.array = arr
+        self._n = len(arr)
+        self._wide = int(pa.types.is_large_string(t))
+        _, offs, data = arr.buffers()
+        dtype = np.int64 if self._wide else np.int32
+        self._offs = np.frombuffer(offs, dtype)[
+            arr.offset:arr.offset + len(arr) + 1] if len(arr) else \
+            np.zeros(1, dtype)
+        # all-empty terms have no data buffer: pass C a valid address
+        self._data = data if data is not None and data.size else \
+            pa.py_buffer(b"\0")
+        self._mv = memoryview(self._data)
+        L = lib()
+        # pointers and the bound function, set up once per dictionary
+        self._c = None if L is None else (
+            L.term_search, self._offs.ctypes.data, self._wide,
+            self._data.address)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> str:
+        n = self._n
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(i)
+        return str(self._mv[self._offs[i]:self._offs[i + 1]], "utf-8")
+
+    def find(self, key: str, lo: int = 0, hi: int | None = None) -> int:
+        """The row in ``[lo, hi)`` equal to ``key``, or -1."""
+        return self._search(key, lo, hi, EXACT)
+
+    def ceil(self, key: str, lo: int = 0, hi: int | None = None) -> int:
+        """The first row in ``[lo, hi)`` >= ``key`` (``hi`` if none)."""
+        return self._search(key, lo, hi, CEIL)
+
+    def prefix_end(self, prefix: str, lo: int = 0,
+                   hi: int | None = None) -> int:
+        """The first row in ``[lo, hi)`` past every row starting with
+        ``prefix``: those rows are ``[ceil(prefix), prefix_end(prefix))``
+        (``hi`` if none)."""
+        return self._search(prefix, lo, hi, PREFIX_END)
+
+    def _search(self, key: str, lo: int, hi: int | None, mode: int) -> int:
+        b = key.encode("utf-8", "surrogatepass")
+        n = self._n
+        hi = n if hi is None else hi
+        if not 0 <= lo <= hi <= n:  # the C search trusts the bounds
+            raise IndexError(f"rows [{lo}, {hi}) outside [0, {n})")
+        c = self._c
+        if c is not None:
+            return c[0](c[1], c[2], c[3], lo, hi, b, len(b), mode)
+        rows = range(lo, hi)
+        if mode == PREFIX_END:
+            k = len(b)
+            return lo + bisect.bisect_right(
+                rows, b, key=lambda i: self._bytes(i)[:k])
+        i = lo + bisect.bisect_left(rows, b, key=self._bytes)
+        if mode == CEIL:
+            return i
+        return i if i < hi and self._bytes(i) == b else -1
+
+    def _bytes(self, i: int) -> bytes:
+        return self._mv[self._offs[i]:self._offs[i + 1]].tobytes()
 
 
 def positions_select(buf: bytes, meta_pair, n: int, mask: np.ndarray,

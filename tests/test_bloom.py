@@ -38,6 +38,17 @@ def test_murmur128_bulk_equals_scalar():
         assert murmur128(k) == (int(bulk[i, 0]), int(bulk[i, 1])), i
 
 
+def test_murmur128_bulk_arrow_equals_list():
+    """An Arrow term column hashes from its buffers to the same values
+    as the list of its bytes (a slice: offsets do not start at 0)."""
+    import pyarrow as pa
+    terms = ["", "a", "spark", "é", "😀", "x" * 40, "aÿ", "b", "sparks"]
+    col = pa.array(["pad"] + terms).slice(1)
+    assert np.array_equal(murmur128_bulk(col),
+                          murmur128_bulk([t.encode() for t in terms]))
+    assert murmur128_bulk(pa.array([], pa.string())).shape == (0, 2)
+
+
 def test_usable_sizes_and_nearest():
     # FuzzySet.usableBitSetSizes: (1 << (i+6)) - 1
     assert USABLE_BITSET_SIZES[0] == 63

@@ -240,3 +240,29 @@ def test_hypothesis_bulk_stream_decode(lists, pfor):
     for i, v in enumerate(lists):
         assert np.array_equal(out[voffs[i]:voffs[i + 1]],
                               np.asarray(v, np.int64))
+
+
+def test_compile_failure_warns_once_per_process(monkeypatch):
+    """A failed compile is not silent: one RuntimeWarning per process
+    carries the compiler's error, and callers get None (the fallbacks)."""
+    import os
+    import subprocess
+    import warnings
+
+    import lucene_kmp_ray.util.cfor as cfor
+
+    def broken():
+        raise subprocess.CalledProcessError(
+            1, ["cc"], stderr=b"cc: error: no such compiler")
+    monkeypatch.setattr(cfor, "_compile", broken)
+    monkeypatch.setattr(cfor, "_CACHED", False)
+    monkeypatch.setattr(cfor, "_WARNED_PID", -1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cfor.lib() is None
+        monkeypatch.setattr(cfor, "_CACHED_PID", os.getpid() + 1)
+        assert cfor.lib() is None  # a retry in the same process
+    msgs = [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)]
+    assert len(msgs) == 1
+    assert "no such compiler" in msgs[0]

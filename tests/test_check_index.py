@@ -145,3 +145,28 @@ def test_corrupt_term_vectors_detected(tmp_path):
     rep = check_segment(idx, "segments/seg=00000")
     assert not rep["ok"]
     assert any("freq != len(positions)" in e for e in rep["errors"])
+
+
+def test_keys_ascending_compares_bytes_per_field():
+    """The dictionary order check: (field, term) strictly ascending in
+    UTF-8 byte order; a term order restarts with each field."""
+    import pyarrow as pa
+
+    from lucene_kmp_ray.index.check import _keys_ascending
+
+    def table(rows, field=True):
+        cols = {"term": [t for _, t in rows]}
+        if field:
+            fields = pa.array([f for f, _ in rows], pa.string())
+            cols = {"field": fields.dictionary_encode(), **cols}
+        return pa.table(cols)
+
+    good = [("text", "a"), ("text", "é"), ("text", "😀"), ("title", "a")]
+    assert _keys_ascending(table(good))
+    assert _keys_ascending(table(good[:3], field=False))
+    assert _keys_ascending(table([]))
+    assert not _keys_ascending(table([("text", "b"), ("text", "a")]))
+    assert not _keys_ascending(table([("text", "a"), ("text", "a")]))
+    assert not _keys_ascending(table([("title", "a"), ("text", "b")]))
+    assert not _keys_ascending(table([("text", "😀"), ("text", "é")],
+                                     field=False))

@@ -22,7 +22,7 @@ def test_direct_equals_lazy_all_terms(reader):
         lo, hi = sr.field_range("text")
         assert d.size == hi - lo
         for o in range(d.size):
-            term = str(sr._term_arr[lo + o])
+            term = sr.term_at(lo + o)
             lazy = sr.postings(term)
             dd, df = d.postings_ord(o)
             assert np.array_equal(dd, lazy[0]), term
@@ -38,7 +38,7 @@ def test_direct_title_field(reader):
     d = sr.load_direct("title")
     lo, hi = sr.field_range("title")
     for o in range(min(20, d.size)):
-        term = str(sr._term_arr[lo + o])
+        term = sr.term_at(lo + o)
         lazy = sr.postings(term, field="title")
         got = d.postings(term)
         assert np.array_equal(got[0], lazy[0])
