@@ -20,6 +20,15 @@ the file size. The FOR streams need no length: the value count bounds
 them. A single-block term's metadata is not stored — it re-derives from
 its one block on first use.
 
+A term row (``TermRow``) is one positioned read of its record. One C call
+(``cfor.decode_record``) decodes it: absolute docs, then freqs (ones when
+``ttf == df``), and the docs stream's byte length, which splits the
+record into ``docs_enc`` / ``freqs_enc`` when a caller asks for those.
+Every read is checked against the record's stream bytes, so a truncated
+or corrupt record raises IndexError instead of reading past its buffer.
+Without a C library the numpy decoders (``forutil.decode_blocks``,
+``stream_nbytes``) run instead, and stay the reference.
+
 Segments written before this layout keep every payload column in
 ``terms.parquet``; ``SegmentPostings`` reads such a table once, whole,
 and splits it in memory with the writer's own ``split_postings``, so
@@ -211,32 +220,63 @@ class _Flat:
             self.size = buf.size
 
     def read(self, start: int, end: int) -> pa.Buffer:
+        """Bytes ``[start, end)``; IndexError when the file ends first
+        (a truncated file never hands out unread buffer bytes)."""
         if self.path is None:
             return self._buf.slice(start, end - start)
         out = pa.allocate_buffer(end - start)
-        os.preadv(self._f.fileno(), [out], start)
+        if os.preadv(self._f.fileno(), [out], start) != end - start:
+            raise IndexError(f"{self.path} ends before byte {end}")
         return out
 
 
 class TermRow(dict):
     """One term's postings row (``df, ttf, docs_enc, freqs_enc, pos_enc,
-    block_last_doc, block_max_freq, block_min_norm``). ``pos_enc`` reads
-    ``postings.pos`` on first access, and a single-block term's block
-    metadata re-derives from its block on first access."""
+    block_last_doc, block_max_freq, block_min_norm``) over its ``.doc``
+    record ``rec``, whose first ``payload`` bytes hold the docs and freqs
+    streams. ``docs_freqs()`` decodes the record in one C pass; the
+    other keys derive on first access: ``docs_enc`` / ``freqs_enc`` split
+    the record at the docs stream's end, ``pos_enc`` reads
+    ``postings.pos``, and a single-block term's block metadata
+    re-derives from its block."""
 
-    __slots__ = ("_src",)
+    __slots__ = ("_src", "rec", "payload")
+
+    def docs_freqs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Absolute docs and freqs: the C record decoder, or the numpy
+        decode of the split streams without a C library."""
+        df, ttf = self["df"], self["ttf"]
+        out = cfor.decode_record(self.rec, self.payload, df, ttf > df)
+        if out is not None:
+            return out[0], out[1]
+        return (fu.delta_decode(fu.decode_blocks(self["docs_enc"], df)),
+                fu.decode_blocks(self["freqs_enc"], df))
 
     def __missing__(self, key):
         postings, i, norms_of = self._src
+        df, ttf, rec = self["df"], self["ttf"], self.rec
         if key == "pos_enc":
             self["pos_enc"] = postings.pos_bytes(i)
+        elif key in ("docs_enc", "freqs_enc"):
+            if ttf == df:
+                dl, freqs = self.payload, ones_stream(df)
+            else:
+                out = cfor.decode_record(rec, self.payload, df, True)
+                dl = out[2] if out is not None else int(stream_nbytes(
+                    np.frombuffer(rec, np.uint8), [0], [df])[0])
+                freqs = rec.slice(dl, self.payload - dl).to_pybytes()
+            self.update(docs_enc=rec.slice(0, dl).to_pybytes(),
+                        freqs_enc=freqs)
         elif key in BLOCK_COLS:
-            docs = fu.delta_decode(fu.decode_blocks(self["docs_enc"],
-                                                    self["df"]))
-            freqs = fu.decode_blocks(self["freqs_enc"], self["df"])
-            self.update(block_last_doc=[int(docs[-1])],
-                        block_max_freq=[int(freqs.max())],
-                        block_min_norm=[int(norms_of()[docs].min())])
+            nb = (df + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
+            if nb > 1:
+                meta = np.frombuffer(rec, "<i4", offset=self.payload)
+                self.update(zip(BLOCK_COLS, meta.reshape(3, nb).tolist()))
+            else:
+                docs, freqs = self.docs_freqs()
+                self.update(block_last_doc=[int(docs[-1])],
+                            block_max_freq=[int(freqs.max())],
+                            block_min_norm=[int(norms_of()[docs].min())])
         else:
             raise KeyError(key)
         return self[key]
@@ -269,26 +309,16 @@ class SegmentPostings:
         return len(self.df)
 
     def row(self, i: int, norms_of) -> TermRow:
-        """Term ``i``'s row from one positioned read of its ``.doc``
+        """Term ``i``'s row over one positioned read of its ``.doc``
         record; ``norms_of()`` returns the field's norms."""
-        df, ttf = int(self.df[i]), int(self.ttf[i])
+        df = int(self.df[i])
         rec = self.doc.read(int(self.doc_ptr[i]), self._end(
-            self.doc_ptr, i, self.doc.size)).to_pybytes()
+            self.doc_ptr, i, self.doc.size))
         nb = (df + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
-        end = len(rec) - (12 * nb if nb > 1 else 0)
-        row = TermRow(df=df, ttf=ttf)
+        row = TermRow(df=df, ttf=int(self.ttf[i]))
         row._src = (self, i, norms_of)
-        if ttf == df:
-            row["docs_enc"] = rec[:end]
-            row["freqs_enc"] = ones_stream(df)
-        else:
-            dl = int(stream_nbytes(np.frombuffer(rec, np.uint8), [0],
-                                   [df])[0])
-            row["docs_enc"] = rec[:dl]
-            row["freqs_enc"] = rec[dl:end]
-        if nb > 1:
-            meta = np.frombuffer(rec, "<i4", offset=end).reshape(3, nb)
-            row.update(zip(BLOCK_COLS, meta.tolist()))
+        row.rec = rec
+        row.payload = rec.size - (12 * nb if nb > 1 else 0)
         return row
 
     def pos_bytes(self, i: int) -> bytes:

@@ -15,8 +15,9 @@ Python object per term. Multi-term queries expand through the same search
 (prefix and range bounds) or an Arrow kernel over the field's slice. The
 reader opens with the dictionary (field, term, df, ttf and one pointer per
 term into each flat postings file, index/postings.py); a term-row miss is
-one positioned read of that term's ``postings.doc`` record, plus one of
-its ``postings.pos`` record only when positions are asked for.
+one positioned read of that term's ``postings.doc`` record, which one C
+call decodes into docs and freqs, plus one read of its ``postings.pos``
+record only when positions are asked for.
 
 Global term stats are not stored: ``IndexReader.term_stats`` sums each
 term's df/ttf over the dictionaries of the segments in the manifest the
@@ -447,8 +448,7 @@ class SegmentReader:
         if positions:
             return decode_postings(row["df"], row["ttf"], row["docs_enc"],
                                    row["freqs_enc"], row["pos_enc"])
-        return decode_postings(row["df"], row["ttf"], row["docs_enc"],
-                               row["freqs_enc"])
+        return row.docs_freqs()
 
     def postings(self, term: str, positions: bool = False,
                  field: str = "text"):
@@ -471,8 +471,7 @@ class SegmentReader:
             out = decode_postings(row["df"], row["ttf"], row["docs_enc"],
                                   row["freqs_enc"], row["pos_enc"])
         else:
-            out = decode_postings(row["df"], row["ttf"], row["docs_enc"],
-                                  row["freqs_enc"])
+            out = row.docs_freqs()
         self._postings_cache[key] = out
         while len(self._postings_cache) > POSTINGS_CACHE_TERMS:
             self._postings_cache.pop(next(iter(self._postings_cache)))
@@ -491,17 +490,15 @@ class SegmentReader:
         """
         row = self.term_row(term, field)
         cached = self._postings_cache.get((field, term, False))
-        freqs = cached[1] if cached is not None else decode_postings(
-            row["df"], row["ttf"], row["docs_enc"], row["freqs_enc"])[1]
+        freqs = cached[1] if cached is not None else row.docs_freqs()[1]
         bounds = np.append(0, np.cumsum(freqs))
         n_pos = int(row["ttf"])
         s = bounds[entry_idx]
         e = bounds[entry_idx + 1]
         nblocks = (n_pos + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
-        delta = np.zeros(nblocks + 1, dtype=np.int64)
-        np.add.at(delta, s // fu.BLOCK_SIZE, 1)
-        np.add.at(delta, np.minimum((e - 1) // fu.BLOCK_SIZE + 1, nblocks),
-                  -1)
+        delta = np.bincount(s // fu.BLOCK_SIZE, minlength=nblocks + 1) - \
+            np.bincount(np.minimum((e - 1) // fu.BLOCK_SIZE + 1, nblocks),
+                        minlength=nblocks + 1)
         mask = np.cumsum(delta[:-1]) > 0
         pm = row.get("_pos_meta")  # stream layout parsed once per cached row
         if pm is None:
@@ -544,9 +541,7 @@ class SegmentReader:
         last = np.asarray(row["block_last_doc"], dtype=np.int64)
         mask = keep_block(maxf, minn, last)
         if mask.all():
-            d, f = decode_postings(row["df"], row["ttf"], row["docs_enc"],
-                                   row["freqs_enc"])
-            return d, f
+            return row.docs_freqs()
         return _decode_selected_blocks(row, mask)
 
 

@@ -5,40 +5,29 @@ SloppyPhraseMatcher.kt greedy walk specialized to two distinct slots)
 and batches it across all screened candidate docs in one call — the
 per-doc state machine is inherently sequential, so the win is removing
 Python dispatch, not changing the algorithm.  Compiled once per source
-hash with the system C compiler (same pattern as
-``analysis/cviterbi.py``); ``sloppy2_batch`` returns ``None`` when
-compilation is impossible and callers fall back to the Python walk,
-which remains the semantic reference
-(tests/test_csloppy.py asserts bit-identical freqs).
+hash with the system C compiler (``util.cfor.compile_kernel``); a failed
+compile warns once per process, ``sloppy2_batch`` then returns ``None``
+and callers fall back to the Python walk, which remains the semantic
+reference (tests/test_csloppy.py asserts bit-identical freqs).
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
 
 import numpy as np
+
+from ..util.cfor import compile_kernel, warn_unavailable
 
 _SRC = os.path.join(os.path.dirname(__file__), "_csloppy.c")
 _CACHED: "ctypes.CDLL | None | bool" = False  # False = not attempted yet
 _CACHED_PID = -1  # library handles don't survive fork/pickle boundaries
+_WARNED_PID = -1
 
 
 def _compile() -> "ctypes.CDLL | None":
-    with open(_SRC, "rb") as f:
-        src = f.read()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    so = os.path.join(tempfile.gettempdir(), f"lkr_csloppy_{tag}.so")
-    if not os.path.exists(so):
-        tmp = f"{so}.{os.getpid()}.tmp"
-        subprocess.run(
-            ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, _SRC],
-            check=True, capture_output=True, timeout=120)
-        os.replace(tmp, so)  # atomic: concurrent actors race safely
-    lib = ctypes.CDLL(so)
+    lib = compile_kernel(_SRC, "lkr_csloppy")
     vp = ctypes.c_void_p
     lib.sloppy2_batch.restype = ctypes.c_int64
     lib.sloppy2_batch.argtypes = [vp] * 7 + [ctypes.c_int64] * 2 + [vp]
@@ -48,12 +37,15 @@ def _compile() -> "ctypes.CDLL | None":
 def lib() -> "ctypes.CDLL | None":
     """The compiled walk core, or None when unavailable (pid-stamped: a
     forked/unpickled worker recompiles-or-reloads its own handle)."""
-    global _CACHED, _CACHED_PID
+    global _CACHED, _CACHED_PID, _WARNED_PID
     if _CACHED is False or _CACHED_PID != os.getpid():
         try:
             _CACHED = _compile()
-        except Exception:
+        except Exception as e:
             _CACHED = None
+            if _WARNED_PID != os.getpid():
+                _WARNED_PID = os.getpid()
+                warn_unavailable("sloppy-phrase C kernel", e)
         _CACHED_PID = os.getpid()
     return _CACHED
 

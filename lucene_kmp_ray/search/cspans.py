@@ -4,39 +4,30 @@
 walks across every candidate doc for the common SpanNearQuery shape
 (every clause a SpanTermQuery).  Nested / non-term shapes always take
 the Python matchers in ``spans.py``, which remain the semantic
-reference (tests/test_cspans.py fuzzes both against each other).  Same
-compile-once-per-source-hash pattern as the sibling kernels.
+reference (tests/test_cspans.py fuzzes both against each other).
+Compiled once per source hash (``util.cfor.compile_kernel``); a failed
+compile warns once per process and the Python matchers run.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
 
 import numpy as np
+
+from ..util.cfor import compile_kernel, warn_unavailable
 
 _SRC = os.path.join(os.path.dirname(__file__), "_cspans.c")
 _CACHED: "ctypes.CDLL | None | bool" = False
 _CACHED_PID = -1
+_WARNED_PID = -1
 
 MAX_SUBS = 32
 
 
 def _compile() -> "ctypes.CDLL | None":
-    with open(_SRC, "rb") as f:
-        src = f.read()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    so = os.path.join(tempfile.gettempdir(), f"lkr_cspans_{tag}.so")
-    if not os.path.exists(so):
-        tmp = f"{so}.{os.getpid()}.tmp"
-        subprocess.run(
-            ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, _SRC],
-            check=True, capture_output=True, timeout=120)
-        os.replace(tmp, so)
-    lib = ctypes.CDLL(so)
+    lib = compile_kernel(_SRC, "lkr_cspans")
     vp = ctypes.c_void_p
     i64 = ctypes.c_int64
     lib.span_near_batch.restype = i64
@@ -46,12 +37,15 @@ def _compile() -> "ctypes.CDLL | None":
 
 
 def lib() -> "ctypes.CDLL | None":
-    global _CACHED, _CACHED_PID
+    global _CACHED, _CACHED_PID, _WARNED_PID
     if _CACHED is False or _CACHED_PID != os.getpid():
         try:
             _CACHED = _compile()
-        except Exception:
+        except Exception as e:
             _CACHED = None
+            if _WARNED_PID != os.getpid():
+                _WARNED_PID = os.getpid()
+                warn_unavailable("span-near C kernel", e)
         _CACHED_PID = os.getpid()
     return _CACHED
 

@@ -25,7 +25,7 @@ from ..index.reader import IndexReader
 from ..util.pool import pool_size as _pool_size
 from ..similarity.bm25 import BM25Similarity
 from .query import Query
-from .searcher import Searcher, _topk_idx
+from .searcher import Searcher, Weight, _topk_idx
 
 
 def make_similarity(name, dtype: str):
@@ -114,9 +114,10 @@ class SegmentSearchActor:
                                   soft_deletes_field=soft_deletes_field)
         self.searcher = Searcher(self.reader,
                                  make_similarity(similarity, dtype))
-        # KNN queries resolve to their global top-k ONCE per actor
-        self.queries: dict[str, Query] = {
-            qid: self.searcher.rewrite(q)
+        # KNN queries resolve to their global top-k ONCE per actor, and
+        # each query's Weight (its scorers) is built once for all batches
+        self.weights: dict[str, Weight] = {
+            qid: Weight(self.searcher, self.searcher.rewrite(q))
             for qid, q in ray.get(queries_ref).items()}
         self.by_seg = {sr.seg: (i, sr)
                        for i, sr in enumerate(self.reader.segment_readers)}
@@ -126,8 +127,8 @@ class SegmentSearchActor:
                "doc_id": [], "url": []}
         for seg in batch["seg"].to_pylist():
             si, sr = self.by_seg[seg]
-            for qid, query in self.queries.items():
-                docs, scores = self.searcher._score_segment(sr, query)
+            for qid, weight in self.weights.items():
+                docs, scores = weight.score_segment(sr)
                 sel = _topk_idx(scores, docs, self.k)
                 docs, scores = docs[sel], scores[sel]
                 dm = sr.doc_meta
@@ -199,7 +200,8 @@ class SegmentMatchActor:
                                   soft_deletes_field=soft_deletes_field,
                                   commit=commit)
         self.searcher = Searcher(self.reader, BM25Similarity(dtype=dtype))
-        self.query: Query = self.searcher.rewrite(ray.get(query_ref))
+        self.weight = Weight(self.searcher,
+                             self.searcher.rewrite(ray.get(query_ref)))
         self.by_seg = {sr.seg: sr for sr in self.reader.segment_readers}
         self.meta_cols = meta_cols
         self.per_seg_limit = per_seg_limit
@@ -208,7 +210,7 @@ class SegmentMatchActor:
         frames = []
         for seg in batch["seg"].to_pylist():
             sr = self.by_seg[seg]
-            docs, scores = self.searcher._score_segment(sr, self.query)
+            docs, scores = self.weight.score_segment(sr)
             if self.per_seg_limit is not None:
                 # early termination on an index-sorted segment: local ids
                 # ascend in index-sort order, so the first k matches are
@@ -567,11 +569,11 @@ class SearcherPool:
             def search_batch(self, queries: dict, k: int) -> dict:
                 out = {}
                 for qid, q in queries.items():
-                    q = self.searcher.rewrite(q)
+                    weight = Weight(self.searcher, self.searcher.rewrite(q))
                     rows = []
                     total = 0
                     for sr in self.reader.segment_readers:
-                        docs, scores = self.searcher._score_segment(sr, q)
+                        docs, scores = weight.score_segment(sr)
                         total += len(docs)
                         sel = _topk_idx(scores, docs, k)
                         dm = sr.doc_meta

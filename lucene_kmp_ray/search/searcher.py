@@ -21,12 +21,33 @@ type raises ``TypeError``. A handler is one of three kinds:
 - scored handlers, ``(searcher, sr, q, boost, scoring) -> (docs, scores)``:
   queries that combine sub-queries or compute their own scores.
 
-Scoring is block/vector-at-a-time numpy instead of doc-at-a-time iterators —
-the BooleanScorer 4096-doc-window idea (BooleanScorer.kt:318-319) taken to
-whole-posting granularity. Boolean combination:
+A search builds one ``Weight`` for its rewritten query (Lucene's
+``createWeight``, once per search, not per segment): the scorer of each
+freq-leaf node resolves its term stats on first use and every segment
+reuses it. The Weight also holds the bulk plan of the shapes most traffic
+has — a (boosted) TermQuery, and a BooleanQuery whose MUST and SHOULD
+clauses are all (boosted) term leaves — scored by BM25 in float32 or
+float64. For those, a segment is one C call (``cfor.bulk_score``, the
+BulkScorer role): it decodes each term's ``.doc`` record, leapfrogs the
+MUST clauses and the FILTER doc sets from the shortest (or, with nothing
+required, merges the SHOULD clauses' docs), adds the SHOULD clauses,
+drops MUST_NOT docs, and scores with the scorers' norm caches. FILTER and
+MUST_NOT clauses still evaluate through ``_filter_docs`` (so the query
+cache sees them as before) and enter as sorted doc arrays. Exact phrases
+take their doc conjunction from the same leapfrog (``cfor.conjoin``),
+then read positions through ``positions_for_entries``.
+
+Every other shape, and every query when no C compiler is available, runs
+the numpy handlers: block/vector-at-a-time instead of doc-at-a-time
+iterators — the BooleanScorer 4096-doc-window idea (BooleanScorer.kt:
+318-319) taken to whole-posting granularity. Boolean combination:
 MUST/FILTER = sorted-docID intersection, SHOULD = union + score sum,
 MUST_NOT = anti-join (ReqExclScorer analog), FILTER never contributes score
-(BooleanClause.kt:15) and minimumNumberShouldMatch is enforced.
+(BooleanClause.kt:15) and minimumNumberShouldMatch is enforced. The numpy
+path is the reference: the bulk scorer sums in its order and dtypes (MUST
+scores in the similarity's dtype in clause order, a doc's SHOULD scores in
+float64 in clause order, cast, then added), so scores are bit-identical
+(tests/test_bulk_scorer.py).
 
 ``prune=True`` enables block-max pruning for term queries (WAND family,
 WANDScorer.kt / ImpactsDISI.kt / MaxScoreBulkScorer.kt): after
@@ -49,6 +70,7 @@ import pyarrow.compute as pc
 from ..index.format import sorted_codes
 from ..index.reader import IndexReader, SegmentReader
 from ..similarity.bm25 import BM25Similarity
+from ..util import cfor
 from .query import (EARTH_MEAN_RADIUS_METERS,
                     BlendedTermQuery, BooleanQuery, BoostQuery,
                     DocValuesSetQuery, SortedSetRangeQuery,
@@ -189,6 +211,10 @@ def _lookup_scores(cand: np.ndarray, docs: np.ndarray,
 
 
 class Searcher:
+    # the Weight whose handler path is scoring a segment: freq leaves take
+    # their scorers from it (Weight.score_segment sets and restores it)
+    _weight: "Weight | None" = None
+
     def __init__(self, reader: IndexReader,
                  similarity: BM25Similarity | None = None,
                  query_cache=None, query_caching_policy=None):
@@ -269,18 +295,11 @@ class Searcher:
                                        [ttf for _, ttf in present])
 
     # ----- per-segment match+score: returns (docs asc, scores) ---------
-    def _score_segment(self, sr: SegmentReader, query: Query,
-                       boost: float = 1.0, scoring: bool = True):
-        """Match+score one segment, with deleted docs subtracted (the
-        liveDocs filter of LeafReader; tombstones sidecar, deletes.py).
-        Sub-queries recurse through _score; the live filter applies
-        exactly once at the top of each segment evaluation."""
-        docs, scores = self._score(sr, query, boost, scoring)
-        tomb = sr.tombstones
-        if tomb is not None and len(docs):
-            keep = ~_isin_sorted(docs, tomb)
-            docs, scores = docs[keep], scores[keep]
-        return docs, scores
+    def _score_segment(self, sr: SegmentReader, query: Query):
+        """Match+score one segment through a one-off ``Weight`` (a search
+        over many segments builds one Weight and calls its
+        ``score_segment``)."""
+        return Weight(self, query).score_segment(sr)
 
     def _score(self, sr: SegmentReader, query: Query,
                boost: float = 1.0, scoring: bool = True):
@@ -595,8 +614,9 @@ class Searcher:
         keys = np.array(list(prio), dtype=object)
         parts = []  # (prio, score, seg, docs)
         total = 0
+        weight = Weight(self, q)
         for si, sr in enumerate(self.reader.segment_readers):
-            docs, scores = self._score_segment(sr, q)
+            docs, scores = weight.score_segment(sr)
             ids = np.asarray(sr.doc_meta[id_field].to_pylist(), dtype=object)
             elev = np.flatnonzero(np.isin(ids, keys)).astype(np.int64)
             tomb = sr.tombstones
@@ -720,17 +740,11 @@ class Searcher:
             if occ == Occur.MUST:
                 musts.append(self._score(sr, sub, boost, scoring))
             elif occ == Occur.FILTER:
-                # IndexOrDocValuesQuery cost rule: behind MUST clauses the
-                # doc-values side verifies candidates by column gather
-                # instead of scanning the whole segment
-                dv = sub.dv_query if isinstance(sub, IndexOrDocValuesQuery) \
-                    else sub
-                if has_must and isinstance(dv, RangeFilterQuery):
-                    deferred.append(dv)
-                elif isinstance(sub, IndexOrDocValuesQuery):
-                    filters.append(self._filter_docs(sr, sub.index_query))
+                target, deferred_check = _filter_target(sub, has_must)
+                if deferred_check:
+                    deferred.append(target)
                 else:
-                    filters.append(self._filter_docs(sr, sub))
+                    filters.append(self._filter_docs(sr, target))
             elif occ == Occur.SHOULD:
                 shoulds.append(self._score(sr, sub, boost, scoring))
             else:
@@ -978,8 +992,9 @@ class Searcher:
         a_key = (-after.score, after.seg, after.doc)
         total = 0
         parts = []
+        weight = Weight(self, query)
         for si, sr in enumerate(self.reader.segment_readers):
-            docs, scores = self._score_segment(sr, query)
+            docs, scores = weight.score_segment(sr)
             total += len(docs)
             # keep only hits strictly after the cursor
             sc = scores.astype(np.float64)
@@ -1014,11 +1029,12 @@ class Searcher:
         timed_out = False
         total = 0
         parts = []  # (scores, seg, docs)
+        weight = Weight(self, query)
         for si, sr in enumerate(self.reader.segment_readers):
             if deadline is not None and _time.monotonic() > deadline:
                 timed_out = True
                 break
-            docs, scores = self._score_segment(sr, query)
+            docs, scores = weight.score_segment(sr)
             total += len(docs)
             if len(docs) > k:  # per-leaf top-k before the merge
                 sel = _topk_idx(scores, docs, k)
@@ -1209,9 +1225,10 @@ class Searcher:
         for h in first_pass.score_docs:
             by_seg.setdefault(h.seg, []).append(h)
         new_hits: list[ScoreDoc] = []
+        second = Weight(self, q)
         for si, hs in by_seg.items():
             sr = self.reader.segment_readers[si]
-            docs, scores = self._score_segment(sr, q)
+            docs, scores = second.score_segment(sr)
             tgt = np.array([h.doc for h in hs], np.int64)
             pos = np.searchsorted(docs, tgt)
             for h, p in zip(hs, pos):
@@ -1445,12 +1462,18 @@ class Searcher:
 
     def _resolve(self, hits: list[ScoreDoc]) -> None:
         """Fetch stored fields (doc_id, url) — StoredFieldVisitor analog;
-        the corpus Parquet is the row store (SURVEY §1.4)."""
+        the corpus Parquet is the row store (SURVEY §1.4). The two
+        columns are looked up once per segment (~3 µs a lookup), then
+        read per hit: an Arrow ``take`` costs ~30 µs a call, more than
+        the few hits a segment holds."""
+        by_seg: dict[int, list[ScoreDoc]] = {}
         for h in hits:
-            sr = self.reader.segment_readers[h.seg]
-            dm = sr.doc_meta
-            h.doc_id = dm["doc_id"][h.doc].as_py()
-            h.url = dm["url"][h.doc].as_py()
+            by_seg.setdefault(h.seg, []).append(h)
+        for seg, hs in by_seg.items():
+            dm = self.reader.segment_readers[seg].doc_meta
+            ids, urls = dm["doc_id"], dm["url"]
+            for h in hs:
+                h.doc_id, h.url = ids[h.doc].as_py(), urls[h.doc].as_py()
 
 
 # ----- query kinds of the dispatch table ------------------------------
@@ -1474,7 +1497,8 @@ class _FreqLeaf:
     """Freq leaf: ``freqs(sr, q)`` gives (docs asc, per-doc freqs) and
     ``stats(searcher, q, boost)`` the query's scorer — None when it
     matches nothing, ``_CONSTANT`` for a constant score. The scorer
-    resolves only once a segment has matches to score."""
+    resolves once a segment has matches to score, once per search
+    when a ``Weight`` is scoring (``Weight.scorer``)."""
     __slots__ = ("freqs", "stats")
 
     def __init__(self, freqs, stats):
@@ -1489,12 +1513,169 @@ class _FreqLeaf:
             return docs, np.zeros(len(docs), dtype=dt)
         if len(docs) == 0:
             return _empty(dt)
-        scorer = self.stats(s, q, boost)
+        w = s._weight
+        scorer = self.stats(s, q, boost) if w is None else \
+            w.scorer(self, q, boost)
         if scorer is None:
             return _empty(dt)
         if scorer is _CONSTANT:
             return _constant(docs, boost, dt)
         return docs, scorer.score(freqs, sr.norms_for(q.field)[docs])
+
+
+class Weight:
+    """One search's state for a rewritten query (Lucene's ``Weight``,
+    built once per search): the scorer of each freq-leaf node (Term,
+    Phrase, span...), resolved on first use and reused by every segment,
+    and the bulk plan of a term query or a flat boolean over term
+    clauses, which scores a segment in one C call when the C kernels are
+    built (``_BulkPlan``). Any other shape, or no C library, scores
+    through ``_HANDLERS``."""
+    __slots__ = ("searcher", "query", "_scorers", "_plan")
+
+    def __init__(self, searcher: Searcher, query: Query):
+        self.searcher = searcher
+        self.query = query
+        self._scorers: dict = {}
+        self._plan = _bulk_plan(searcher, query) \
+            if cfor.lib() is not None else None
+
+    def scorer(self, leaf: "_FreqLeaf", q: Query, boost: float):
+        """``leaf.stats(searcher, q, boost)``, built once per (node,
+        boost). Keyed by identity: the entry keeps ``q`` alive, so its
+        id cannot be reused while the Weight lives."""
+        key = (id(q), boost)
+        hit = self._scorers.get(key)
+        if hit is None:
+            hit = self._scorers[key] = (q, leaf.stats(self.searcher, q,
+                                                      boost))
+        return hit[1]
+
+    def score_segment(self, sr: SegmentReader):
+        """``(docs asc, scores)`` of one segment, deleted docs
+        subtracted (the liveDocs filter of LeafReader; tombstones
+        sidecar, deletes.py) exactly once, after sub-queries combine."""
+        s = self.searcher
+        if self._plan is not None:
+            docs, scores = self._plan.score(self, sr)
+        else:
+            prev, s._weight = s._weight, self
+            try:
+                docs, scores = s._score(sr, self.query, 1.0, True)
+            finally:
+                s._weight = prev
+        tomb = sr.tombstones
+        if tomb is not None and len(docs):
+            keep = ~_isin_sorted(docs, tomb)
+            docs, scores = docs[keep], scores[keep]
+        return docs, scores
+
+
+@dataclass
+class _BulkPlan:
+    """A query ``cfor.bulk_score`` scores: ``leaves`` are the MUST /
+    SHOULD term clauses as ``(TermQuery, boost, is_must)`` in clause
+    order (a term query is one MUST clause), ``others`` the FILTER /
+    MUST_NOT clauses as ``(is_filter, query for _filter_docs)`` in
+    clause order."""
+    leaves: list
+    others: list
+    msm: int = 0
+
+    def score(self, w: Weight, sr: SegmentReader):
+        """``(docs asc, scores)`` of one segment, deletes not applied."""
+        s = w.searcher
+        dt = s.sim.dtype
+        clauses, weights, must_dfs, should_dfs = [], [], [], []
+        must_missing = False
+        for leaf, boost, must in self.leaves:
+            row = sr.term_row(leaf.term, leaf.field)
+            if row is None:
+                must_missing |= must
+                continue
+            sc = w.scorer(_TERM_LEAF, leaf, boost)
+            df, ttf = row["df"], row["ttf"]
+            clauses.append((row.rec, row.payload, df, ttf > df, must,
+                            sc.cache, np.ascontiguousarray(
+                                sr.norms_for(leaf.field), np.uint8)))
+            weights.append(float(sc.weight))
+            (must_dfs if must else should_dfs).append(df)
+        filters, excluded = [], []
+        for is_filter, sub in self.others:  # clause order, as the
+            # query cache's usage policy sees them on the numpy path
+            (filters if is_filter else excluded).append(
+                s._filter_docs(sr, sub))
+        n_should = sum(1 for *_, must in self.leaves if not must)
+        if must_missing or self.msm > n_should:
+            return _empty(dt)
+        if must_dfs or filters:
+            cap = min(must_dfs + [len(f) for f in filters])
+        else:
+            cap = sum(should_dfs)
+        if cap == 0:
+            return _empty(dt)
+        return cfor.bulk_score(clauses, weights, filters, excluded,
+                               self.msm, dt, cap)
+
+
+def _unboost(q: Query, boost: float) -> tuple[Query, float]:
+    """Strip BoostQuery wrappers, multiplying their boosts in the order
+    the BoostQuery handler does."""
+    while type(q) is BoostQuery:
+        boost, q = boost * q.boost, q.query
+    return q, boost
+
+
+def _bulk_plan(s: Searcher, query: Query) -> "_BulkPlan | None":
+    """The bulk plan of a (boosted) TermQuery or a (boosted)
+    BooleanQuery whose MUST and SHOULD clauses are all (boosted) term
+    leaves, scored by BM25 in the searcher's float32 / float64 dtype;
+    None for anything else."""
+    q, boost = _unboost(query, 1.0)
+    if type(q) is TermQuery:
+        plan = _BulkPlan([(q, boost, True)], [])
+    elif type(q) is BooleanQuery:
+        has_must = any(occ == Occur.MUST for occ, _ in q.clauses)
+        plan = _BulkPlan([], [], q.minimum_should_match)
+        for occ, sub in q.clauses:
+            if occ in (Occur.MUST, Occur.SHOULD):
+                leaf, b = _unboost(sub, boost)
+                if type(leaf) is not TermQuery:
+                    return None
+                plan.leaves.append((leaf, b, occ == Occur.MUST))
+            elif occ == Occur.FILTER:
+                target, deferred_check = _filter_target(sub, has_must)
+                if deferred_check:
+                    return None
+                plan.others.append((True, target))
+            else:
+                plan.others.append((False, sub))
+        if not plan.leaves:
+            return None
+    else:
+        return None
+    dt = s.sim.dtype
+    if dt not in (np.float32, np.float64):
+        return None
+    for leaf, _, _ in plan.leaves:
+        sim = s._sim(leaf.field)
+        if type(sim) is not BM25Similarity or sim.dtype != dt:
+            return None
+    return plan
+
+
+def _filter_target(sub: Query, has_must: bool) -> tuple[Query, bool]:
+    """How a FILTER clause evaluates: ``(range query, True)`` when,
+    behind MUST clauses, its doc-values side verifies the candidates by
+    column gather instead of scanning the whole segment (the
+    IndexOrDocValuesQuery cost rule), else ``(query, False)`` for
+    ``_filter_docs``."""
+    dv = sub.dv_query if isinstance(sub, IndexOrDocValuesQuery) else sub
+    if has_must and isinstance(dv, RangeFilterQuery):
+        return dv, True
+    if isinstance(sub, IndexOrDocValuesQuery):
+        return sub.index_query, False
+    return sub, False
 
 
 def _constant(docs: np.ndarray, boost: float, dt):
@@ -2319,20 +2500,27 @@ def _phrase_starts(slot_keys, M: int):
 
 def _phrase_conjunction(sr: SegmentReader, terms: list[str], field: str,
                         positions: bool = False):
-    """Postings of each distinct phrase term and the docs holding all of
-    them (docs intersect before any position decodes); (None, None) when
-    a term is absent from the segment."""
+    """Postings of each distinct phrase term, the docs holding all of
+    them (docs intersect before any position decodes) and, per term,
+    each such doc's entry in its postings: one C leapfrog
+    (``cfor.conjoin``), or ``_intersect`` and ``searchsorted`` without
+    a C library. (None, None, None) when a term is absent from the
+    segment."""
     posts = {}
     for t in dict.fromkeys(terms):
         p = sr.postings(t, positions=positions, field=field)
         if p is None:
-            return None, None
+            return None, None, None
         posts[t] = p
     docs = [p[0] for p in posts.values()]
+    out = cfor.conjoin(docs)
+    if out is not None:
+        return posts, out[0], dict(zip(posts, out[1]))
     cand = docs[0]
     for d in docs[1:]:
         cand = _intersect(cand, d)
-    return posts, cand
+    return posts, cand, {t: np.searchsorted(d, cand)
+                         for t, d in zip(posts, docs)}
 
 
 def _sloppy_screen_2(a_runs, b_runs, slop: int) -> np.ndarray:
@@ -2448,7 +2636,8 @@ def _sloppy_phrase(sr: SegmentReader, terms: list[str], slop: int,
     matching doc is ever screened out). On the bench corpus the screen
     removes ~70% of the walks (VERDICT r1 #7).
     """
-    posts, cand = _phrase_conjunction(sr, terms, field, positions=True)
+    posts, cand, entries = _phrase_conjunction(sr, terms, field,
+                                               positions=True)
     if posts is None or len(cand) == 0:
         return np.empty(0, np.int64), np.empty(0, np.float64)
     # per-term: gather the candidates' position runs contiguously
@@ -2456,7 +2645,7 @@ def _sloppy_phrase(sr: SegmentReader, terms: list[str], slop: int,
     for t in posts:
         docs, freqs, flat = posts[t]
         offs = np.append(0, np.cumsum(freqs))
-        idx = np.searchsorted(docs, cand)
+        idx = entries[t]
         cnt = freqs[idx]
         starts_out = np.cumsum(cnt) - cnt
         total = int(cnt.sum())
@@ -2629,13 +2818,10 @@ def _exact_phrase(sr: SegmentReader, terms: list[str],
     (M chosen so shifted keys cannot collide across docs); phrase starts
     are the intersection of the per-term sorted key arrays — the leapfrog
     of ExactPhraseMatcher taken whole-posting-at-a-time (SURVEY §2.5)."""
-    posts, cand = _phrase_conjunction(sr, terms, field)
+    posts, cand, entries = _phrase_conjunction(sr, terms, field)
     if posts is None or len(cand) == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    sel = {}
-    for t, (docs, _) in posts.items():
-        entry_idx = np.searchsorted(docs, cand)
-        sel[t] = sr.positions_for_entries(t, entry_idx, field)
+    sel = {t: sr.positions_for_entries(t, entries[t], field) for t in posts}
     if offsets is None:
         offsets = list(range(len(terms)))
     max_off = max(offsets)
@@ -2655,6 +2841,8 @@ def _score_rewritten(s: Searcher, sr: SegmentReader, q: Query,
     return s._score(sr, s.rewrite(q), boost, scoring)
 
 
+_TERM_LEAF = _FreqLeaf(lambda sr, q: _term_freqs(sr, q.term, q.field),
+                       _terms_scorer)
 _HANDLERS = {
     # doc-set leaves
     MatchAllDocsQuery: _DocSet(
@@ -2682,8 +2870,7 @@ _HANDLERS = {
     XYPolygonQuery: _DocSet(_xy_polygon_docs),
     XYLineQuery: _DocSet(_xy_line_docs),
     # freq leaves
-    TermQuery: _FreqLeaf(lambda sr, q: _term_freqs(sr, q.term, q.field),
-                         _terms_scorer),
+    TermQuery: _TERM_LEAF,
     PhraseQuery: _FreqLeaf(_phrase_freqs, _terms_scorer),
     NGramPhraseQuery: _FreqLeaf(_ngram_phrase_freqs, _terms_scorer),
     MultiPhraseQuery: _FreqLeaf(_multi_phrase_freqs, _multi_phrase_scorer),

@@ -1,4 +1,9 @@
-/* Fused positional skip-read: masked FOR/PFor block decode + per-entry
+/* C kernels of util/cfor.py: the block codec (fused positional skip-read,
+ * bulk encode, checked stream and .doc record decode), the term
+ * dictionary search, and the per-segment conjunction and BM25 bulk
+ * scorer of search/searcher.py.
+ *
+ * Fused positional skip-read: masked FOR/PFor block decode + per-entry
  * position gather for positions_for_entries (index/reader.py).
  *
  * Semantics are EXACTLY the numpy path's (which remains the fallback and
@@ -13,6 +18,7 @@
  * payload_bytes, total_bytes).
  */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define BLOCK_SIZE 128
@@ -110,95 +116,11 @@ static inline int bitlen_u64(uint64_t v) {
     return v ? 64 - __builtin_clzll(v) : 0;
 }
 
-/* pass 1: per-row width + exception count.  pfor=0 -> plain FOR. */
-void encode_meta(const uint64_t *resh, int64_t R, int pfor,
-                 const int64_t *counts, int64_t *widths, int64_t *nexc) {
-    for (int64_t r = 0; r < R; r++) {
-        const uint64_t *row = resh + r * BLOCK_SIZE;
-        int hist[65];
-        int maxw = 0;
-        if (pfor) memset(hist, 0, sizeof hist);
-        for (int i = 0; i < BLOCK_SIZE; i++) {
-            int b = bitlen_u64(row[i]);
-            if (b > maxw) maxw = b;
-            if (pfor) hist[b]++;
-        }
-        if (!pfor) { widths[r] = maxw; nexc[r] = 0; continue; }
-        /* top-8 bit lengths descending, with multiplicity */
-        int cand[8], k = 0;
-        for (int w = 64; w >= 0 && k < 8; w--)
-            for (int c = hist[w]; c > 0 && k < 8; c--)
-                cand[k++] = w;
-        while (k < 8) cand[k++] = 0;   /* BLOCK_SIZE >= 8, never hit */
-        /* suffix counts: gt[w] = #values with bl > w */
-        int gt[66];
-        gt[64] = 0;
-        for (int w = 63; w >= 0; w--) gt[w] = gt[w + 1] + hist[w + 1];
-        int64_t cnt = counts[r];
-        int64_t best_cost = -1; int best_w = maxw, best_ne = 0;
-        for (int e = 0; e < 8; e++) {
-            int w = cand[e];
-            int ne = gt[w];
-            if (maxw - w > 8 || ne > 7) continue;
-            int64_t cost = (cnt * w + 7) / 8 + (ne ? 1 + 2 * ne : 0);
-            if (best_cost < 0 || cost < best_cost) {
-                best_cost = cost; best_w = w; best_ne = ne;
-            }
-        }
-        widths[r] = best_w; nexc[r] = best_ne;
-    }
-}
-
-/* pass 2: write headers, packed payloads and exception pairs at the
- * caller-computed per-row starts (out must be zero-initialised). */
-void encode_pack(const uint64_t *resh, int64_t R, const int64_t *counts,
-                 const int64_t *widths, const int64_t *nexc,
-                 const int64_t *starts, uint8_t *out) {
-    for (int64_t r = 0; r < R; r++) {
-        const uint64_t *row = resh + r * BLOCK_SIZE;
-        int64_t w = widths[r], ne = nexc[r], cnt = counts[r];
-        uint8_t *h = out + starts[r];
-        uint8_t *p;
-        if (ne) { h[0] = (uint8_t)(0x80 | w); h[1] = (uint8_t)ne; p = h + 2; }
-        else    { h[0] = (uint8_t)w;          p = h + 1; }
-        int64_t paybytes = (cnt * w + 7) / 8;
-        uint64_t mask = (w >= 64) ? ~0ULL : ((1ULL << w) - 1);
-        if (w) {
-            for (int64_t i = 0; i < cnt; i++) {
-                uint64_t v = row[i] & mask;
-                if (!v) continue;
-                int64_t bito = i * w;
-                int64_t byo = bito >> 3;
-                int sh = (int)(bito & 7);
-                uint64_t lo = v << sh;
-                int64_t lim = paybytes - byo;
-                for (int b = 0; b < 8 && b < lim; b++)
-                    p[byo + b] |= (uint8_t)(lo >> (8 * b));
-                if (sh && w + sh > 64 && lim > 8)
-                    p[byo + 8] |= (uint8_t)(v >> (64 - sh));
-            }
-        }
-        if (ne) {
-            uint8_t *exc = p + paybytes;
-            int64_t j = 0;
-            for (int i = 0; i < BLOCK_SIZE && j < ne; i++) {
-                if (bitlen_u64(row[i]) > w) {
-                    exc[2 * j] = (uint8_t)i;
-                    exc[2 * j + 1] = (uint8_t)(row[i] >> w);
-                    j++;
-                }
-            }
-        }
-    }
-}
-
-/* ---- CSR encode variants: row r's values are vals[row_ptr[r] ..
- * row_ptr[r+1]) (0 <= count <= 128), no padded matrix needed.  Width /
- * exception selection is identical to encode_meta: the numpy reference
- * pads rows with zeros, which contribute bit length 0 and can never be
- * exceptions, so top-8 slots beyond the row's values are 0 — reproduced
- * here by padding the candidate list with zeros. */
-
+/* Row r's values are vals[row_ptr[r] .. row_ptr[r+1]) (0 <= count <=
+ * 128).  The numpy reference encodes zero-padded 128-value rows; padding
+ * has bit length 0 and is never an exception, so the top-8 candidates past
+ * a short row's values are 0, as the zero fill of cand below makes them.
+ * Pass 1: per-row width + exception count.  pfor=0 -> plain FOR. */
 void encode_meta_csr(const int64_t *vals, const int64_t *row_ptr,
                      int64_t R, int pfor, int64_t *widths, int64_t *nexc) {
     for (int64_t r = 0; r < R; r++) {
@@ -217,7 +139,7 @@ void encode_meta_csr(const int64_t *vals, const int64_t *row_ptr,
         for (int w = 64; w >= 0 && k < 8; w--)
             for (int c = hist[w]; c > 0 && k < 8; c--)
                 cand[k++] = w;
-        while (k < 8) cand[k++] = 0;   /* zero-padding's bit lengths */
+        while (k < 8) cand[k++] = 0;   /* the padding's bit lengths */
         int gt[66];
         gt[64] = 0;
         for (int w = 63; w >= 0; w--) gt[w] = gt[w + 1] + hist[w + 1];
@@ -235,6 +157,8 @@ void encode_meta_csr(const int64_t *vals, const int64_t *row_ptr,
     }
 }
 
+/* Pass 2: write headers, packed payloads and exception pairs at the
+ * caller-computed per-row starts (out must be zero-initialised). */
 void encode_pack_csr(const int64_t *vals, const int64_t *row_ptr,
                      int64_t R, const int64_t *widths, const int64_t *nexc,
                      const int64_t *starts, uint8_t *out) {
@@ -278,41 +202,48 @@ void encode_pack_csr(const int64_t *vals, const int64_t *row_ptr,
     }
 }
 
+/* Decode the n-value stream at buf[pos]; returns the offset just past it,
+ * or -1 when a header, payload or exception lies past buflen or a block
+ * header is impossible (width > 64, or 64 with exceptions).  The 8-byte
+ * fast window may read past the stream into later bytes of buf: those
+ * bits are masked off. */
+static int64_t decode_stream_checked(const uint8_t *buf, int64_t buflen,
+                                     int64_t pos, int64_t n, int64_t *out) {
+    for (int64_t done = 0; done < n; done += BLOCK_SIZE) {
+        int64_t cnt = n - done < BLOCK_SIZE ? n - done : BLOCK_SIZE;
+        int64_t meta[5];
+        if (pos >= buflen) return -1;
+        int64_t h = buf[pos];
+        if (h & 0x80) {
+            if (pos + 1 >= buflen) return -1;
+            meta[1] = h & 0x7F; meta[2] = buf[pos + 1]; meta[0] = pos + 2;
+        } else {
+            meta[1] = h; meta[2] = 0; meta[0] = pos + 1;
+        }
+        if (meta[1] > 64 || (meta[1] == 64 && meta[2])) return -1;
+        meta[3] = (cnt * meta[1] + 7) / 8;
+        int64_t end = meta[0] + meta[3] + 2 * meta[2];
+        if (end > buflen) return -1;
+        decode_block(buf, buflen, meta, cnt, out + done);
+        pos = end;
+    }
+    return pos;
+}
+
 /* ---- bulk stream decode: many independent FOR/PFor streams in one call
  * (the k-way merge reads every source posting list; per-term Python
  * decode_blocks calls dominated merge profile).  Stream s's bytes start
  * at buf + sstarts[s] and hold counts[s] values in self-describing
- * 128-value blocks; decoded values land at out + out_offs[s].  The
- * 8-byte fast window may read past a stream's end into the next stream's
- * bytes — those bits are masked off, matching decode_block's contract
- * (only reads past BUFLEN fall back to byte assembly). */
-void decode_streams(const uint8_t *buf, int64_t buflen,
-                    const int64_t *sstarts, const int64_t *counts,
-                    int64_t ns, const int64_t *out_offs, int64_t *out) {
-    for (int64_t s = 0; s < ns; s++) {
-        const uint8_t *mv = buf + sstarts[s];
-        int64_t mvlen = buflen - sstarts[s];
-        int64_t n = counts[s];
-        int64_t *o = out + out_offs[s];
-        int64_t nblocks = (n + BLOCK_SIZE - 1) / BLOCK_SIZE;
-        int64_t pos = 0;
-        for (int64_t b = 0; b < nblocks; b++) {
-            int64_t cnt = (b == nblocks - 1) ? n - b * BLOCK_SIZE
-                                             : BLOCK_SIZE;
-            int64_t h = mv[pos];
-            int64_t meta[5];
-            if (h & 0x80) {
-                meta[1] = h & 0x7F;          /* width */
-                meta[2] = mv[pos + 1];       /* n_exc */
-                meta[0] = pos + 2;           /* payload start */
-            } else {
-                meta[1] = h; meta[2] = 0; meta[0] = pos + 1;
-            }
-            meta[3] = (cnt * meta[1] + 7) / 8;   /* payload bytes */
-            decode_block(mv, mvlen, meta, cnt, o + b * BLOCK_SIZE);
-            pos = meta[0] + meta[3] + 2 * meta[2];
-        }
-    }
+ * 128-value blocks; decoded values land at out + out_offs[s].  Returns
+ * 0, or -1 when a stream runs past buflen. */
+int64_t decode_streams(const uint8_t *buf, int64_t buflen,
+                       const int64_t *sstarts, const int64_t *counts,
+                       int64_t ns, const int64_t *out_offs, int64_t *out) {
+    for (int64_t s = 0; s < ns; s++)
+        if (decode_stream_checked(buf, buflen, sstarts[s], counts[s],
+                                  out + out_offs[s]) < 0)
+            return -1;
+    return 0;
 }
 
 /* ---- term dictionary search: byte-wise binary search over rows [lo, hi)
@@ -353,4 +284,283 @@ int64_t term_search(const void *offsets, int wide, const uint8_t *data,
             return a;
     }
     return -1;
+}
+
+/* ---- one .doc record (index/postings.py layout): the docs stream
+ * (deltas), then the freqs stream unless every freq is 1, then block
+ * metadata, which the caller leaves out of reclen.  Writes absolute docs
+ * and freqs (ones without a freqs stream); returns the docs stream's byte
+ * length, or -1 when a read would leave the record.  The numpy decode of
+ * the split streams stays the fallback and the reference. */
+int64_t decode_record(const uint8_t *rec, int64_t reclen, int64_t df,
+                      int has_freqs, int64_t *docs, int64_t *freqs) {
+    int64_t dl = decode_stream_checked(rec, reclen, 0, df, docs);
+    if (dl < 0) return -1;
+    uint64_t acc = 0;   /* wraps like numpy's int64 cumsum */
+    for (int64_t i = 0; i < df; i++) {
+        acc += (uint64_t)docs[i];
+        docs[i] = (int64_t)acc;
+    }
+    if (has_freqs) {
+        if (decode_stream_checked(rec, reclen, dl, df, freqs) < 0) return -1;
+    } else {
+        for (int64_t i = 0; i < df; i++) freqs[i] = 1;
+    }
+    return dl;
+}
+
+/* ---- conjunctions and the bulk BM25 scorer ---- */
+
+/* The first index >= i of ascending a[0..n) whose value is >= target:
+ * gallop, then binary search (ConjunctionDISI's advance). */
+static inline int64_t advance(const int64_t *a, int64_t n, int64_t i,
+                              int64_t target) {
+    if (i >= n || a[i] >= target) return i;
+    int64_t lo = i, hi = i + 1, step = 1;
+    while (hi < n && a[hi] < target) {
+        lo = hi;
+        step <<= 1;
+        hi = lo + step;
+    }
+    if (hi > n) hi = n;
+    lo++;   /* a[lo - 1] < target; the answer lies in [lo, hi] */
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (a[mid] < target) lo = mid + 1;
+        else hi = mid;
+    }
+    return lo;
+}
+
+/* The index of the shortest of k >= 1 lists: it leads a conjunction. */
+static int64_t shortest(int64_t k, const int64_t *n) {
+    int64_t lead = 0;
+    for (int64_t j = 1; j < k; j++)
+        if (n[j] < n[lead]) lead = j;
+    return lead;
+}
+
+/* Leapfrog (ConjunctionDISI): move the cursors p of the k ascending
+ * lists to the next doc all of them hold, from the lead's cursor on.
+ * Returns 1 with every cursor on that doc, 0 once a list runs out. */
+static int next_common(int64_t k, const int64_t *const *l,
+                       const int64_t *n, int64_t *p, int64_t lead) {
+    while (p[lead] < n[lead]) {
+        int64_t doc = l[lead][p[lead]];
+        int64_t j = 0;
+        for (; j < k; j++) {
+            if (j == lead) continue;
+            p[j] = advance(l[j], n[j], p[j], doc);
+            if (p[j] == n[j]) return 0;
+            if (l[j][p[j]] != doc) break;
+        }
+        if (j == k) return 1;
+        p[lead] = advance(l[lead], n[lead], p[lead], l[j][p[j]]);
+    }
+    return 0;
+}
+
+/* The docs common to k >= 1 ascending lists (their addresses in ptrs),
+ * at most cap, into out, and the entry of out[c] in list j into
+ * idx[j * cap + c]: the phrase matchers' doc conjunction.  Returns the
+ * count. */
+int64_t conjoin(int64_t k, const int64_t *ptrs, const int64_t *lens,
+                int64_t *out, int64_t *idx, int64_t cap) {
+    const int64_t *const *l = (const int64_t *const *)ptrs;
+    int64_t *p = (int64_t *)calloc((size_t)k, sizeof(int64_t));
+    if (!p) return -3;
+    int64_t lead = shortest(k, lens), c = 0;
+    while (c < cap && next_common(k, l, lens, p, lead)) {
+        out[c] = l[lead][p[lead]];
+        for (int64_t j = 0; j < k; j++) idx[j * cap + c] = p[j];
+        c++;
+        p[lead]++;
+    }
+    free(p);
+    return c;
+}
+
+typedef struct {
+    const int64_t *docs, *freqs;
+    int64_t n, pos;
+    const void *cache;       /* the scorer's 256-entry norm cache, dt */
+    double weight;           /* the scorer's weight, exact in dt */
+    const uint8_t *norms;
+    int64_t nnorms;
+} clause_t;
+
+/* BM25Scorer.score of entry i, in the scorer's dtype and operation
+ * order: weight - weight / (1 + freq * cache[norm]).  A doc past the
+ * field's norms sets *bad (numpy's norms[docs] raises there). */
+static inline double entry_score(const clause_t *c, int64_t i, int f32,
+                                 int *bad) {
+    int64_t doc = c->docs[i];
+    if (doc < 0 || doc >= c->nnorms) { *bad = 1; return 0.0; }
+    uint8_t nb = c->norms[doc];
+    if (f32) {
+        float w = (float)c->weight;
+        float inv = ((const float *)c->cache)[nb];
+        return (double)(w - w / (1.0f + (float)c->freqs[i] * inv));
+    }
+    double w = c->weight;
+    double inv = ((const double *)c->cache)[nb];
+    return w - w / (1.0 + (double)c->freqs[i] * inv);
+}
+
+static inline double add_dt(double a, double b, int f32) {
+    return f32 ? (double)((float)a + (float)b) : a + b;
+}
+
+static inline void emit(int64_t doc, double s, int f32, int64_t c,
+                        int64_t *out_docs, void *out_scores) {
+    out_docs[c] = doc;
+    if (f32) ((float *)out_scores)[c] = (float)s;
+    else ((double *)out_scores)[c] = s;
+}
+
+/* Is doc in one of the excluded lists (advancing their cursors)? */
+static inline int excluded(int64_t nx, const int64_t *const *xl,
+                           const int64_t *xn, int64_t *xp, int64_t doc) {
+    for (int64_t j = 0; j < nx; j++) {
+        xp[j] = advance(xl[j], xn[j], xp[j], doc);
+        if (xp[j] < xn[j] && xl[j][xp[j]] == doc) return 1;
+    }
+    return 0;
+}
+
+#define CL_NCOL 8   /* rec, reclen, df, has_freqs, must, cache, norms,
+                       nnorms */
+
+/* Match and score one segment for a term query (one MUST clause) or a
+ * flat boolean query over term clauses, exactly as the numpy path does:
+ * MUST scores summed in dt in clause order from 0, the SHOULD scores of a
+ * doc summed in float64 in clause order and cast to dt, then added in dt.
+ * (The numpy path adds no 0 where a doc has no SHOULD score or the query
+ * is one term; x + 0 is x bit for bit, since a BM25 score is never -0.)
+ * FILTER lists (req) must hold the doc, MUST_NOT lists (excl) must not;
+ * msm is minimum_should_match.  Clause rows of cl are CL_NCOL int64s,
+ * req and excl hold list addresses.  Writes ascending docs and dt scores
+ * (at most cap); returns their count, -1 for a corrupt record, -2 for a
+ * doc past its field's norms, -3 when out of memory. */
+int64_t bulk_score(int64_t nc, const int64_t *cl, const double *weights,
+                   int64_t nreq, const int64_t *req, const int64_t *req_n,
+                   int64_t nexcl, const int64_t *excl,
+                   const int64_t *excl_n, int64_t msm, int f32,
+                   int64_t cap, int64_t *out_docs,
+                   void *out_scores) {
+    int64_t total = 0;
+    for (int64_t j = 0; j < nc; j++) total += cl[j * CL_NCOL + 2];
+    int64_t nl = nc + nreq + 1;
+    int64_t *buf = (int64_t *)malloc(sizeof(int64_t) *
+                                     (size_t)(2 * total + 1));
+    clause_t *c = (clause_t *)malloc(sizeof(clause_t) * (size_t)(nc + 1));
+    /* required lists (MUST docs, then FILTERs) with their lengths and
+     * cursors, the clause of each MUST, the SHOULD clauses, and the
+     * cursors of the excluded lists */
+    const int64_t **rl = (const int64_t **)malloc(sizeof(int64_t *) *
+                                                  (size_t)nl);
+    int64_t *rn = (int64_t *)malloc(sizeof(int64_t) *
+                                    (size_t)(2 * nl + 2 * nc + nexcl + 2));
+    int64_t *rp = rn + nl, *mustc = rp + nl, *should = mustc + nc + 1;
+    int64_t *xp = should + nc + 1;
+    int64_t got = 0, nr = 0, ns = 0;
+    int bad = 0;
+    if (!buf || !c || !rl || !rn) { got = -3; goto done; }
+    int64_t off = 0;
+    for (int64_t j = 0; j < nc; j++) {
+        const int64_t *r = cl + j * CL_NCOL;
+        clause_t *x = &c[j];
+        x->docs = buf + off;
+        x->freqs = buf + total + off;
+        x->n = r[2];
+        x->pos = 0;
+        x->cache = (const void *)(intptr_t)r[5];
+        x->weight = weights[j];
+        x->norms = (const uint8_t *)(intptr_t)r[6];
+        x->nnorms = r[7];
+        if (decode_record((const uint8_t *)(intptr_t)r[0], r[1], r[2],
+                          (int)r[3], buf + off, buf + total + off) < 0) {
+            got = -1;
+            goto done;
+        }
+        off += r[2];
+        if (r[4]) {
+            mustc[nr] = j;
+            rl[nr] = x->docs;
+            rn[nr++] = x->n;
+        } else {
+            should[ns++] = j;
+        }
+    }
+    int64_t nmust = nr;
+    for (int64_t j = 0; j < nreq; j++) {
+        rl[nr] = (const int64_t *)(intptr_t)req[j];
+        rn[nr++] = req_n[j];
+    }
+    const int64_t *const *xl = (const int64_t *const *)excl;
+    for (int64_t j = 0; j < nexcl; j++) xp[j] = 0;
+
+    if (nr > 0) {
+        /* at a common doc every cursor rp[j] is on it, so a MUST
+         * clause's entry is rp[j] */
+        int64_t lead = shortest(nr, rn);
+        for (int64_t j = 0; j < nr; j++) rp[j] = 0;
+        while (got < cap && next_common(nr, rl, rn, rp, lead)) {
+            int64_t doc = rl[lead][rp[lead]++];
+            int64_t cnt = 0;
+            double ssum = 0.0;
+            for (int64_t q = 0; q < ns; q++) {
+                clause_t *x = &c[should[q]];
+                x->pos = advance(x->docs, x->n, x->pos, doc);
+                if (x->pos < x->n && x->docs[x->pos] == doc) {
+                    cnt++;
+                    ssum += entry_score(x, x->pos, f32, &bad);
+                }
+            }
+            if (cnt < msm || excluded(nexcl, xl, excl_n, xp, doc))
+                continue;
+            double s = 0.0;
+            for (int64_t j = 0; j < nmust; j++)
+                s = add_dt(s, entry_score(&c[mustc[j]], rp[j] - (lead == j),
+                                          f32, &bad), f32);
+            if (cnt)
+                s = add_dt(s, f32 ? (double)(float)ssum : ssum, f32);
+            emit(doc, s, f32, got++, out_docs, out_scores);
+        }
+    } else {
+        /* disjunction: the lowest unread doc of the SHOULD clauses, then
+         * each clause on it, in clause order */
+        int64_t need = msm > 1 ? msm : 1;
+        while (got < cap) {
+            int64_t doc = INT64_MAX;
+            int any = 0;
+            for (int64_t q = 0; q < ns; q++) {
+                clause_t *x = &c[should[q]];
+                if (x->pos < x->n && x->docs[x->pos] <= doc) {
+                    doc = x->docs[x->pos];
+                    any = 1;
+                }
+            }
+            if (!any) break;
+            int64_t cnt = 0;
+            double ssum = 0.0;
+            for (int64_t q = 0; q < ns; q++) {
+                clause_t *x = &c[should[q]];
+                if (x->pos < x->n && x->docs[x->pos] == doc) {
+                    cnt++;
+                    ssum += entry_score(x, x->pos++, f32, &bad);
+                }
+            }
+            if (cnt >= need && !excluded(nexcl, xl, excl_n, xp, doc))
+                emit(doc, f32 ? (double)(float)ssum : ssum, f32, got++,
+                     out_docs, out_scores);
+        }
+    }
+    if (bad) got = -2;
+done:
+    free(buf);
+    free(c);
+    free(rl);
+    free(rn);
+    return got;
 }

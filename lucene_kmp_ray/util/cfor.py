@@ -7,10 +7,14 @@ and the semantic reference (tests/test_cfor.py fuzzes both against
 each other over random posting shapes, widths and PFor exceptions).
 It also holds the term dictionary search ``SortedTerms`` runs over an
 Arrow string array's buffers (``bisect`` is its fallback,
-tests/test_term_search.py fuzzes both against ``sorted``).
-Same compile-once-per-source-hash pattern as ``analysis/cviterbi.py``;
-a failed compile warns once per process and every caller takes its
-fallback.
+tests/test_term_search.py fuzzes both against ``sorted``), the checked
+``.doc`` record decoder (``decode_record``), the leapfrog doc
+conjunction (``conjoin``) and the per-segment BM25 bulk scorer
+(``bulk_score``, search/searcher.py; tests/test_bulk_scorer.py holds
+them to the numpy path bit for bit).
+``compile_kernel`` builds every C kernel of the package once per
+(source, flags) hash; a failed compile warns once per process
+(``warn_unavailable``) and every caller takes its fallback.
 """
 
 from __future__ import annotations
@@ -33,37 +37,65 @@ _CACHED_PID = -1
 _WARNED_PID = -1
 
 
-def _compile() -> "ctypes.CDLL | None":
-    with open(_SRC, "rb") as f:
+# -ffp-contract=off: a compiler targeting FMA hardware (aarch64, or x86
+# with -march=native) may otherwise fuse ``weight - weight / (1 + f *
+# inv)`` into a multiply-add, whose single rounding breaks the bulk
+# scorer's bit-identity with numpy's float32 scores.
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def compile_kernel(src_path: str, prefix: str) -> ctypes.CDLL:
+    """Load the shared library of ``src_path``, compiling it into the
+    tempdir first unless a build of the same source and flags is
+    there (the flags are part of the tag, so a build made with other
+    flags is never reused)."""
+    with open(src_path, "rb") as f:
         src = f.read()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    so = os.path.join(tempfile.gettempdir(), f"lkr_cfor_{tag}.so")
+    tag = hashlib.sha256(src + " ".join(CFLAGS).encode()).hexdigest()[:16]
+    so = os.path.join(tempfile.gettempdir(), f"{prefix}_{tag}.so")
     if not os.path.exists(so):
         tmp = f"{so}.{os.getpid()}.tmp"
-        subprocess.run(
-            ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, _SRC],
-            check=True, capture_output=True, timeout=120)
-        os.replace(tmp, so)
-    lib = ctypes.CDLL(so)
+        subprocess.run(["cc", *CFLAGS, "-o", tmp, src_path],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, so)  # atomic: concurrent processes race safely
+    return ctypes.CDLL(so)
+
+
+def warn_unavailable(what: str, e: Exception) -> None:
+    """The one RuntimeWarning a process gets when a kernel fails to
+    build, with the compiler's error."""
+    detail = getattr(e, "stderr", None) or b""
+    if isinstance(detail, bytes):
+        detail = detail.decode("utf-8", "replace")
+    warnings.warn(f"lucene_kmp_ray {what} unavailable, using the slow "
+                  f"fallbacks: {e!r} {detail.strip()}".rstrip(),
+                  RuntimeWarning, stacklevel=3)
+
+
+def _compile() -> "ctypes.CDLL | None":
+    lib = compile_kernel(_SRC, "lkr_cfor")
     vp = ctypes.c_void_p
     i64 = ctypes.c_int64
     i32 = ctypes.c_int
     lib.positions_select.restype = i64
     lib.positions_select.argtypes = [vp, i64, vp, i64, i64, vp,
                                      vp, vp, i64, vp, vp]
-    lib.encode_meta.restype = None
-    lib.encode_meta.argtypes = [vp, i64, i32, vp, vp, vp]
-    lib.encode_pack.restype = None
-    lib.encode_pack.argtypes = [vp, i64, vp, vp, vp, vp, vp]
     lib.encode_meta_csr.restype = None
     lib.encode_meta_csr.argtypes = [vp, vp, i64, i32, vp, vp]
     lib.encode_pack_csr.restype = None
     lib.encode_pack_csr.argtypes = [vp, vp, i64, vp, vp, vp, vp]
-    lib.decode_streams.restype = None
+    lib.decode_streams.restype = i64
     lib.decode_streams.argtypes = [vp, i64, vp, vp, i64, vp, vp]
     lib.term_search.restype = i64
     lib.term_search.argtypes = [vp, i32, vp, i64, i64, ctypes.c_char_p,
                                 i64, i32]
+    lib.decode_record.restype = i64
+    lib.decode_record.argtypes = [vp, i64, i64, i32, vp, vp]
+    lib.conjoin.restype = i64
+    lib.conjoin.argtypes = [i64, vp, vp, vp, vp, i64]
+    lib.bulk_score.restype = i64
+    lib.bulk_score.argtypes = [i64, vp, vp, i64, vp, vp, i64, vp, vp, i64,
+                               i32, i64, vp, vp]
     return lib
 
 
@@ -76,13 +108,7 @@ def lib() -> "ctypes.CDLL | None":
             _CACHED = None
             if _WARNED_PID != os.getpid():
                 _WARNED_PID = os.getpid()
-                detail = getattr(e, "stderr", None) or b""
-                if isinstance(detail, bytes):
-                    detail = detail.decode("utf-8", "replace")
-                warnings.warn(
-                    f"lucene_kmp_ray C kernels unavailable, using the slow "
-                    f"fallbacks: {e!r} {detail.strip()}".rstrip(),
-                    RuntimeWarning, stacklevel=2)
+                warn_unavailable("C kernels", e)
         _CACHED_PID = os.getpid()
     return _CACHED
 
@@ -172,6 +198,30 @@ class SortedTerms(Sequence):
         return self._mv[self._offs[i]:self._offs[i + 1]].tobytes()
 
 
+def _ptr(a: np.ndarray) -> int:
+    """The data address of a contiguous array, at a seventh of the
+    cost of ``a.ctypes.data`` (per-query calls pass a dozen arrays)."""
+    return pa.py_buffer(a).address
+
+
+def decode_record(rec: pa.Buffer, payload: int, df: int,
+                  has_freqs: bool):
+    """Absolute docs, freqs (ones unless ``has_freqs``) and the docs
+    stream's byte length of the ``.doc`` record ``rec``, whose first
+    ``payload`` bytes hold the two streams; None without a C library.
+    Raises IndexError when a stream runs past ``payload``."""
+    L = lib()
+    if L is None:
+        return None
+    docs = np.empty(df, np.int64)
+    freqs = np.empty(df, np.int64)
+    dl = L.decode_record(rec.address, payload, df, int(has_freqs),
+                         _ptr(docs), _ptr(freqs))
+    if dl < 0:
+        raise IndexError("postings record runs past its end")
+    return docs, freqs, dl
+
+
 def positions_select(buf: bytes, meta_pair, n: int, mask: np.ndarray,
                      s: np.ndarray, e: np.ndarray,
                      total: int) -> np.ndarray | None:
@@ -190,9 +240,8 @@ def positions_select(buf: bytes, meta_pair, n: int, mask: np.ndarray,
     scratch = np.empty(max(n, 1), dtype=np.int64)
     out = np.empty(total, dtype=np.int64)
     wrote = L.positions_select(
-        mv.ctypes.data, len(mv), meta.ctypes.data, meta.shape[0], n,
-        mask8.ctypes.data, s.ctypes.data, e.ctypes.data, len(s),
-        scratch.ctypes.data, out.ctypes.data)
+        _ptr(mv), len(mv), _ptr(meta), meta.shape[0], n, _ptr(mask8),
+        _ptr(s), _ptr(e), len(s), _ptr(scratch), _ptr(out))
     assert wrote == total
     return out
 
@@ -200,35 +249,23 @@ def positions_select(buf: bytes, meta_pair, n: int, mask: np.ndarray,
 def encode_matrix(resh: np.ndarray, counts: np.ndarray,
                   pfor: bool):
     """C bulk block encode — the for_blocks_matrix / pfor_blocks_matrix
-    core (byte-identical, fuzz-asserted).  Returns ``(stream_uint8,
+    core (byte-identical, fuzz-asserted): ``encode_csr`` over each row's
+    first ``counts[r]`` values (the zero padding past them has bit
+    length 0 and is never an exception). Returns ``(stream_uint8,
     block_starts)`` or None when no C library is available."""
-    L = lib()
-    if L is None:
-        return None
-    R = resh.shape[0]
-    resh = np.ascontiguousarray(resh, dtype=np.uint64)
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    widths = np.empty(R, dtype=np.int64)
-    nexc = np.empty(R, dtype=np.int64)
-    L.encode_meta(resh.ctypes.data, R, 1 if pfor else 0,
-                  counts.ctypes.data, widths.ctypes.data, nexc.ctypes.data)
-    payload = (counts * widths + 7) // 8
-    block_bytes = 1 + np.where(nexc > 0, 1 + 2 * nexc, 0) + payload
-    ends = np.cumsum(block_bytes)
-    starts = np.ascontiguousarray(ends - block_bytes)
-    out = np.zeros(int(ends[-1]) if R else 0, dtype=np.uint8)
-    L.encode_pack(resh.ctypes.data, R, counts.ctypes.data,
-                  widths.ctypes.data, nexc.ctypes.data,
-                  starts.ctypes.data, out.ctypes.data)
-    return out, starts
+    counts = np.asarray(counts, np.int64)
+    keep = np.arange(resh.shape[1]) < counts[:, None]
+    vals = np.ascontiguousarray(resh, np.uint64)[keep].view(np.int64)
+    return encode_csr(vals, np.append(0, np.cumsum(counts)), pfor)
 
 
 def encode_csr(vals: np.ndarray, row_ptr: np.ndarray, pfor: bool):
     """C bulk block encode over a CSR layout — row ``r``'s (<= 128)
     values are ``vals[row_ptr[r]:row_ptr[r+1]]``.  Byte-identical to
-    ``encode_matrix`` over the equivalent zero-padded matrix (the
-    padding contributes bit length 0 and can never be an exception).
-    Returns ``(stream_uint8, block_starts)`` or None without a C lib."""
+    the numpy matrix encoders over the equivalent zero-padded matrix
+    (the padding contributes bit length 0 and can never be an
+    exception). Returns ``(stream_uint8, block_starts)`` or None
+    without a C lib."""
     L = lib()
     if L is None:
         return None
@@ -274,7 +311,8 @@ def decode_streams_at(data: np.ndarray, starts: np.ndarray,
                       counts: np.ndarray):
     """``decode_streams_bulk`` over streams starting at byte offsets
     ``starts`` of one buffer (a stream needs no end: its value count
-    bounds it), or None without a C lib."""
+    bounds it), or None without a C lib. Raises IndexError when a
+    stream runs past the buffer."""
     L = lib()
     if L is None:
         return None
@@ -287,7 +325,73 @@ def decode_streams_at(data: np.ndarray, starts: np.ndarray,
     out = np.empty(total, np.int64)
     sstarts = np.ascontiguousarray(starts, dtype=np.int64)
     out_offs = np.ascontiguousarray(voffs[:-1])
-    L.decode_streams(data.ctypes.data, len(data), sstarts.ctypes.data,
-                     counts.ctypes.data, len(counts),
-                     out_offs.ctypes.data, out.ctypes.data)
+    if L.decode_streams(data.ctypes.data, len(data), sstarts.ctypes.data,
+                        counts.ctypes.data, len(counts),
+                        out_offs.ctypes.data, out.ctypes.data) < 0:
+        raise IndexError("a postings stream runs past the end of its buffer")
     return out, voffs
+
+
+def _list_table(arrays):
+    """Contiguous int64 forms of ``arrays`` (the arrays themselves when
+    they already are), and their addresses and lengths as int64 arrays
+    for a C call; the caller keeps the first alive across the call."""
+    arrays = [np.ascontiguousarray(a, np.int64) for a in arrays]
+    return (arrays, np.array([_ptr(a) for a in arrays], np.int64),
+            np.array([len(a) for a in arrays], np.int64))
+
+
+def conjoin(lists: list) -> "tuple[np.ndarray, list] | None":
+    """The docs common to the ascending int64 ``lists`` and, per list,
+    each one's entry in it (leapfrog from the shortest list), or None
+    without a C library."""
+    L = lib()
+    if L is None:
+        return None
+    lists, ptrs, lens = _list_table(lists)
+    cap = int(lens.min())
+    out = np.empty(cap, np.int64)
+    idx = np.empty((len(lists), cap), np.int64)
+    n = L.conjoin(len(lists), _ptr(ptrs), _ptr(lens), _ptr(out), _ptr(idx),
+                  cap)
+    if n < 0:
+        raise MemoryError("conjoin")
+    return out[:n], list(idx[:, :n])
+
+
+# bulk_score's clause row: rec, payload, df, has_freqs, must, cache,
+# norms, len(norms)
+CL_NCOL = 8
+
+
+def bulk_score(clauses: list, weights: list, filters: list, excluded: list,
+               msm: int, dtype, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """One segment's ``(docs asc, scores)`` of a term query or a flat
+    boolean over term clauses, in one C pass. ``clauses`` rows are
+    ``(rec, payload, df, has_freqs, must, cache, norms)``: the ``.doc``
+    record Buffer and its stream bytes, the scorer's 256-entry cache and
+    the field's norms; ``weights`` the scorers' weights; ``filters`` and
+    ``excluded`` the FILTER and MUST_NOT doc arrays; at most ``cap``
+    docs match. The caller checks ``lib()`` first."""
+    L = lib()
+    cl = np.empty((len(clauses), CL_NCOL), np.int64)
+    for row, (rec, payload, df, has, must, cache, norms) in zip(cl,
+                                                                clauses):
+        row[:] = (rec.address, payload, df, has, must, _ptr(cache),
+                  _ptr(norms), len(norms))
+    w = np.array(weights, np.float64)
+    filters, req, req_n = _list_table(filters)
+    excluded, ex, ex_n = _list_table(excluded)
+    docs = np.empty(cap, np.int64)
+    scores = np.empty(cap, dtype)
+    n = L.bulk_score(len(clauses), _ptr(cl), _ptr(w), len(filters),
+                     _ptr(req), _ptr(req_n), len(excluded), _ptr(ex),
+                     _ptr(ex_n), msm, int(np.dtype(dtype) == np.float32),
+                     cap, _ptr(docs), _ptr(scores))
+    if n == -1:
+        raise IndexError("postings record runs past its end")
+    if n == -2:
+        raise IndexError("a posting's doc lies past its field's norms")
+    if n < 0:
+        raise MemoryError("bulk_score")
+    return docs[:n], scores[:n]

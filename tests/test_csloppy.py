@@ -76,3 +76,29 @@ def test_csloppy_empty_walk():
                         np.zeros(1, np.int64), np.ones(1, np.int64),
                         np.empty(0, np.int64), 2)
     assert out is not None and len(out) == 0
+
+
+def test_compile_failure_warns_once_per_process(monkeypatch):
+    """A failed compile is not silent: one RuntimeWarning per process
+    carries the compiler's error, and callers get None (the fallback)."""
+    import os
+    import subprocess
+    import warnings
+
+    import lucene_kmp_ray.search.csloppy as kernel
+
+    def broken():
+        raise subprocess.CalledProcessError(
+            1, ["cc"], stderr=b"cc: error: no such compiler")
+    monkeypatch.setattr(kernel, "_compile", broken)
+    monkeypatch.setattr(kernel, "_CACHED", False)
+    monkeypatch.setattr(kernel, "_WARNED_PID", -1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert kernel.lib() is None
+        monkeypatch.setattr(kernel, "_CACHED_PID", os.getpid() + 1)
+        assert kernel.lib() is None  # a retry in the same process
+    msgs = [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)]
+    assert len(msgs) == 1
+    assert "no such compiler" in msgs[0]

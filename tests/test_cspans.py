@@ -79,3 +79,29 @@ def test_cspans_shared_term_positions():
                               [one, one], 1, 3, in_order)
         want = _py_freq([pos, pos], 3, in_order)
         assert got is not None and got[0] == want
+
+
+def test_compile_failure_warns_once_per_process(monkeypatch):
+    """A failed compile is not silent: one RuntimeWarning per process
+    carries the compiler's error, and callers get None (the fallback)."""
+    import os
+    import subprocess
+    import warnings
+
+    import lucene_kmp_ray.search.cspans as kernel
+
+    def broken():
+        raise subprocess.CalledProcessError(
+            1, ["cc"], stderr=b"cc: error: no such compiler")
+    monkeypatch.setattr(kernel, "_compile", broken)
+    monkeypatch.setattr(kernel, "_CACHED", False)
+    monkeypatch.setattr(kernel, "_WARNED_PID", -1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert kernel.lib() is None
+        monkeypatch.setattr(kernel, "_CACHED_PID", os.getpid() + 1)
+        assert kernel.lib() is None  # a retry in the same process
+    msgs = [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)]
+    assert len(msgs) == 1
+    assert "no such compiler" in msgs[0]
