@@ -41,7 +41,7 @@ import pyarrow.parquet as pq
 
 from ..util import forutil as fu
 from ..util.smallfloat import int_to_byte4_np
-from .postings import write_postings
+from .postings import split_postings, write_postings
 
 DOCS_FILE = "docs.parquet"
 VECTORS_FILE = "vectors.parquet"
@@ -257,9 +257,14 @@ def invert_segment(docs: pa.Table, seg: int, lineage: dict | None = None,
 
 def _prepend_field(terms_table: pa.Table, field: str) -> pa.Table:
     """Add the constant ``field`` column in front (dictionary-friendly)."""
-    n = terms_table.num_rows
-    return terms_table.add_column(
-        0, "field", pa.array([field] * n, type=pa.string()))
+    return terms_table.add_column(0, "field",
+                                  field_column(field, terms_table.num_rows))
+
+
+def field_column(field: str, n: int) -> pa.Array:
+    """``n`` copies of ``field`` as a string array, filled in by Arrow
+    (no Python string per row)."""
+    return pa.nulls(n, pa.string()).fill_null(field)
 
 
 def _list_column(n_terms: int, counts: np.ndarray,
@@ -586,7 +591,7 @@ def seg_dirname(seg: int) -> str:
     return f"seg={seg:05d}"
 
 
-def write_segment(index_dir: str, terms_table: pa.Table, docs_table: pa.Table,
+def write_segment(index_dir: str, postings: tuple, docs_table: pa.Table,
                   manifest: dict, vectors_table: pa.Table | None = None,
                   graph_table: pa.Table | None = None,
                   qvectors_table: pa.Table | None = None,
@@ -595,6 +600,8 @@ def write_segment(index_dir: str, terms_table: pa.Table, docs_table: pa.Table,
                   ) -> dict:
     """Atomically persist one segment (write tmp dir, rename) — the
     per-partition two-phase commit (SegmentInfos.kt:35-45 analog).
+    ``postings`` is ``(dictionary, postings.doc bytes, postings.pos
+    bytes)``, as ``postings.split_postings`` returns them.
     ``vectors_table`` is the optional per-doc vector sidecar (row N ==
     local docID N — the KnnVectorsFormat role, codecs/lucene99);
     ``graph_table`` the optional HNSW neighbor-list sidecar over it;
@@ -616,7 +623,7 @@ def write_segment(index_dir: str, terms_table: pa.Table, docs_table: pa.Table,
     tmp_dir = tempfile.mkdtemp(prefix="_tmp." + seg_dirname(seg) + ".",
                                dir=seg_root)
     # dictionary + flat postings files: a term lookup reads one record
-    write_postings(tmp_dir, terms_table)
+    write_postings(tmp_dir, *postings)
     pq.write_table(docs_table, os.path.join(tmp_dir, DOCS_FILE))
     if vectors_table is not None:
         pq.write_table(vectors_table, os.path.join(tmp_dir, VECTORS_FILE))
@@ -635,7 +642,7 @@ def write_segment(index_dir: str, terms_table: pa.Table, docs_table: pa.Table,
         # (BloomFilteringPostingsFormat role, index/bloom.py): readers
         # answer "term definitely absent" without touching terms.parquet
         from .bloom import build_segment_bloom
-        manifest["bloom"] = build_segment_bloom(terms_table, tmp_dir)
+        manifest["bloom"] = build_segment_bloom(postings[0], tmp_dir)
     with open(os.path.join(tmp_dir, SEG_MANIFEST), "w") as f:
         json.dump(manifest, f)
     try:
@@ -718,8 +725,8 @@ def build_and_write_segment(docs: pa.Table, seg: int, index_dir: str,
                 [("doc_id", "ascending"), ("field", "ascending"),
                  ("term", "ascending")])
         manifest["term_vectors"] = True
-    return write_segment(index_dir, terms_table, docs_table, manifest,
-                         vectors_table, graph_table, qvectors_table,
+    return write_segment(index_dir, split_postings(terms_table), docs_table,
+                         manifest, vectors_table, graph_table, qvectors_table,
                          tvectors_table, bloom=bloom)
 
 

@@ -59,6 +59,7 @@ from ..util.smallfloat import int_to_byte4_np
 from .builder import commit_index, completed_segments
 from .format import (_prepend_field, encode_term_table, field_stats_of,
                      read_seg_manifest, write_segment)
+from .postings import split_postings
 
 DEFAULT_SALT_DOCS = 16_384          # head-term sub-list = ≤ this many docs
 DEFAULT_HEAD_DF_FRAC = 0.05         # df/doc_count above this → head term
@@ -339,7 +340,8 @@ def make_assembler(index_dir: str, lineage_source: str, segment_size: int):
                         "segment_size": segment_size},
             "metrics": {"assemble_sec": round(time.monotonic() - t0, 4)},
         }
-        man = write_segment(index_dir, terms_table, docs_table, manifest)
+        man = write_segment(index_dir, split_postings(terms_table),
+                            docs_table, manifest)
         return pa.table({"manifest": pa.array([json.dumps(man)], pa.string())})
 
     return assemble

@@ -11,20 +11,25 @@ so docs ∝ bytes. Segments may carry tombstones (hard and soft deletes,
 reclaimed when a merge rewrites them), but the policy ignores them: size is
 the manifest ``doc_count`` and the reference score's reclaim term is 1.
 
-The merge itself is ``SegmentMerger.merge`` re-expressed over Arrow
-(``index/SegmentMerger.kt:93-143``, docID remap ``DocIDMerger.kt:13-35``):
-postings of the same term are concatenated in segment order with local
-docIDs rebased by the new segment's doc bases, then delta+FOR re-encoded
-with fresh skip/impact block metadata; per-doc rows concatenate in the same
-order, so the merged segment is bit-equivalent to one built from the union
-corpus. Each merge runs as one Ray task (the ConcurrentMergeScheduler
-worker analog, ``ConcurrentMergeScheduler.kt:77-142``) — merges are
-independent and fan out in parallel; the driver commits the new manifest
-only after every merge landed (two-phase, crash = old manifest intact).
+The merge itself is ``SegmentMerger.merge`` (``index/SegmentMerger.kt:
+93-143``, docID remap ``DocIDMerger.kt:13-35``), record to record: per
+field, one C pass unions the sources' sorted term runs (the
+``MultiTermsEnum``) and a second reads each source's postings records,
+maps their docIDs to the new segment's (dropping reclaimed docs) and
+writes the merged records with fresh skip/impact block metadata straight
+into the new postings files (the ``MappedMultiPostingsEnum`` pass).
+Per-doc rows concatenate in the same order, so the merged segment is
+bit-equivalent to one built from the union corpus. Without the C
+library a per-term numpy merge writes the same bytes. Each merge runs as
+one Ray task (the ConcurrentMergeScheduler worker analog,
+``ConcurrentMergeScheduler.kt:77-142``) — merges are independent and fan
+out in parallel; the caller commits the new manifest only after every
+merge landed (two-phase, crash = old manifest intact).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import os
@@ -39,9 +44,9 @@ import pyarrow.parquet as pq
 from ..util import forutil as fu
 from .builder import commit_index
 from .format import (DOCS_FILE, _prepend_field, encode_term_table,
-                     field_stats_of, seg_dirname, sorted_codes,
+                     field_column, field_stats_of, seg_dirname, sorted_codes,
                      write_segment)
-from .postings import PAYLOAD_COLS, read_terms_table
+from .postings import PAYLOAD_COLS, read_terms_table, split_postings
 
 # TieredMergePolicy.kt defaults, re-based on docs (5GB/16MB ≈ 320:1 ratio
 # preserved): segments under the floor count as floor-sized.
@@ -193,10 +198,21 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
                    retention=None) -> dict:
     """k-way merge ``segs`` → one new segment ``new_seg`` (pure, no Ray).
 
-    Reads the source segments' term + doc tables, rebases local docIDs by
+    Reads the source segments' doc tables, rebases local docIDs by
     cumulative doc bases (segment order = ascending seg id, the addIndexes
-    ordering), re-encodes every posting list, recomputes skip/impact
-    metadata, and atomically writes the new segment directory.
+    ordering), merges the postings record to record (``_merge_records``:
+    each term's source records decode, remap and re-encode with fresh
+    skip/impact metadata in one C pass, written as they are), and
+    atomically writes the new segment directory. Without the C library
+    the per-term numpy merge (``_merge_logical``) writes the same bytes.
+
+    The manifest's ``metrics`` time the phases: ``read_sec`` the doc
+    tables and opening the sources, ``vocab_sec`` the term union,
+    ``postings_sec`` the record kernel (decode and encode fused),
+    ``encode_sec`` the dictionary's assembly, ``merge_sec`` the whole
+    merge before the files are written. (On the numpy path
+    ``postings_sec`` is the decode and entry sort, ``encode_sec`` the
+    block encode.)
 
     ``soft_deletes_field``: treat docs with a value in that field as
     deleted for reclaim purposes (PendingSoftDeletes.kt — merges reclaim
@@ -215,7 +231,9 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
     read_sec = time.monotonic() - t0
     # ^ doc-values update generations bake into the merged segment and
     # the dv_* files die with the old dirs (Lucene's merge resolution)
-    bases = np.append(0, np.cumsum([t.num_rows for t in doc_tables]))[:-1]
+    # source si's docs are rows bounds[si]..bounds[si+1] of the concat
+    bounds = np.append(0, np.cumsum([t.num_rows for t in doc_tables]))
+    bases = bounds[:-1]
     concat_all = pa.concat_tables(doc_tables).combine_chunks()
     n_all = concat_all.num_rows
 
@@ -313,164 +331,14 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
     if vectors_table is not None and not identity:
         vectors_table = vectors_table.take(pa.array(perm))
 
-    # decode every source posting, remap docIDs, bucket entries into FLAT
-    # arrays keyed by merged term code — the per-field MultiTermsEnum union
-    # of SegmentMerger.mergeTerms, re-expressed array-at-a-time: the
-    # vocabulary is built by Arrow (_merged_vocab), the streams decode in
-    # one C pass per column, and sorting / run-gathering / encoding below
-    # are vectorized, so no Python object is made per term or posting.
-    t_read = time.monotonic()
-    source_tables = [read_terms_table(d, columns=PAYLOAD_COLS)
-                     for d in dirs]
-    t_vocab = time.monotonic()
-    read_sec += t_vocab - t_read
-    all_codes, vocab_fields = _merged_vocab(source_tables)
-    n_codes = vocab_fields[-1][2] if vocab_fields else 0
-    src_offs = np.append(0, np.cumsum([tt.num_rows for tt in source_tables]))
-    t_postings = time.monotonic()
-    vocab_sec = t_postings - t_vocab
-
-    from ..util.cfor import decode_streams_bulk, lib as _cfor_lib
-    if _cfor_lib() is not None:
-        # bulk path: every source stream decodes in one C pass per column
-        # (the per-term Python decode loop below dominated merge profile:
-        # 3 decode_blocks calls x |vocab| x |segments|)
-        seg_parts = []
-        for si, tt in enumerate(source_tables):
-            dfs = tt["df"].to_numpy().astype(np.int64)
-            ttfs = tt["ttf"].to_numpy().astype(np.int64)
-            term_codes = all_codes[src_offs[si]:src_offs[si + 1]]
-            d_flat, d_offs = decode_streams_bulk(tt["docs_enc"], dfs)
-            freqs, _ = decode_streams_bulk(tt["freqs_enc"], dfs)
-            posd, _ = decode_streams_bulk(tt["pos_enc"], ttfs)
-            # per-stream delta decode with restart: global cumsum minus
-            # each stream's carried prefix
-            if len(d_flat):
-                cs = np.cumsum(d_flat)
-                st = d_offs[:-1]
-                carried = cs[st] - d_flat[st]
-                docs_abs = cs - np.repeat(carried, dfs)
-            else:
-                docs_abs = d_flat
-            nl = inv_perm[docs_abs + bases[si]]
-            codes = np.repeat(term_codes, dfs)
-            if reclaimed:
-                keep = nl >= 0
-                if not keep.all():
-                    posd = posd[np.repeat(keep, freqs)]
-                    nl, codes, freqs = nl[keep], codes[keep], freqs[keep]
-            seg_parts.append((codes, nl, freqs, posd))
-        if seg_parts:
-            e_code = np.concatenate([a[0] for a in seg_parts])
-            e_doc = np.concatenate([a[1] for a in seg_parts])
-            e_freq = np.concatenate([a[2] for a in seg_parts])
-            posd_all = np.concatenate([a[3] for a in seg_parts])
-        else:
-            e_code = e_doc = e_freq = posd_all = np.empty(0, np.int64)
-        if len(e_code):
-            # one global entry sort by (code, docID) — pairs are unique,
-            # position runs restart per entry so they gather along; skip
-            # the O(total positions) gather when already in order (the
-            # DocIDMerger sequential-ranges case)
-            order = np.lexsort((e_doc, e_code))
-            if not np.array_equal(order, np.arange(len(order))):
-                bounds = np.cumsum(e_freq) - e_freq
-                lens = e_freq[order]
-                total = int(lens.sum())
-                out_start = np.cumsum(lens) - lens
-                gather = np.arange(total, dtype=np.int64) - \
-                    np.repeat(out_start, lens) + np.repeat(bounds[order],
-                                                           lens)
-                e_code, e_doc, e_freq = e_code[order], e_doc[order], lens
-                posd_all = posd_all[gather]
-    else:
-        parts = []  # (code, first_doc, last_doc, nl, freqs, posd)
-        for si, tt in enumerate(source_tables):
-            dfs = tt["df"].to_numpy()
-            ttfs = tt["ttf"].to_numpy()
-            de = tt["docs_enc"].to_pylist()
-            fe = tt["freqs_enc"].to_pylist()
-            pe = tt["pos_enc"].to_pylist()
-            for i in range(tt.num_rows):
-                docs = fu.delta_decode(fu.decode_blocks(de[i], int(dfs[i])))
-                freqs = fu.decode_blocks(fe[i], int(dfs[i]))
-                posd = fu.decode_blocks(pe[i], int(ttfs[i]))
-                nl = inv_perm[docs + bases[si]]
-                if reclaimed:
-                    keep = nl >= 0
-                    if not keep.all():
-                        nl, freqs, posd = _filter_entries(nl, freqs, posd,
-                                                          keep)
-                        if len(nl) == 0:
-                            continue  # survives only in other segments
-                parts.append((int(all_codes[src_offs[si] + i]), int(nl[0]),
-                              int(nl[-1]), nl, freqs, posd))
-
-        # concatenate parts in (code, first_doc) order: when per-code doc
-        # ranges do not interleave (the common case — source segments
-        # cover disjoint docID ranges) the result is already
-        # (code, doc)-sorted and the O(total positions) global sort+gather
-        # is skipped entirely (the DocIDMerger sequential-ranges fast path)
-        parts.sort(key=lambda p: (p[0], p[1]))
-        interleaved = any(parts[i][0] == parts[i + 1][0] and
-                          parts[i][2] >= parts[i + 1][1]
-                          for i in range(len(parts) - 1))
-        if parts:
-            e_code = np.concatenate(
-                [np.full(len(p[3]), p[0], np.int64) for p in parts])
-            e_doc = np.concatenate([p[3] for p in parts])
-            e_freq = np.concatenate([p[4] for p in parts])
-            posd_all = np.concatenate([p[5] for p in parts])
-        else:
-            e_code = e_doc = e_freq = posd_all = np.empty(0, np.int64)
-        if interleaved:
-            # true interleave (post-merge doc ranges overlap): one global
-            # entry sort by (code, docID); (code, doc) pairs are unique,
-            # and position-delta runs restart per entry so they gather
-            order = np.lexsort((e_doc, e_code))
-            bounds = np.cumsum(e_freq) - e_freq
-            lens = e_freq[order]
-            total = int(lens.sum())
-            out_start = np.cumsum(lens) - lens
-            gather = np.arange(total, dtype=np.int64) - \
-                np.repeat(out_start, lens) + np.repeat(bounds[order], lens)
-            e_code, e_doc, e_freq = e_code[order], e_doc[order], lens
-            posd_all = posd_all[gather]
-    t_encode = time.monotonic()
-    postings_sec = t_encode - t_postings
-
-    # per-field slices of the (field, term)-sorted code space
-    from .format import encode_term_table_arrays
-    field_tables = []
-    field_stats = {}
-    pos_bounds_all = np.append(0, np.cumsum(e_freq))
-    code_starts = np.searchsorted(e_code, np.arange(n_codes))
-    code_ends = np.append(code_starts[1:], len(e_code))
-    counts = code_ends - code_starts
-    for fld, lo_c, hi_c, fterms in vocab_fields:
-        # drop terms whose every posting was reclaimed (df would be 0)
-        sel = lo_c + np.flatnonzero(counts[lo_c:hi_c] > 0)
-        if not len(sel):
-            continue
-        lo_e, hi_e = int(code_starts[lo_c]), int(code_ends[hi_c - 1])
-        lo_p, hi_p = int(pos_bounds_all[lo_e]), int(pos_bounds_all[hi_e])
-        ncol = "norm" if fld == "text" else f"norm_{fld}"
-        norms = docs_table[ncol].to_numpy().astype(np.uint8)
-        ft = encode_term_table_arrays(
-            fterms.take(pa.array(sel - lo_c)), e_doc[lo_e:hi_e],
-            e_freq[lo_e:hi_e], posd_all[lo_p:hi_p],
-            code_starts[sel] - lo_e, code_ends[sel] - lo_e,
-            pos_bounds_all[lo_e:hi_e + 1] - lo_p, norms)
-        field_tables.append(_prepend_field(ft, fld))
-        lcol = "length" if fld == "text" else f"length_{fld}"
-        field_stats[fld] = field_stats_of(
-            docs_table[lcol].to_numpy().astype(np.int64), ft)
-    if field_tables:
-        terms_table = pa.concat_tables(field_tables)
-    else:  # no surviving terms: empty table with the uniform schema
-        from .format import encode_term_table
-        terms_table = _prepend_field(
-            encode_term_table(iter(()), np.empty(0, np.uint8)), "text")
+    # the postings: the record-to-record merge with the C library, else
+    # the per-term numpy path (its reference)
+    from ..util.cfor import lib
+    merge_postings = _merge_records if lib() is not None \
+        else _merge_logical
+    terms, field_stats, phases = merge_postings(dirs, bounds, inv_perm,
+                                                docs_table)
+    read_sec += phases.pop("read_sec")
     main = field_stats.get("text", {"sum_total_term_freq": 0,
                                     "sum_doc_freq": 0, "unique_terms": 0})
     manifest = {
@@ -489,9 +357,7 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
                     "reclaimed_deletes": reclaimed},
         "metrics": {"merge_sec": round(time.monotonic() - t0, 4),
                     "read_sec": round(read_sec, 4),
-                    "vocab_sec": round(vocab_sec, 4),
-                    "postings_sec": round(postings_sec, 4),
-                    "encode_sec": round(time.monotonic() - t_encode, 4)},
+                    **{k: round(v, 4) for k, v in phases.items()}},
     }
     # HNSW sidecars do not merge structurally — the merged segment's
     # graph REBUILDS over the merged vectors (Lucene's vector-format
@@ -546,7 +412,7 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
     from .bloom import BLOOM_FILE as _BLOOM_FILE
     merged_bloom = any(os.path.exists(os.path.join(d, _BLOOM_FILE))
                        for d in dirs)
-    out = write_segment(index_dir, terms_table, docs_table, manifest,
+    out = write_segment(index_dir, terms, docs_table, manifest,
                         vectors_table, graph_table, qvectors_table,
                         tvectors_table, bloom=merged_bloom)
     if soft_carry:
@@ -563,6 +429,234 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
         _write_gen(new_dir, soft_deletes_field, new_ids[live][order],
                    vals[live][order])
     return out
+
+
+def _merge_records(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
+                   docs_table: pa.Table):
+    """The record-to-record merge (Lucene's ``SegmentMerger``: a
+    ``MultiTermsEnum`` over the sorted source dictionaries, then one
+    ``MappedMultiPostingsEnum`` pass per term from source records to the
+    new record), one pair of C calls per field: ``cfor.merge_terms``
+    unions the sources' sorted term runs, ``cfor.merge_postings`` reads
+    each holding source's ``.doc`` / ``.pos`` record, maps its docs
+    through ``inv_perm`` (dropping reclaimed ones) and writes the merged
+    record where ``split_postings`` would put it. Returns ``((dictionary,
+    postings.doc, postings.pos), field_stats, phase seconds)``: no
+    logical terms table is built. Phases: ``read_sec`` opens the
+    sources, ``vocab_sec`` is ``merge_terms``, ``postings_sec`` the
+    fused decode and encode of ``merge_postings``, ``encode_sec`` the
+    dictionary's assembly."""
+    from ..util import cfor
+    from .postings import SegmentPostings, _narrow
+
+    def ends(ptr, lo, hi, size):  # rows' pointers + the last one's end
+        return np.append(ptr[lo:hi], ptr[hi] if hi < len(ptr) else size)
+
+    t0 = time.monotonic()
+    srcs = []
+    doc_cap = pos_cap = 0
+    for si, d in enumerate(dirs):
+        sp = SegmentPostings(d)
+        srcs.append(_Source(sp, sp.dictionary["term"].combine_chunks(),
+                            _field_runs(sp.dictionary),
+                            sp.doc.read(0, sp.doc.size),
+                            sp.pos.read(0, sp.pos.size),
+                            inv_perm[bounds[si]:bounds[si + 1]]))
+        # output bound: a block takes at most 1 + 8 * count bytes, a
+        # merged term has at most its sources' entries and blocks. A
+        # record's bytes hold at most 128 values each (a width-0 block):
+        # capped so, a corrupt df / ttf, which merge_postings rejects,
+        # cannot overflow the bound first
+        n = len(sp.df)
+        df, ttf = (np.minimum(c, fu.BLOCK_SIZE * np.clip(
+            np.diff(ends(ptr, 0, n, f.size)), 0, f.size)).astype(np.int64)
+            for c, ptr, f in ((sp.df, sp.doc_ptr, sp.doc),
+                              (sp.ttf, sp.pos_ptr, sp.pos)))
+        doc_cap += int((16 * df + 14 * -(-df // fu.BLOCK_SIZE)).sum())
+        pos_cap += int((8 * ttf - (-ttf // fu.BLOCK_SIZE)).sum())
+    out_doc = np.empty(doc_cap, np.uint8)
+    out_pos = np.empty(pos_cap, np.uint8)
+    io = np.array([0, doc_cap, 0, pos_cap], np.int64)
+    phases = {"read_sec": time.monotonic() - t0, "vocab_sec": 0.0,
+              "postings_sec": 0.0, "encode_sec": 0.0}
+
+    parts, field_stats = [], {}
+    for fld in sorted(set().union(*(s.runs for s in srcs))):
+        held = [(s, *s.runs[fld]) for s in srcs if fld in s.runs]
+        t1 = time.monotonic()
+        codes, first = cfor.merge_terms([(s.terms, lo, hi)
+                                         for s, lo, hi in held])
+        t2 = time.monotonic()
+        sources, at = [], 0
+        for s, lo, hi in held:
+            sp = s.postings
+            sources.append((s.doc, s.pos,
+                            ends(sp.doc_ptr, lo, hi, s.doc.size),
+                            ends(sp.pos_ptr, lo, hi, s.pos.size),
+                            sp.df[lo:hi], sp.ttf[lo:hi],
+                            codes[at:at + hi - lo], s.inv))
+            at += hi - lo
+        ncol = "norm" if fld == "text" else f"norm_{fld}"
+        stats = cfor.merge_postings(sources, len(first),
+                                    docs_table[ncol].to_numpy(), out_doc,
+                                    out_pos, io)
+        t3 = time.monotonic()
+        live = stats[0] > 0  # a term whose postings were reclaimed drops
+        if not live.all():
+            first, stats = first[live], stats[:, live]
+        if len(first):
+            terms = pa.chunked_array(
+                [s.terms.slice(lo, hi - lo) for s, lo, hi in held],
+                pa.string()).take(pa.array(first))
+            parts.append((fld, terms, stats))
+            lcol = "length" if fld == "text" else f"length_{fld}"
+            field_stats[fld] = field_stats_of(
+                docs_table[lcol].to_numpy().astype(np.int64),
+                pa.table({"df": stats[0]}))
+        phases["vocab_sec"] += t2 - t1
+        phases["postings_sec"] += t3 - t2
+        phases["encode_sec"] += time.monotonic() - t3
+    t4 = time.monotonic()
+    stats = np.concatenate([p[2] for p in parts], axis=1) if parts \
+        else np.empty((4, 0), np.int64)
+    cols = {"field": pa.chunked_array(
+                [field_column(f, len(t)) for f, t, _ in parts], pa.string()),
+            "term": pa.chunked_array([c for _, t, _ in parts
+                                      for c in t.chunks], pa.string())}
+    cols.update(zip(("df", "ttf", "doc_ptr", "pos_ptr"), map(_narrow, stats)))
+    phases["encode_sec"] += time.monotonic() - t4
+    return (pa.table(cols), out_doc[:io[0]], out_pos[:io[2]]), \
+        field_stats, phases
+
+
+# a source of the record merge: its SegmentPostings, term column,
+# {field: (lo, hi)} row runs, whole .doc / .pos buffers and doc map
+_Source = collections.namedtuple("_Source",
+                                 "postings terms runs doc pos inv")
+
+
+def _field_runs(dictionary: pa.Table) -> dict:
+    """``{field: (lo, hi)}``: each field's rows of a (field, term)-sorted
+    dictionary (a dictionary without a ``field`` column is all
+    ``text``)."""
+    n = dictionary.num_rows
+    if "field" not in dictionary.column_names:
+        return {"text": (0, n)} if n else {}
+    runs = pc.run_end_encode(
+        dictionary["field"].combine_chunks().cast(pa.string()))
+    ends = runs.run_ends.to_numpy().tolist()
+    return {f: (lo, hi) for f, lo, hi in
+            zip(runs.values.to_pylist(), [0] + ends[:-1], ends)}
+
+
+def _merge_logical(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
+                   docs_table: pa.Table):
+    """The per-term numpy merge, without the C library and as the
+    record merge's reference: decode every source posting list, remap
+    docIDs, bucket entries into FLAT arrays keyed by merged term code —
+    the per-field MultiTermsEnum union of SegmentMerger.mergeTerms,
+    with the vocabulary built by Arrow (``_merged_vocab``) — then encode
+    each field's logical terms table and split it. Returns
+    ``((dictionary, postings.doc, postings.pos), field_stats, phase
+    seconds)``."""
+    t_read = time.monotonic()
+    reclaimed = bool((inv_perm < 0).any())
+    source_tables = [read_terms_table(d, columns=PAYLOAD_COLS)
+                     for d in dirs]
+    t_vocab = time.monotonic()
+    all_codes, vocab_fields = _merged_vocab(source_tables)
+    n_codes = vocab_fields[-1][2] if vocab_fields else 0
+    src_offs = np.append(0, np.cumsum([tt.num_rows for tt in source_tables]))
+    t_postings = time.monotonic()
+
+    parts = []  # (code, first_doc, last_doc, nl, freqs, posd)
+    for si, tt in enumerate(source_tables):
+        dfs = tt["df"].to_numpy()
+        ttfs = tt["ttf"].to_numpy()
+        de = tt["docs_enc"].to_pylist()
+        fe = tt["freqs_enc"].to_pylist()
+        pe = tt["pos_enc"].to_pylist()
+        for i in range(tt.num_rows):
+            docs = fu.delta_decode(fu.decode_blocks(de[i], int(dfs[i])))
+            freqs = fu.decode_blocks(fe[i], int(dfs[i]))
+            posd = fu.decode_blocks(pe[i], int(ttfs[i]))
+            nl = inv_perm[docs + bounds[si]]
+            if reclaimed:
+                keep = nl >= 0
+                if not keep.all():
+                    nl, freqs, posd = _filter_entries(nl, freqs, posd, keep)
+                    if len(nl) == 0:
+                        continue  # survives only in other segments
+            parts.append((int(all_codes[src_offs[si] + i]), int(nl[0]),
+                          int(nl[-1]), nl, freqs, posd))
+
+    # concatenate parts in (code, first_doc) order: when per-code doc
+    # ranges do not interleave (the common case — source segments cover
+    # disjoint docID ranges) the result is already (code, doc)-sorted and
+    # the O(total positions) global sort+gather is skipped entirely (the
+    # DocIDMerger sequential-ranges fast path)
+    parts.sort(key=lambda p: (p[0], p[1]))
+    interleaved = any(parts[i][0] == parts[i + 1][0] and
+                      parts[i][2] >= parts[i + 1][1]
+                      for i in range(len(parts) - 1))
+    if parts:
+        e_code = np.concatenate(
+            [np.full(len(p[3]), p[0], np.int64) for p in parts])
+        e_doc = np.concatenate([p[3] for p in parts])
+        e_freq = np.concatenate([p[4] for p in parts])
+        posd_all = np.concatenate([p[5] for p in parts])
+    else:
+        e_code = e_doc = e_freq = posd_all = np.empty(0, np.int64)
+    if interleaved:
+        # true interleave (post-merge doc ranges overlap): one global
+        # entry sort by (code, docID); (code, doc) pairs are unique, and
+        # position-delta runs restart per entry so they gather along
+        order = np.lexsort((e_doc, e_code))
+        bounds_e = np.cumsum(e_freq) - e_freq
+        lens = e_freq[order]
+        total = int(lens.sum())
+        out_start = np.cumsum(lens) - lens
+        gather = np.arange(total, dtype=np.int64) - \
+            np.repeat(out_start, lens) + np.repeat(bounds_e[order], lens)
+        e_code, e_doc, e_freq = e_code[order], e_doc[order], lens
+        posd_all = posd_all[gather]
+    t_encode = time.monotonic()
+
+    # per-field slices of the (field, term)-sorted code space
+    from .format import encode_term_table_arrays
+    field_tables = []
+    field_stats = {}
+    pos_bounds_all = np.append(0, np.cumsum(e_freq))
+    code_starts = np.searchsorted(e_code, np.arange(n_codes))
+    code_ends = np.append(code_starts[1:], len(e_code))
+    counts = code_ends - code_starts
+    for fld, lo_c, hi_c, fterms in vocab_fields:
+        # drop terms whose every posting was reclaimed (df would be 0)
+        sel = lo_c + np.flatnonzero(counts[lo_c:hi_c] > 0)
+        if not len(sel):
+            continue
+        lo_e, hi_e = int(code_starts[lo_c]), int(code_ends[hi_c - 1])
+        lo_p, hi_p = int(pos_bounds_all[lo_e]), int(pos_bounds_all[hi_e])
+        ncol = "norm" if fld == "text" else f"norm_{fld}"
+        norms = docs_table[ncol].to_numpy().astype(np.uint8)
+        ft = encode_term_table_arrays(
+            fterms.take(pa.array(sel - lo_c)), e_doc[lo_e:hi_e],
+            e_freq[lo_e:hi_e], posd_all[lo_p:hi_p],
+            code_starts[sel] - lo_e, code_ends[sel] - lo_e,
+            pos_bounds_all[lo_e:hi_e + 1] - lo_p, norms)
+        field_tables.append(_prepend_field(ft, fld))
+        lcol = "length" if fld == "text" else f"length_{fld}"
+        field_stats[fld] = field_stats_of(
+            docs_table[lcol].to_numpy().astype(np.int64), ft)
+    if field_tables:
+        terms_table = pa.concat_tables(field_tables)
+    else:  # no surviving terms: empty table with the uniform schema
+        terms_table = _prepend_field(
+            encode_term_table(iter(()), np.empty(0, np.uint8)), "text")
+    phases = {"read_sec": t_vocab - t_read, "vocab_sec": t_postings - t_vocab,
+              "postings_sec": t_encode - t_postings,
+              "encode_sec": time.monotonic() - t_encode}
+    return split_postings(terms_table), field_stats, phases
 
 
 def _merged_vocab(source_tables: list[pa.Table]):

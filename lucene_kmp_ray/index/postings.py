@@ -33,6 +33,11 @@ Segments written before this layout keep every payload column in
 ``terms.parquet``; ``SegmentPostings`` reads such a table once, whole,
 and splits it in memory with the writer's own ``split_postings``, so
 both layouts answer through one lookup path.
+
+``write_postings`` stores the three parts as they are. A flush gets
+them from ``split_postings`` over its logical terms table; the
+record-to-record merge (index/merge.py) writes each merged record
+straight into the ``.doc`` / ``.pos`` bytes in this layout.
 """
 
 from __future__ import annotations
@@ -119,10 +124,11 @@ def _narrow(a: np.ndarray) -> pa.Array:
     return pa.array(a, pa.int32() if fits else pa.int64())
 
 
-def write_postings(seg_dir: str, terms_table: pa.Table) -> None:
-    """Write a logical terms table as the dictionary plus the two flat
-    postings files (the one writer every build path and merge uses)."""
-    dictionary, doc, pos = split_postings(terms_table)
+def write_postings(seg_dir: str, dictionary: pa.Table, doc, pos) -> None:
+    """Write the dictionary plus the two flat postings files (the one
+    writer every build path and merge uses): ``doc`` / ``pos`` are the
+    ``postings.doc`` / ``postings.pos`` bytes the dictionary's pointers
+    address, as ``split_postings`` returns them."""
     pq.write_table(
         dictionary, os.path.join(seg_dir, TERMS_FILE),
         use_dictionary=["field"],

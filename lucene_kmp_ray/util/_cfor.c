@@ -1,7 +1,7 @@
 /* C kernels of util/cfor.py: the block codec (fused positional skip-read,
  * bulk encode, checked stream and .doc record decode), the term
- * dictionary search, and the per-segment conjunction and BM25 bulk
- * scorer of search/searcher.py.
+ * dictionary search, the per-segment conjunction and BM25 bulk scorer of
+ * search/searcher.py, and the record-to-record merge of index/merge.py.
  *
  * Fused positional skip-read: masked FOR/PFor block decode + per-entry
  * position gather for positions_for_entries (index/reader.py).
@@ -116,90 +116,101 @@ static inline int bitlen_u64(uint64_t v) {
     return v ? 64 - __builtin_clzll(v) : 0;
 }
 
-/* Row r's values are vals[row_ptr[r] .. row_ptr[r+1]) (0 <= count <=
- * 128).  The numpy reference encodes zero-padded 128-value rows; padding
- * has bit length 0 and is never an exception, so the top-8 candidates past
- * a short row's values are 0, as the zero fill of cand below makes them.
- * Pass 1: per-row width + exception count.  pfor=0 -> plain FOR. */
-void encode_meta_csr(const int64_t *vals, const int64_t *row_ptr,
-                     int64_t R, int pfor, int64_t *widths, int64_t *nexc) {
-    for (int64_t r = 0; r < R; r++) {
-        const int64_t *v = vals + row_ptr[r];
-        int64_t cnt = row_ptr[r + 1] - row_ptr[r];
-        int hist[65];
-        int maxw = 0;
-        if (pfor) memset(hist, 0, sizeof hist);
+/* Width and exception count of the block v[0..cnt) (cnt <= 128).  The
+ * numpy reference encodes zero-padded 128-value rows; padding has bit
+ * length 0 and is never an exception, so the candidates past a short
+ * row's values are 0, as the zero fill of top makes them.  Only the 8
+ * largest bit lengths can be candidates, and every value longer than
+ * top[e] is one of top[0..e), so top, kept by insertion, replaces a
+ * histogram of all 65 lengths.  pfor=0 -> plain FOR. */
+static void block_width(const int64_t *v, int64_t cnt, int pfor,
+                        int64_t *width, int64_t *nexc) {
+    int top[8] = {0};
+    if (!pfor) {
         for (int64_t i = 0; i < cnt; i++) {
             int b = bitlen_u64((uint64_t)v[i]);
-            if (b > maxw) maxw = b;
-            if (pfor) hist[b]++;
+            if (b > top[0]) top[0] = b;
         }
-        if (!pfor) { widths[r] = maxw; nexc[r] = 0; continue; }
-        int cand[8], k = 0;
-        for (int w = 64; w >= 0 && k < 8; w--)
-            for (int c = hist[w]; c > 0 && k < 8; c--)
-                cand[k++] = w;
-        while (k < 8) cand[k++] = 0;   /* the padding's bit lengths */
-        int gt[66];
-        gt[64] = 0;
-        for (int w = 63; w >= 0; w--) gt[w] = gt[w + 1] + hist[w + 1];
-        int64_t best_cost = -1; int best_w = maxw, best_ne = 0;
-        for (int e = 0; e < 8; e++) {
-            int w = cand[e];
-            int ne = gt[w];
-            if (maxw - w > 8 || ne > 7) continue;
-            int64_t cost = (cnt * w + 7) / 8 + (ne ? 1 + 2 * ne : 0);
-            if (best_cost < 0 || cost < best_cost) {
-                best_cost = cost; best_w = w; best_ne = ne;
-            }
-        }
-        widths[r] = best_w; nexc[r] = best_ne;
+        *width = top[0];
+        *nexc = 0;
+        return;
     }
+    for (int64_t i = 0; i < cnt; i++) {
+        int b = bitlen_u64((uint64_t)v[i]);
+        if (b <= top[7]) continue;
+        int j = 7;
+        for (; j > 0 && top[j - 1] < b; j--) top[j] = top[j - 1];
+        top[j] = b;
+    }
+    int maxw = top[0];
+    int64_t best_cost = -1;
+    int best_w = maxw, best_ne = 0;
+    for (int e = 0; e < 8; e++) {
+        int w = top[e], ne = 0;
+        while (ne < e && top[ne] > w) ne++;
+        if (maxw - w > 8 || ne > 7) continue;
+        int64_t cost = (cnt * w + 7) / 8 + (ne ? 1 + 2 * ne : 0);
+        if (best_cost < 0 || cost < best_cost) {
+            best_cost = cost; best_w = w; best_ne = ne;
+        }
+    }
+    *width = best_w;
+    *nexc = best_ne;
 }
 
-/* Pass 2: write headers, packed payloads and exception pairs at the
- * caller-computed per-row starts (out must be zero-initialised). */
+/* Write the block row[0..cnt) with width w and ne exceptions at h: the
+ * header, the packed payload, then the exception pairs.  Returns the
+ * bytes written: 1 + (ne ? 1 + 2 * ne : 0) + (cnt * w + 7) / 8. */
+static int64_t block_pack(const int64_t *row, int64_t cnt, int64_t w,
+                          int64_t ne, uint8_t *h) {
+    uint8_t *p;
+    if (ne) { h[0] = (uint8_t)(0x80 | w); h[1] = (uint8_t)ne; p = h + 2; }
+    else    { h[0] = (uint8_t)w;          p = h + 1; }
+    int64_t paybytes = (cnt * w + 7) / 8;
+    memset(p, 0, (size_t)paybytes);
+    uint64_t mask = (w >= 64) ? ~0ULL : ((1ULL << w) - 1);
+    if (w) {
+        for (int64_t i = 0; i < cnt; i++) {
+            uint64_t x = (uint64_t)row[i] & mask;
+            if (!x) continue;
+            int64_t bito = i * w;
+            int64_t byo = bito >> 3;
+            int sh = (int)(bito & 7);
+            uint64_t lo = x << sh;
+            int64_t lim = paybytes - byo;
+            for (int b = 0; b < 8 && b < lim; b++)
+                p[byo + b] |= (uint8_t)(lo >> (8 * b));
+            if (sh && w + sh > 64 && lim > 8)
+                p[byo + 8] |= (uint8_t)(x >> (64 - sh));
+        }
+    }
+    uint8_t *exc = p + paybytes;
+    for (int64_t i = 0, j = 0; i < cnt && j < ne; i++) {
+        if (bitlen_u64((uint64_t)row[i]) > w) {
+            exc[2 * j] = (uint8_t)i;
+            exc[2 * j + 1] = (uint8_t)((uint64_t)row[i] >> w);
+            j++;
+        }
+    }
+    return (p - h) + paybytes + 2 * ne;
+}
+
+/* Row r's values are vals[row_ptr[r] .. row_ptr[r+1]) (0 <= count <=
+ * 128).  Pass 1: per-row width + exception count. */
+void encode_meta_csr(const int64_t *vals, const int64_t *row_ptr,
+                     int64_t R, int pfor, int64_t *widths, int64_t *nexc) {
+    for (int64_t r = 0; r < R; r++)
+        block_width(vals + row_ptr[r], row_ptr[r + 1] - row_ptr[r], pfor,
+                    widths + r, nexc + r);
+}
+
+/* Pass 2: write each row's block at the caller-computed starts. */
 void encode_pack_csr(const int64_t *vals, const int64_t *row_ptr,
                      int64_t R, const int64_t *widths, const int64_t *nexc,
                      const int64_t *starts, uint8_t *out) {
-    for (int64_t r = 0; r < R; r++) {
-        const int64_t *row = vals + row_ptr[r];
-        int64_t cnt = row_ptr[r + 1] - row_ptr[r];
-        int64_t w = widths[r], ne = nexc[r];
-        uint8_t *h = out + starts[r];
-        uint8_t *p;
-        if (ne) { h[0] = (uint8_t)(0x80 | w); h[1] = (uint8_t)ne; p = h + 2; }
-        else    { h[0] = (uint8_t)w;          p = h + 1; }
-        int64_t paybytes = (cnt * w + 7) / 8;
-        uint64_t mask = (w >= 64) ? ~0ULL : ((1ULL << w) - 1);
-        if (w) {
-            for (int64_t i = 0; i < cnt; i++) {
-                uint64_t x = (uint64_t)row[i] & mask;
-                if (!x) continue;
-                int64_t bito = i * w;
-                int64_t byo = bito >> 3;
-                int sh = (int)(bito & 7);
-                uint64_t lo = x << sh;
-                int64_t lim = paybytes - byo;
-                for (int b = 0; b < 8 && b < lim; b++)
-                    p[byo + b] |= (uint8_t)(lo >> (8 * b));
-                if (sh && w + sh > 64 && lim > 8)
-                    p[byo + 8] |= (uint8_t)(((uint64_t)row[i] & mask)
-                                            >> (64 - sh));
-            }
-        }
-        if (ne) {
-            uint8_t *exc = p + paybytes;
-            int64_t j = 0;
-            for (int64_t i = 0; i < cnt && j < ne; i++) {
-                if (bitlen_u64((uint64_t)row[i]) > w) {
-                    exc[2 * j] = (uint8_t)i;
-                    exc[2 * j + 1] = (uint8_t)((uint64_t)row[i] >> w);
-                    j++;
-                }
-            }
-        }
-    }
+    for (int64_t r = 0; r < R; r++)
+        block_pack(vals + row_ptr[r], row_ptr[r + 1] - row_ptr[r],
+                   widths[r], nexc[r], out + starts[r]);
 }
 
 /* Decode the n-value stream at buf[pos]; returns the offset just past it,
@@ -231,11 +242,10 @@ static int64_t decode_stream_checked(const uint8_t *buf, int64_t buflen,
 }
 
 /* ---- bulk stream decode: many independent FOR/PFor streams in one call
- * (the k-way merge reads every source posting list; per-term Python
- * decode_blocks calls dominated merge profile).  Stream s's bytes start
- * at buf + sstarts[s] and hold counts[s] values in self-describing
- * 128-value blocks; decoded values land at out + out_offs[s].  Returns
- * 0, or -1 when a stream runs past buflen. */
+ * (the records of a range of terms, index/postings.py).  Stream s's
+ * bytes start at buf + sstarts[s] and hold counts[s] values in
+ * self-describing 128-value blocks; decoded values land at out +
+ * out_offs[s].  Returns 0, or -1 when a stream runs past buflen. */
 int64_t decode_streams(const uint8_t *buf, int64_t buflen,
                        const int64_t *sstarts, const int64_t *counts,
                        int64_t ns, const int64_t *out_offs, int64_t *out) {
@@ -562,5 +572,315 @@ done:
     free(c);
     free(rl);
     free(rn);
+    return got;
+}
+
+/* ---- the record-to-record merge of index/merge.py.  The per-term numpy
+ * merge stays its reference (tests/test_merge_kernel.py compares the
+ * merged files byte for byte). ---- */
+
+/* Encode the n-value stream v at out; pfor=0 -> plain FOR.  Returns the
+ * bytes written. */
+static int64_t encode_stream(const int64_t *v, int64_t n, int pfor,
+                             uint8_t *out) {
+    int64_t at = 0;
+    for (int64_t done = 0; done < n; done += BLOCK_SIZE) {
+        int64_t cnt = n - done < BLOCK_SIZE ? n - done : BLOCK_SIZE;
+        int64_t w, ne;
+        block_width(v + done, cnt, pfor, &w, &ne);
+        at += block_pack(v + done, cnt, w, ne, out + at);
+    }
+    return at;
+}
+
+/* ---- the merge's vocabulary: the sorted union of k sorted term runs ----
+ *
+ * Source s's run is rows [lo[s], hi[s]) of the Arrow string array whose
+ * int32 (int64 when wide[s]) offsets are at offs[s] and values at
+ * data[s]; terms compare as bytes (UTF-8 byte order == code-point order,
+ * the order the runs are sorted in, as in term_search).  Row lo[s] + i
+ * gets its merged code in codes[base[s] + i], and the merged code c's
+ * first holder (lowest source) is row first[c] of the runs concatenated
+ * in source order.  Returns the number of codes, or -3 when out of
+ * memory. */
+
+typedef struct { const uint8_t *p; int64_t len; } term_t;
+
+static inline term_t term_at(int64_t offs, int64_t wide, int64_t data,
+                             int64_t row) {
+    const int32_t *o32 = (const int32_t *)(intptr_t)offs;
+    const int64_t *o64 = (const int64_t *)(intptr_t)offs;
+    int64_t s = wide ? o64[row] : o32[row];
+    int64_t e = wide ? o64[row + 1] : o32[row + 1];
+    term_t t = {(const uint8_t *)(intptr_t)data + s, e - s};
+    return t;
+}
+
+static inline int term_cmp(term_t a, term_t b) {
+    int64_t n = a.len < b.len ? a.len : b.len;
+    int c = n ? memcmp(a.p, b.p, (size_t)n) : 0;
+    if (c) return c;
+    return (a.len > b.len) - (a.len < b.len);
+}
+
+int64_t merge_terms(int64_t k, const int64_t *offs, const int64_t *wide,
+                    const int64_t *data, const int64_t *lo,
+                    const int64_t *hi, const int64_t *base, int64_t *codes,
+                    int64_t *first) {
+    int64_t *cur = (int64_t *)malloc(sizeof(int64_t) * (size_t)(k + 1));
+    term_t *head = (term_t *)malloc(sizeof(term_t) * (size_t)(k + 1));
+    if (!cur || !head) { free(cur); free(head); return -3; }
+    for (int64_t s = 0; s < k; s++) {
+        cur[s] = lo[s];
+        if (cur[s] < hi[s]) head[s] = term_at(offs[s], wide[s], data[s],
+                                              cur[s]);
+    }
+    int64_t n = 0;
+    for (;;) {
+        int64_t m = -1;
+        for (int64_t s = 0; s < k; s++)
+            if (cur[s] < hi[s] && (m < 0 || term_cmp(head[s], head[m]) < 0))
+                m = s;
+        if (m < 0) break;
+        term_t t = head[m];
+        first[n] = base[m] + cur[m] - lo[m];
+        for (int64_t s = m; s < k; s++) {
+            if (cur[s] >= hi[s] || (s != m && term_cmp(head[s], t) != 0))
+                continue;
+            codes[base[s] + cur[s] - lo[s]] = n;
+            if (++cur[s] < hi[s])
+                head[s] = term_at(offs[s], wide[s], data[s], cur[s]);
+        }
+        n++;
+    }
+    free(cur);
+    free(head);
+    return n;
+}
+
+/* ---- the merge's postings: one field's records, source to merged ----
+ *
+ * Source s is the row src + s * SRC_NCOL of int64s: its whole .doc and
+ * .pos buffers and their lengths; its nrows rows' doc_ptr and pos_ptr
+ * (nrows + 1 each: the last is the record end), df, ttf and merged codes
+ * (ascending); and its doc map inv (ninv entries: old local doc -> new
+ * doc, -1 when reclaimed).  For each code c < ncodes, in order: decode
+ * every holding source's record with the checked decoder, map its docs
+ * and drop the reclaimed ones with their position runs, sort the entries
+ * by new doc if their concatenation is not ascending (interleaved doc
+ * ranges, an index sort), and write the merged record as split_postings
+ * lays it out: FOR doc deltas; PFor freqs unless ttf == df; for a term
+ * of more than one block, block_last_doc, block_max_freq and
+ * block_min_norm as int32 LE (over the merged field's norms); PFor
+ * position deltas into .pos.  io holds (doc bytes used, doc capacity,
+ * pos bytes used, pos capacity); records are written from the used
+ * counts on, which come back advanced.  df, ttf, doc_ptr and pos_ptr get
+ * each code's values (df 0 for a term whose postings were all
+ * reclaimed).  Returns 0; -1 when a read would leave a record or its
+ * buffer or a record disagrees with its df / ttf, -2 for a doc past its
+ * source's doc map or past the norms, -3 when out of memory, -4 when an
+ * output buffer is too small. */
+
+#define SRC_NCOL 13   /* doc, doc_len, pos, pos_len, doc_ptr, pos_ptr, df,
+                         ttf, codes, nrows, inv, ninv, (cursor) */
+
+typedef struct { int64_t doc, idx; } doc_idx_t;
+
+static int by_doc(const void *a, const void *b) {
+    int64_t x = ((const doc_idx_t *)a)->doc, y = ((const doc_idx_t *)b)->doc;
+    return (x > y) - (x < y);
+}
+
+/* Append source row r's surviving entries at docs/freqs + *n and their
+ * position runs at pos + *np; *last tracks the last doc written, *asc
+ * drops to 0 on a descent (merge_postings has checked that the row's
+ * records lie inside their buffers).  Returns 0 or a merge_postings
+ * error. */
+static int64_t read_source(const int64_t *S, int64_t r, int64_t *docs,
+                           int64_t *freqs, int64_t *pos, int64_t *n,
+                           int64_t *np, int64_t *last, int *asc) {
+    const uint8_t *doc = (const uint8_t *)(intptr_t)S[0];
+    const uint8_t *pbuf = (const uint8_t *)(intptr_t)S[2];
+    const int64_t *dp = (const int64_t *)(intptr_t)S[4];
+    const int64_t *pp = (const int64_t *)(intptr_t)S[5];
+    int64_t df = ((const int64_t *)(intptr_t)S[6])[r];
+    int64_t ttf = ((const int64_t *)(intptr_t)S[7])[r];
+    const int64_t *inv = (const int64_t *)(intptr_t)S[10];
+    int64_t ninv = S[11];
+    int64_t nb = (df + BLOCK_SIZE - 1) / BLOCK_SIZE;
+    int64_t payload = dp[r + 1] - dp[r] - (nb > 1 ? 12 * nb : 0);
+    const uint8_t *rec = doc + dp[r];
+    int64_t *d = docs + *n, *f = freqs + *n, *p = pos + *np;
+    int64_t dl = decode_stream_checked(rec, payload, 0, df, d);
+    if (dl < 0) return -1;
+    if (ttf > df) {
+        if (decode_stream_checked(rec, payload, dl, df, f) < 0) return -1;
+    } else {
+        for (int64_t i = 0; i < df; i++) f[i] = 1;
+    }
+    int64_t sum = 0;   /* the freqs must add up to ttf: the positions */
+    for (int64_t i = 0; i < df; i++) {    /* scratch holds ttf values */
+        if (f[i] < 0 || f[i] > ttf - sum) return -1;
+        sum += f[i];
+    }
+    if (sum != ttf) return -1;
+    if (decode_stream_checked(pbuf + pp[r], pp[r + 1] - pp[r], 0, ttf, p)
+            < 0)
+        return -1;
+    uint64_t acc = 0;
+    int64_t w = 0, rp = 0, wp = 0;
+    for (int64_t i = 0; i < df; i++) {
+        acc += (uint64_t)d[i];
+        int64_t old = (int64_t)acc, fi = f[i];
+        if (old < 0 || old >= ninv) return -2;
+        int64_t nd = inv[old];
+        if (nd >= 0) {
+            if (nd <= *last) *asc = 0;
+            *last = nd;
+            d[w] = nd;
+            f[w] = fi;
+            if (wp != rp) memmove(p + wp, p + rp, sizeof(int64_t) * fi);
+            wp += fi;
+            w++;
+        }
+        rp += fi;
+    }
+    *n += w;
+    *np += wp;
+    return 0;
+}
+
+int64_t merge_postings(int64_t k, int64_t *src, int64_t ncodes,
+                       const uint8_t *norms, int64_t nnorms,
+                       uint8_t *out_doc, uint8_t *out_pos, int64_t *io,
+                       int64_t *df, int64_t *ttf, int64_t *doc_ptr,
+                       int64_t *pos_ptr) {
+    /* the largest merged term sizes the scratch: sum each code's df and
+     * ttf over its holders into df / ttf first */
+    for (int64_t c = 0; c < ncodes; c++) df[c] = ttf[c] = 0;
+    for (int64_t s = 0; s < k; s++) {
+        int64_t *S = src + s * SRC_NCOL;
+        const int64_t *sc = (const int64_t *)(intptr_t)S[8];
+        const int64_t *sdf = (const int64_t *)(intptr_t)S[6];
+        const int64_t *sttf = (const int64_t *)(intptr_t)S[7];
+        const int64_t *dp = (const int64_t *)(intptr_t)S[4];
+        const int64_t *pp = (const int64_t *)(intptr_t)S[5];
+        for (int64_t r = 0; r < S[9]; r++) {
+            if (sc[r] < 0 || sc[r] >= ncodes || sdf[r] < 1 ||
+                sttf[r] < sdf[r] || (r && sc[r] <= sc[r - 1]))
+                return -1;
+            /* a record inside its buffer, and no more values than its
+             * bytes can hold (a width-0 block: 128 values in one byte),
+             * so df and ttf bound the scratch before any malloc */
+            if (dp[r] < 0 || dp[r] > dp[r + 1] || dp[r + 1] > S[1] ||
+                pp[r] < 0 || pp[r] > pp[r + 1] || pp[r + 1] > S[3] ||
+                sdf[r] > BLOCK_SIZE * (dp[r + 1] - dp[r]) ||
+                sttf[r] > BLOCK_SIZE * (pp[r + 1] - pp[r]))
+                return -1;
+            df[sc[r]] += sdf[r];
+            ttf[sc[r]] += sttf[r];
+        }
+        S[12] = 0;
+    }
+    int64_t max_df = 1, max_ttf = 1;
+    for (int64_t c = 0; c < ncodes; c++) {
+        if (df[c] > max_df) max_df = df[c];
+        if (ttf[c] > max_ttf) max_ttf = ttf[c];
+    }
+    int64_t *ent = (int64_t *)malloc(sizeof(int64_t) * (size_t)(5 * max_df));
+    int64_t *pos = (int64_t *)malloc(sizeof(int64_t) * (size_t)(2 * max_ttf));
+    doc_idx_t *order = (doc_idx_t *)malloc(sizeof(doc_idx_t) *
+                                           (size_t)max_df);
+    int64_t got = 0;
+    if (!ent || !pos || !order) { got = -3; goto done; }
+    for (int64_t c = 0; c < ncodes; c++) {
+        int64_t *docs = ent, *freqs = ent + max_df, *ps = ent + 2 * max_df;
+        int64_t *pv = pos;
+        int64_t n = 0, np = 0, last = -1;
+        int asc = 1;
+        for (int64_t s = 0; s < k; s++) {
+            int64_t *S = src + s * SRC_NCOL;
+            int64_t r = S[12];
+            if (r >= S[9] || ((const int64_t *)(intptr_t)S[8])[r] != c)
+                continue;
+            S[12]++;
+            got = read_source(S, r, docs, freqs, pv, &n, &np, &last, &asc);
+            if (got < 0) goto done;
+        }
+        if (!asc) {
+            /* entries by new doc, each carrying its position run */
+            int64_t *d2 = ent + 3 * max_df, *f2 = ent + 4 * max_df;
+            int64_t *p2 = pos + max_ttf;
+            for (int64_t i = 0, at = 0; i < n; i++) {
+                order[i].doc = docs[i];
+                order[i].idx = i;
+                ps[i] = at;
+                at += freqs[i];
+            }
+            qsort(order, (size_t)n, sizeof(doc_idx_t), by_doc);
+            for (int64_t i = 0, at = 0; i < n; i++) {
+                int64_t j = order[i].idx;
+                d2[i] = order[i].doc;
+                f2[i] = freqs[j];
+                memcpy(p2 + at, pv + ps[j], sizeof(int64_t) * freqs[j]);
+                at += freqs[j];
+            }
+            docs = d2;
+            freqs = f2;
+            pv = p2;
+        }
+        int64_t nb = (n + BLOCK_SIZE - 1) / BLOCK_SIZE;
+        int64_t nbp = (np + BLOCK_SIZE - 1) / BLOCK_SIZE;
+        df[c] = n;
+        ttf[c] = np;
+        doc_ptr[c] = io[0];
+        pos_ptr[c] = io[2];
+        if (!n) continue;
+        /* a block takes at most 1 + 8 * cnt bytes (PFor never costs more
+         * than FOR at the widest width) */
+        if (io[1] - io[0] < 2 * (nb + 8 * n) + 12 * nb ||
+            io[3] - io[2] < nbp + 8 * np) {
+            got = -4;
+            goto done;
+        }
+        /* doc deltas, the first of the term absolute, into the scratch
+         * freed by the sort (ps) */
+        int64_t *dd = ps;
+        dd[0] = docs[0];
+        for (int64_t i = 1; i < n; i++) dd[i] = docs[i] - docs[i - 1];
+        uint8_t *o = out_doc + io[0];
+        o += encode_stream(dd, n, 0, o);
+        if (np > n) o += encode_stream(freqs, n, 1, o);
+        if (nb > 1) {
+            int32_t *meta = (int32_t *)dd;   /* 3 * nb <= n int32s */
+            for (int64_t b = 0; b < nb; b++) {
+                int64_t lo = b * BLOCK_SIZE;
+                int64_t hi = lo + BLOCK_SIZE < n ? lo + BLOCK_SIZE : n;
+                int64_t mf = 0, mn = 256;
+                for (int64_t i = lo; i < hi; i++) {
+                    if (docs[i] < 0 || docs[i] >= nnorms) {
+                        got = -2;
+                        goto done;
+                    }
+                    if (freqs[i] > mf) mf = freqs[i];
+                    if (norms[docs[i]] < mn) mn = norms[docs[i]];
+                }
+                meta[b] = (int32_t)docs[hi - 1];
+                meta[nb + b] = (int32_t)mf;
+                meta[2 * nb + b] = (int32_t)mn;
+            }
+            memcpy(o, meta, sizeof(int32_t) * (size_t)(3 * nb));
+            o += 12 * nb;
+        } else if (docs[n - 1] >= nnorms || docs[0] < 0) {
+            got = -2;
+            goto done;
+        }
+        io[0] = o - out_doc;
+        io[2] += encode_stream(pv, np, 1, out_pos + io[2]);
+    }
+done:
+    free(ent);
+    free(pos);
+    free(order);
     return got;
 }

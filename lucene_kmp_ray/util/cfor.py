@@ -1,17 +1,30 @@
-"""On-demand compiled C core for the fused positional skip-read.
+"""On-demand compiled C core of the block codec, the term search, the
+bulk scorer and the merge (``_cfor.c``, ``lib()``).
 
-``_cfor.c`` fuses ``decode_blocks_masked`` + the per-entry position
-gather/cumsum of ``SegmentReader.positions_for_entries`` into one C
-pass over the encoded stream — the numpy path stays as the fallback
-and the semantic reference (tests/test_cfor.py fuzzes both against
-each other over random posting shapes, widths and PFor exceptions).
-It also holds the term dictionary search ``SortedTerms`` runs over an
-Arrow string array's buffers (``bisect`` is its fallback,
-tests/test_term_search.py fuzzes both against ``sorted``), the checked
-``.doc`` record decoder (``decode_record``), the leapfrog doc
-conjunction (``conjoin``) and the per-segment BM25 bulk scorer
-(``bulk_score``, search/searcher.py; tests/test_bulk_scorer.py holds
-them to the numpy path bit for bit).
+It fuses ``decode_blocks_masked`` + the per-entry position gather/cumsum
+of ``SegmentReader.positions_for_entries`` into one C pass over the
+encoded stream — the numpy path stays as the fallback and the semantic
+reference (tests/test_cfor.py fuzzes both against each other over
+random posting shapes, widths and PFor exceptions). It also holds the
+term dictionary search ``SortedTerms`` runs over an Arrow string
+array's buffers (``bisect`` is its fallback, tests/test_term_search.py
+fuzzes both against ``sorted``), the checked ``.doc`` record decoder
+(``decode_record``), the leapfrog doc conjunction (``conjoin``), the
+per-segment BM25 bulk scorer (``bulk_score``, search/searcher.py;
+tests/test_bulk_scorer.py holds them to the numpy path bit for bit),
+the bulk block encoders of a flush (``encode_csr``) and the
+record-to-record merge (``merge_terms``, ``merge_postings``,
+index/merge.py; tests/test_merge_kernel.py holds it to the per-term
+numpy merge byte for byte).
+
+It is one library, compiled at a process's first use: perfbench's
+``start_engine`` compiles it inside ``setup_s``. With ``cc -O2`` on a
+1-CPU VM (medians of 9), it compiles in 0.60-0.68 s, against
+0.42-0.48 s before the merge kernels joined it. A separate write
+library would only move that compile out of ``setup_s``: every
+perfbench workload also builds an index, so each run would compile
+both.
+
 ``compile_kernel`` builds every C kernel of the package once per
 (source, flags) hash; a failed compile warns once per process
 (``warn_unavailable``) and every caller takes its fallback.
@@ -96,6 +109,10 @@ def _compile() -> "ctypes.CDLL | None":
     lib.bulk_score.restype = i64
     lib.bulk_score.argtypes = [i64, vp, vp, i64, vp, vp, i64, vp, vp, i64,
                                i32, i64, vp, vp]
+    lib.merge_terms.restype = i64
+    lib.merge_terms.argtypes = [i64] + [vp] * 8
+    lib.merge_postings.restype = i64
+    lib.merge_postings.argtypes = [i64, vp, i64, vp, i64] + [vp] * 7
     return lib
 
 
@@ -125,23 +142,8 @@ class SortedTerms(Sequence):
     compared as UTF-8 bytes, whose order is code-point order."""
 
     def __init__(self, arr):
-        if isinstance(arr, pa.ChunkedArray):  # one chunk: no copy
-            arr = arr.chunk(0) if arr.num_chunks == 1 else \
-                arr.combine_chunks()
-        t = arr.type
-        if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
-            raise TypeError(f"SortedTerms needs a string array, not {t}")
-        self.array = arr
-        self._n = len(arr)
-        self._wide = int(pa.types.is_large_string(t))
-        _, offs, data = arr.buffers()
-        dtype = np.int64 if self._wide else np.int32
-        self._offs = np.frombuffer(offs, dtype)[
-            arr.offset:arr.offset + len(arr) + 1] if len(arr) else \
-            np.zeros(1, dtype)
-        # all-empty terms have no data buffer: pass C a valid address
-        self._data = data if data is not None and data.size else \
-            pa.py_buffer(b"\0")
+        self.array, self._offs, self._wide, self._data = string_parts(arr)
+        self._n = len(self.array)
         self._mv = memoryview(self._data)
         L = lib()
         # pointers and the bound function, set up once per dictionary
@@ -196,6 +198,26 @@ class SortedTerms(Sequence):
 
     def _bytes(self, i: int) -> bytes:
         return self._mv[self._offs[i]:self._offs[i + 1]].tobytes()
+
+
+def string_parts(arr):
+    """``(array, offsets, wide, data)`` of an Arrow string array (a
+    chunked one is combined; one chunk is not copied): its int32 offsets
+    (int64 when ``wide``, a large_string) as a numpy view and its values
+    Buffer — what the C term kernels read."""
+    if isinstance(arr, pa.ChunkedArray):  # one chunk: no copy
+        arr = arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
+    t = arr.type
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
+        raise TypeError(f"need a string array, not {t}")
+    wide = int(pa.types.is_large_string(t))
+    _, offs, data = arr.buffers()
+    dtype = np.int64 if wide else np.int32
+    offs = np.frombuffer(offs, dtype)[arr.offset:arr.offset + len(arr) + 1] \
+        if len(arr) else np.zeros(1, dtype)
+    # all-empty terms have no data buffer: pass C a valid address
+    data = data if data is not None and data.size else pa.py_buffer(b"\0")
+    return arr, offs, wide, data
 
 
 def _ptr(a: np.ndarray) -> int:
@@ -282,37 +304,21 @@ def encode_csr(vals: np.ndarray, row_ptr: np.ndarray, pfor: bool):
     block_bytes = 1 + np.where(nexc > 0, 1 + 2 * nexc, 0) + payload
     ends = np.cumsum(block_bytes)
     starts = np.ascontiguousarray(ends - block_bytes)
-    out = np.zeros(int(ends[-1]) if R else 0, dtype=np.uint8)
+    out = np.empty(int(ends[-1]) if R else 0, dtype=np.uint8)
     L.encode_pack_csr(vals.ctypes.data, row_ptr.ctypes.data, R,
                       widths.ctypes.data, nexc.ctypes.data,
                       starts.ctypes.data, out.ctypes.data)
     return out, starts
 
 
-def decode_streams_bulk(col, counts: np.ndarray):
-    """Decode MANY independent FOR/PFor streams (one per row of an Arrow
-    binary column) in one C pass — the k-way merge's read side.  Returns
-    ``(values_flat int64, value_offsets)`` (stream s's values are
-    ``values[offs[s]:offs[s+1]]``) or None without a C lib."""
-    if lib() is None:
-        return None
-    import pyarrow as pa
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    bufs = col.buffers()
-    offsets = np.frombuffer(bufs[1], np.int32)[
-        col.offset:col.offset + len(col) + 1].astype(np.int64)
-    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None \
-        else np.empty(0, np.uint8)
-    return decode_streams_at(data, offsets[:-1], counts)
-
-
 def decode_streams_at(data: np.ndarray, starts: np.ndarray,
                       counts: np.ndarray):
-    """``decode_streams_bulk`` over streams starting at byte offsets
-    ``starts`` of one buffer (a stream needs no end: its value count
-    bounds it), or None without a C lib. Raises IndexError when a
-    stream runs past the buffer."""
+    """Decode many independent FOR/PFor streams, starting at byte
+    offsets ``starts`` of one buffer (a stream needs no end: its value
+    count bounds it), in one C pass → ``(values_flat int64,
+    value_offsets)`` (stream s's values are ``values[offs[s]:offs[s+1]]``),
+    or None without a C lib. Raises IndexError when a stream runs past
+    the buffer."""
     L = lib()
     if L is None:
         return None
@@ -395,3 +401,71 @@ def bulk_score(clauses: list, weights: list, filters: list, excluded: list,
     if n < 0:
         raise MemoryError("bulk_score")
     return docs[:n], scores[:n]
+
+
+def merge_terms(runs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of sorted term runs, in one C pass: ``runs``
+    lists ``(terms, lo, hi)``, rows ``[lo, hi)`` of an Arrow string
+    array each. Returns each run row's merged code (over the runs
+    concatenated in order) and, per code, the concatenated row of its
+    first occurrence. The caller checks ``lib()`` first."""
+    L = lib()
+    tab = np.empty((6, len(runs)), np.int64)  # offs, wide, data, lo, hi,
+    keep, base = [], 0                        # base
+    for s, (arr, lo, hi) in enumerate(runs):
+        _, offs, wide, data = string_parts(arr)
+        keep.append((offs, data))
+        tab[:, s] = (_ptr(offs), wide, data.address, lo, hi, base)
+        base += hi - lo
+    codes = np.empty(base, np.int64)
+    first = np.empty(base, np.int64)
+    n = L.merge_terms(len(runs), *(_ptr(row) for row in tab), _ptr(codes),
+                      _ptr(first))
+    if n < 0:
+        raise MemoryError("merge_terms")
+    return codes, first[:n]
+
+
+# merge_postings' source row: doc, doc_len, pos, pos_len, doc_ptr,
+# pos_ptr, df, ttf, codes, nrows, inv, ninv, and the kernel's cursor
+SRC_NCOL = 13
+
+
+def merge_postings(sources: list, n_codes: int, norms: np.ndarray,
+                   out_doc: np.ndarray, out_pos: np.ndarray,
+                   io: np.ndarray) -> np.ndarray:
+    """One field's merged postings records, in one C pass. ``sources``
+    rows are ``(doc, pos, doc_ptr, pos_ptr, df, ttf, codes, inv)``: a
+    source's whole ``.doc`` / ``.pos`` Buffers; its field rows' record
+    pointers, each with the last record's end appended; their df, ttf
+    and merged codes; and its doc map (old local doc → new doc, -1 when
+    reclaimed). ``norms`` are the merged field's. Records go into
+    ``out_doc`` / ``out_pos`` from ``io``'s used counts on (``io`` = doc
+    bytes used, doc capacity, pos bytes used, pos capacity, advanced in
+    place). Returns the rows ``df, ttf, doc_ptr, pos_ptr`` per code; df
+    is 0 for a term whose postings were all reclaimed. Raises IndexError
+    when a record is corrupt or a doc lies past its source's doc map or
+    the norms. The caller checks ``lib()`` first."""
+    L = lib()
+    tab = np.zeros((len(sources), SRC_NCOL), np.int64)
+    keep = []
+    for row, (doc, pos, *arrays) in zip(tab, sources):
+        arrays = [np.ascontiguousarray(a, np.int64) for a in arrays]
+        keep.append(arrays)
+        dp, pp, df, ttf, codes, inv = arrays
+        row[:12] = (doc.address, doc.size, pos.address, pos.size, _ptr(dp),
+                    _ptr(pp), _ptr(df), _ptr(ttf), _ptr(codes), len(codes),
+                    _ptr(inv), len(inv))
+    norms = np.ascontiguousarray(norms, np.uint8)
+    out = np.empty((4, n_codes), np.int64)
+    rc = L.merge_postings(len(sources), _ptr(tab), n_codes, _ptr(norms),
+                          len(norms), _ptr(out_doc), _ptr(out_pos), _ptr(io),
+                          *(_ptr(r) for r in out))
+    if rc == -1:
+        raise IndexError("postings record runs past its end")
+    if rc == -2:
+        raise IndexError("a posting's doc lies past its source's doc map "
+                         "or its field's norms")
+    if rc < 0:
+        raise MemoryError("merge_postings")
+    return out

@@ -154,8 +154,40 @@ def test_c_encode_csr_fuzz_vs_matrix():
                 (trial, pfor)
 
 
+def test_c_encode_csr_many_short_rows():
+    """The PFor width choice over the rows a flush or merge mostly
+    encodes — one to three values — plus full rows, with zero, tiny,
+    exception-bait and 64-bit values: byte-identical to the numpy
+    matrix encoders."""
+    _require_lib()
+    from lucene_kmp_ray.util.cfor import encode_csr
+    rng = np.random.default_rng(5)
+    for trial in range(100):
+        R = int(rng.integers(1, 400))
+        counts = rng.integers(1, 4, R)
+        counts[rng.random(R) < 0.05] = fu.BLOCK_SIZE
+        vals = rng.integers(0, 4, size=int(counts.sum()), dtype=np.int64)
+        for lo, hi, p in ((0, 1, 0.2), (1 << 9, 1 << 20, 0.03),
+                          (1 << 62, (1 << 63) - 1, 0.01)):
+            hit = rng.random(len(vals)) < p
+            vals[hit] = rng.integers(lo, hi, size=int(hit.sum()),
+                                     dtype=np.int64)
+        if trial % 9 == 0:
+            vals[:] = 0
+        row_ptr = np.append(0, np.cumsum(counts))
+        m = np.zeros((R, fu.BLOCK_SIZE), np.uint64)
+        for r in range(R):
+            m[r, :counts[r]] = vals[row_ptr[r]:row_ptr[r + 1]]
+        for pfor in (False, True):
+            a, sa = encode_csr(vals, row_ptr, pfor)
+            ref = fu._pfor_blocks_matrix_np(m, counts) if pfor \
+                else fu._for_blocks_matrix_np(m, counts)
+            assert np.array_equal(a, ref[0]) and np.array_equal(sa, ref[1]), \
+                (trial, pfor)
+
+
 def test_union_docs_c_path_matches_numpy(tmp_path):
-    """union_docs through decode_streams_bulk must equal the numpy
+    """union_docs through decode_streams_at must equal the numpy
     single-block-bulk + per-term fallback path on a real segment."""
     _require_lib()
     import os
@@ -230,13 +262,13 @@ def test_hypothesis_c_encode_matches_numpy(vals, pfor):
 @given(lists=st.lists(_vals, min_size=1, max_size=12), pfor=st.booleans())
 def test_hypothesis_bulk_stream_decode(lists, pfor):
     _require_lib()
-    import pyarrow as pa
-
-    from lucene_kmp_ray.util.cfor import decode_streams_bulk
+    from lucene_kmp_ray.util.cfor import decode_streams_at
     enc = fu.encode_blocks_pfor if pfor else fu.encode_blocks
     bufs = [enc(np.asarray(v, np.int64)) for v in lists]
     counts = np.array([len(v) for v in lists], np.int64)
-    out, voffs = decode_streams_bulk(pa.array(bufs, pa.binary()), counts)
+    starts = np.cumsum([0] + [len(b) for b in bufs[:-1]])
+    out, voffs = decode_streams_at(np.frombuffer(b"".join(bufs), np.uint8),
+                                   starts, counts)
     for i, v in enumerate(lists):
         assert np.array_equal(out[voffs[i]:voffs[i + 1]],
                               np.asarray(v, np.int64))

@@ -379,7 +379,7 @@ def test_run_merges_log_policy_end_to_end(built):
 
 
 def test_bulk_merge_bit_equivalent_to_python_fallback(built, tmp_path):
-    """The C bulk-decode merge path must produce byte-identical segment
+    """The C record-to-record merge must produce byte-identical segment
     tables to the per-term Python decode fallback (same index, same
     merge set), including with deletes to exercise the entry filter."""
     import os
@@ -400,7 +400,7 @@ def test_bulk_merge_bit_equivalent_to_python_fallback(built, tmp_path):
     delete_by_url(idx, urls, parallel=False)
     segs = [sr.seg for sr in r.segment_readers[:4]]
 
-    merge_segments(idx, segs, 900)          # C bulk path
+    merge_segments(idx, segs, 900)          # C record merge
     cached, pid = cf._CACHED, cf._CACHED_PID
     try:
         cf._CACHED, cf._CACHED_PID = None, os.getpid()  # force fallback

@@ -1,8 +1,9 @@
-"""The merge's (field, term) union is built array-at-a-time by Arrow
-(``merge._merged_vocab``). Each case checks the merged dictionary against
-a pure-Python ``sorted({(field, term)})`` over the sources, each term's
-df/ttf against the sources' sums minus the reclaimed postings, and the C
-bulk-decode branch against the no-C-library branch, file for file."""
+"""The merge's (field, term) union: the C ``merge_terms`` of the record
+merge, and ``merge._merged_vocab`` (Arrow, array-at-a-time) without the C
+library. Each case checks the merged dictionary against a pure-Python
+``sorted({(field, term)})`` over the sources, each term's df/ttf against
+the sources' sums minus the reclaimed postings, and the C record merge
+against the no-C-library branch, file for file."""
 
 import collections
 import os
