@@ -1,5 +1,5 @@
 /* Kuromoji-style lattice tokenizer core — C mirror of the pure-Python
- * implementation in japanese.py (tokenize / _add / _backtrace /
+ * implementation in japanese.py (_tokenize_lattice / _add / _backtrace /
  * _prune_and_rescore) for the no-user-dictionary configuration.
  * [ref: ja/KuromojiViterbiNBest.kt, morph/Viterbi.kt — same dictionary
  * scan, unknown-word grouping, relaxation, search-mode decompound
@@ -15,8 +15,8 @@
  * shaping (punctuation discard, base forms, extended-mode unigrams)
  * stays in Python.
  *
- * Compiled on demand by cviterbi.py (cc -O2 -shared -fPIC); callers
- * fall back to the Python lattice when compilation fails.
+ * Compiled on demand as the "viterbi" unit of util/native.py; a failed
+ * compile raises.  The Python lattice runs only with a user dictionary.
  */
 
 #include <stdint.h>

@@ -1,15 +1,12 @@
-"""On-demand compiled C core for the kuromoji lattice tokenizer.
+"""Static tables for the compiled kuromoji lattice (``_cviterbi.c``).
 
-``_cviterbi.c`` mirrors the pure-Python lattice in ``japanese.py``
-(tokenize / _backtrace / _prune_and_rescore) for the
+``_cviterbi.c`` runs the lattice of ``japanese.py`` for the
 no-user-dictionary configuration: the full forward scan (lexicon-trie
 dictionary matches + unknown-word grouping), Viterbi relaxation, and
-the search-mode decompound backtrace.  This module compiles it once
-per source hash with the system C compiler (``cc -O2 -shared -fPIC``)
-into a cached shared object under the temp dir, and exposes ``lib()``
-returning the loaded library or ``None`` when compilation is
-impossible (no compiler, read-only tmp, …) — callers then fall back to
-the Python lattice, which remains the semantic reference.
+the search-mode decompound backtrace. ``util/native.py`` builds it as
+its own unit (``lib("viterbi")``): only the Japanese analyzer calls it.
+With a user dictionary the Python lattice of ``japanese.py`` runs; it is
+also the semantic reference.
 
 ``build_trie`` flattens a ``surface -> [word_id]`` mapping into the
 static arrays the C scan walks (per-node sorted child arrays + word-id
@@ -21,57 +18,7 @@ Exact equivalence Python-vs-C is asserted by
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
-
 import numpy as np
-
-_SRC = os.path.join(os.path.dirname(__file__), "_cviterbi.c")
-_CACHED: "ctypes.CDLL | None | bool" = False  # False = not attempted yet
-
-
-def _compile() -> "ctypes.CDLL | None":
-    with open(_SRC, "rb") as f:
-        src = f.read()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    so = os.path.join(tempfile.gettempdir(), f"lkr_cviterbi_{tag}.so")
-    if not os.path.exists(so):
-        tmp = f"{so}.{os.getpid()}.tmp"
-        subprocess.run(
-            ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, _SRC],
-            check=True, capture_output=True, timeout=120)
-        os.replace(tmp, so)  # atomic: concurrent actors race safely
-    lib = ctypes.CDLL(so)
-    # raw-address (void*) signature: pointers are passed as the ints
-    # from ndarray.ctypes.data — no per-call ctypes casts in the hot path
-    vp = ctypes.c_void_p
-    lib.viterbi_analyze.restype = ctypes.c_int64
-    lib.viterbi_analyze.argtypes = (
-        [ctypes.c_int32]            # n
-        + [vp] * 4                  # cp, cls, punct, kanji
-        + [vp] * 7                  # trie (children + wids)
-        + [vp] * 3                  # lex left/right/cost
-        + [vp] * 3                  # unk off/left/cost
-        + [vp] * 2                  # invoke, group
-        + [vp, ctypes.c_int32]      # conn, conn_dim
-        + [ctypes.c_int32]          # search_mode
-        + [vp] * 4                  # out arrays
-    )
-    return lib
-
-
-def lib() -> "ctypes.CDLL | None":
-    """The compiled lattice core, or None when unavailable."""
-    global _CACHED
-    if _CACHED is False:
-        try:
-            _CACHED = _compile()
-        except Exception:
-            _CACHED = None
-    return _CACHED
 
 
 def build_trie(surfaces: "dict[str, list[int]]"):

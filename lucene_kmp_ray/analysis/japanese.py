@@ -40,6 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..util.native import lib
+
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # character classes [ref: ja/dict/CharacterDefinition.kt CharacterClass]
@@ -411,15 +413,17 @@ class JapaneseTokenizer:
         return p
 
     def tokenize(self, text: str) -> list[Token]:
+        """The tokens of ``text``: the compiled lattice
+        (``_cviterbi.c``) without a user dictionary; with one, the Python
+        lattice, which is also the compiled one's reference."""
         if not text:
             return []
         if self.user_dict is None:
-            from .cviterbi import lib as _cvlib
-            clib = _cvlib()
-            if clib is not None:
-                toks = self._tokenize_c(clib, text)
-                if toks is not None:
-                    return toks
+            return self._tokenize_c(text)
+        return self._tokenize_lattice(text)
+
+    def _tokenize_lattice(self, text: str) -> list[Token]:
+        """The Python lattice over non-empty ``text``."""
         rt = self.rt
         n = len(text)
         # one pass of per-char metadata: the unknown-word scan and the
@@ -513,7 +517,7 @@ class JapaneseTokenizer:
         pending.reverse()
         return pending
 
-    def _tokenize_c(self, clib, text: str) -> "list[Token] | None":
+    def _tokenize_c(self, text: str) -> list[Token]:
         """Compiled-lattice path (no user dictionary; both modes).
 
         Preps vectorized per-char codepoint / char-class / punctuation /
@@ -522,8 +526,7 @@ class JapaneseTokenizer:
         decompound backtrace to ``_cviterbi.c``.  Token shaping
         (punctuation discard, extended-mode unigrams, base forms)
         happens here, in document order, mirroring _backtrace's
-        emission rules.  Returns None on any C-side failure so
-        tokenize() falls back to the Python lattice."""
+        emission rules."""
         from .cviterbi import punct_table
 
         rt = self.rt
@@ -560,12 +563,12 @@ class JapaneseTokenizer:
             self._obuf_pid = os.getpid()
         out_start, out_end, out_wid, out_typ = ob
 
-        ntok = clib.viterbi_analyze(
+        ntok = lib("viterbi").viterbi_analyze(
             n, cp.ctypes.data, cls.ctypes.data, punct.ctypes.data,
             kanji.ctypes.data, *t["ptrs"], t["conn_ptr"], t["conn_dim"],
             1 if self.search_mode else 0, *self._obuf_ptrs)
-        if ntok < 0:  # pragma: no cover - allocation failure
-            return None
+        if ntok < 0:
+            raise MemoryError("viterbi_analyze")
 
         pending: list[Token] = []
         for i in range(ntok):

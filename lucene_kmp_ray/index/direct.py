@@ -6,8 +6,8 @@ arrays ("bytes are loaded up-front"), trading heap for the fastest
 possible postings access — the hot-segment / testing codec.
 
 Engine form: one read of the field's contiguous ``postings.doc`` range,
-then ONE bulk C pass per stream kind (``postings.decode_streams``, the
-same kernel the k-way merge reads with) into CSR arrays::
+then ONE bulk C pass per stream kind (``cfor.decode_streams_at``) into
+CSR arrays::
 
     docs_flat[offs[o]:offs[o+1]], freqs_flat[offs[o]:offs[o+1]]
 

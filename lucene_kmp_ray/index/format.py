@@ -39,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..util import cfor
 from ..util import forutil as fu
 from ..util.smallfloat import int_to_byte4_np
 from .postings import split_postings, write_postings
@@ -287,9 +288,9 @@ def encode_term_table_arrays(uniques, s_doc, s_freq, pos_delta,
     term) is invisible on a 31-term synthetic vocabulary and dominant on a
     real web vocabulary (millions of terms/segment, mostly df=1). Here
     EVERY term — single-block majority and multi-block Zipf head alike —
-    encodes through ONE call each to ``for_blocks_matrix`` /
-    ``pfor_blocks_matrix``: each term contributes ``ceil(len/128)``
-    consecutive matrix rows, and since blocks are independent in the
+    encodes through ONE ``cfor.encode_csr`` call per stream: each term
+    contributes ``ceil(len/128)`` consecutive block rows of the flat
+    entry arrays, and since blocks are independent in the
     stream the concatenated bytes are identical to the per-term path
     (asserted in tests). The per-term binary columns are then plain
     offset slices of the single shared stream (terms tile the rows in
@@ -349,45 +350,12 @@ def encode_term_table_arrays(uniques, s_doc, s_freq, pos_delta,
                   + (np.arange(Rp) - np.repeat(prow, nb_p)) * BS) \
         if Rp else np.empty(0, np.int64)
 
-    from ..util.cfor import encode_csr
+    # encode straight off the flat entry arrays, one C call per stream
     row_ptr_d = np.append(blk_start, len(s_doc))
-    enc_d = encode_csr(d_delta, row_ptr_d, pfor=False)
-    if enc_d is not None:
-        # C path: encode straight off the flat entry arrays
-        d_stream, d_starts = enc_d
-        f_stream, f_starts = encode_csr(s_freq, row_ptr_d, pfor=True)
-        p_stream, p_starts = encode_csr(
-            pos_delta, np.append(pblk_start, len(pos_delta)), pfor=True)
-    else:
-        # numpy fallback: stack each term's values into zero-padded
-        # (R, 128) matrix rows and run the vectorized matrix encoders
-        def _layout(seg_starts, seg_lens, nb, row_off, R):
-            total = int(seg_lens.sum())
-            out_start = np.cumsum(seg_lens) - seg_lens
-            within = np.arange(total, dtype=np.int64) \
-                - np.repeat(out_start, seg_lens)
-            gather = np.repeat(seg_starts, seg_lens) + within
-            rows = np.repeat(row_off, seg_lens) + within // BS
-            cols = within % BS
-            counts = np.full(R, BS, np.int64)
-            if R:
-                counts[row_off + nb - 1] = seg_lens - (nb - 1) * BS
-            return gather, rows, cols, counts
-
-        g_d, r_d, c_d, dcnt = _layout(term_starts, df, nb_d, drow, Rd)
-        D = np.zeros((Rd, BS), np.uint64)
-        F = np.zeros((Rd, BS), np.uint64)
-        if Rd:
-            D[r_d, c_d] = d_delta[g_d].astype(np.uint64)
-            F[r_d, c_d] = s_freq[g_d].astype(np.uint64)
-        g_p, r_p, c_p, pcnt = _layout(pos_bounds[term_starts], ttf,
-                                      nb_p, prow, Rp)
-        P = np.zeros((Rp, BS), np.uint64)
-        if Rp:
-            P[r_p, c_p] = pos_delta[g_p].astype(np.uint64)
-        d_stream, d_starts = fu.for_blocks_matrix(D, dcnt)
-        f_stream, f_starts = fu.pfor_blocks_matrix(F, dcnt)
-        p_stream, p_starts = fu.pfor_blocks_matrix(P, pcnt)
+    d_stream, d_starts = cfor.encode_csr(d_delta, row_ptr_d, pfor=False)
+    f_stream, f_starts = cfor.encode_csr(s_freq, row_ptr_d, pfor=True)
+    p_stream, p_starts = cfor.encode_csr(
+        pos_delta, np.append(pblk_start, len(pos_delta)), pfor=True)
 
     def _contig_binary(stream: np.ndarray, starts: np.ndarray,
                        row_off: np.ndarray) -> pa.Array:

@@ -19,8 +19,10 @@ maps their docIDs to the new segment's (dropping reclaimed docs) and
 writes the merged records with fresh skip/impact block metadata straight
 into the new postings files (the ``MappedMultiPostingsEnum`` pass).
 Per-doc rows concatenate in the same order, so the merged segment is
-bit-equivalent to one built from the union corpus. Without the C
-library a per-term numpy merge writes the same bytes. Each merge runs as
+bit-equivalent to one built from the union corpus; a source built
+without some field gives its docs 0 in that field's per-doc columns.
+tests/_ref_merge.py holds a per-term numpy merge that writes the same
+bytes, the record merge's reference. Each merge runs as
 one Ray task (the ConcurrentMergeScheduler worker analog,
 ``ConcurrentMergeScheduler.kt:77-142``) — merges are independent and fan
 out in parallel; the caller commits the new manifest only after every
@@ -33,6 +35,7 @@ import collections
 import functools
 import json
 import os
+import re
 import shutil
 import time
 
@@ -43,10 +46,8 @@ import pyarrow.parquet as pq
 
 from ..util import forutil as fu
 from .builder import commit_index
-from .format import (DOCS_FILE, _prepend_field, encode_term_table,
-                     field_column, field_stats_of, seg_dirname, sorted_codes,
+from .format import (DOCS_FILE, field_column, field_stats_of, seg_dirname,
                      write_segment)
-from .postings import PAYLOAD_COLS, read_terms_table, split_postings
 
 # TieredMergePolicy.kt defaults, re-based on docs (5GB/16MB ≈ 320:1 ratio
 # preserved): segments under the floor count as floor-sized.
@@ -203,16 +204,14 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
     ordering), merges the postings record to record (``_merge_records``:
     each term's source records decode, remap and re-encode with fresh
     skip/impact metadata in one C pass, written as they are), and
-    atomically writes the new segment directory. Without the C library
-    the per-term numpy merge (``_merge_logical``) writes the same bytes.
+    atomically writes the new segment directory. Sources may index
+    different field sets (``_concat_doc_tables``).
 
     The manifest's ``metrics`` time the phases: ``read_sec`` the doc
     tables and opening the sources, ``vocab_sec`` the term union,
     ``postings_sec`` the record kernel (decode and encode fused),
     ``encode_sec`` the dictionary's assembly, ``merge_sec`` the whole
-    merge before the files are written. (On the numpy path
-    ``postings_sec`` is the decode and entry sort, ``encode_sec`` the
-    block encode.)
+    merge before the files are written.
 
     ``soft_deletes_field``: treat docs with a value in that field as
     deleted for reclaim purposes (PendingSoftDeletes.kt — merges reclaim
@@ -234,7 +233,7 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
     # source si's docs are rows bounds[si]..bounds[si+1] of the concat
     bounds = np.append(0, np.cumsum([t.num_rows for t in doc_tables]))
     bases = bounds[:-1]
-    concat_all = pa.concat_tables(doc_tables).combine_chunks()
+    concat_all = _concat_doc_tables(doc_tables)
     n_all = concat_all.num_rows
 
     # tombstone reclaim (the DocIDMerger deleted-doc skip,
@@ -331,12 +330,7 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
     if vectors_table is not None and not identity:
         vectors_table = vectors_table.take(pa.array(perm))
 
-    # the postings: the record-to-record merge with the C library, else
-    # the per-term numpy path (its reference)
-    from ..util.cfor import lib
-    merge_postings = _merge_records if lib() is not None \
-        else _merge_logical
-    terms, field_stats, phases = merge_postings(dirs, bounds, inv_perm,
+    terms, field_stats, phases = _merge_records(dirs, bounds, inv_perm,
                                                 docs_table)
     read_sec += phases.pop("read_sec")
     main = field_stats.get("text", {"sum_total_term_freq": 0,
@@ -428,6 +422,24 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
         order = np.argsort(new_ids[live])
         _write_gen(new_dir, soft_deletes_field, new_ids[live][order],
                    vals[live][order])
+    return out
+
+
+# a field's per-doc columns in a docs table ("text" has no suffix)
+_FIELD_DOC_COL = re.compile(r"(length|norm|max_tf|unique_terms)(_.+)?")
+
+
+def _concat_doc_tables(tables: list[pa.Table]) -> pa.Table:
+    """The sources' doc tables as one, in order. A source built without
+    some field gets 0 in that field's per-doc columns (length, norm,
+    max_tf, unique_terms), as Lucene's merged FieldInfos leave such a
+    doc without norms or terms, so ``field_stats_of`` counts only docs
+    that have the field; any other column it lacks is null."""
+    out = pa.concat_tables(tables, promote_options="default").combine_chunks()
+    for i, name in enumerate(out.column_names):
+        col = out.column(i)
+        if col.null_count and _FIELD_DOC_COL.fullmatch(name):
+            out = out.set_column(i, name, pc.fill_null(col, 0))
     return out
 
 
@@ -547,169 +559,6 @@ def _field_runs(dictionary: pa.Table) -> dict:
     ends = runs.run_ends.to_numpy().tolist()
     return {f: (lo, hi) for f, lo, hi in
             zip(runs.values.to_pylist(), [0] + ends[:-1], ends)}
-
-
-def _merge_logical(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
-                   docs_table: pa.Table):
-    """The per-term numpy merge, without the C library and as the
-    record merge's reference: decode every source posting list, remap
-    docIDs, bucket entries into FLAT arrays keyed by merged term code —
-    the per-field MultiTermsEnum union of SegmentMerger.mergeTerms,
-    with the vocabulary built by Arrow (``_merged_vocab``) — then encode
-    each field's logical terms table and split it. Returns
-    ``((dictionary, postings.doc, postings.pos), field_stats, phase
-    seconds)``."""
-    t_read = time.monotonic()
-    reclaimed = bool((inv_perm < 0).any())
-    source_tables = [read_terms_table(d, columns=PAYLOAD_COLS)
-                     for d in dirs]
-    t_vocab = time.monotonic()
-    all_codes, vocab_fields = _merged_vocab(source_tables)
-    n_codes = vocab_fields[-1][2] if vocab_fields else 0
-    src_offs = np.append(0, np.cumsum([tt.num_rows for tt in source_tables]))
-    t_postings = time.monotonic()
-
-    parts = []  # (code, first_doc, last_doc, nl, freqs, posd)
-    for si, tt in enumerate(source_tables):
-        dfs = tt["df"].to_numpy()
-        ttfs = tt["ttf"].to_numpy()
-        de = tt["docs_enc"].to_pylist()
-        fe = tt["freqs_enc"].to_pylist()
-        pe = tt["pos_enc"].to_pylist()
-        for i in range(tt.num_rows):
-            docs = fu.delta_decode(fu.decode_blocks(de[i], int(dfs[i])))
-            freqs = fu.decode_blocks(fe[i], int(dfs[i]))
-            posd = fu.decode_blocks(pe[i], int(ttfs[i]))
-            nl = inv_perm[docs + bounds[si]]
-            if reclaimed:
-                keep = nl >= 0
-                if not keep.all():
-                    nl, freqs, posd = _filter_entries(nl, freqs, posd, keep)
-                    if len(nl) == 0:
-                        continue  # survives only in other segments
-            parts.append((int(all_codes[src_offs[si] + i]), int(nl[0]),
-                          int(nl[-1]), nl, freqs, posd))
-
-    # concatenate parts in (code, first_doc) order: when per-code doc
-    # ranges do not interleave (the common case — source segments cover
-    # disjoint docID ranges) the result is already (code, doc)-sorted and
-    # the O(total positions) global sort+gather is skipped entirely (the
-    # DocIDMerger sequential-ranges fast path)
-    parts.sort(key=lambda p: (p[0], p[1]))
-    interleaved = any(parts[i][0] == parts[i + 1][0] and
-                      parts[i][2] >= parts[i + 1][1]
-                      for i in range(len(parts) - 1))
-    if parts:
-        e_code = np.concatenate(
-            [np.full(len(p[3]), p[0], np.int64) for p in parts])
-        e_doc = np.concatenate([p[3] for p in parts])
-        e_freq = np.concatenate([p[4] for p in parts])
-        posd_all = np.concatenate([p[5] for p in parts])
-    else:
-        e_code = e_doc = e_freq = posd_all = np.empty(0, np.int64)
-    if interleaved:
-        # true interleave (post-merge doc ranges overlap): one global
-        # entry sort by (code, docID); (code, doc) pairs are unique, and
-        # position-delta runs restart per entry so they gather along
-        order = np.lexsort((e_doc, e_code))
-        bounds_e = np.cumsum(e_freq) - e_freq
-        lens = e_freq[order]
-        total = int(lens.sum())
-        out_start = np.cumsum(lens) - lens
-        gather = np.arange(total, dtype=np.int64) - \
-            np.repeat(out_start, lens) + np.repeat(bounds_e[order], lens)
-        e_code, e_doc, e_freq = e_code[order], e_doc[order], lens
-        posd_all = posd_all[gather]
-    t_encode = time.monotonic()
-
-    # per-field slices of the (field, term)-sorted code space
-    from .format import encode_term_table_arrays
-    field_tables = []
-    field_stats = {}
-    pos_bounds_all = np.append(0, np.cumsum(e_freq))
-    code_starts = np.searchsorted(e_code, np.arange(n_codes))
-    code_ends = np.append(code_starts[1:], len(e_code))
-    counts = code_ends - code_starts
-    for fld, lo_c, hi_c, fterms in vocab_fields:
-        # drop terms whose every posting was reclaimed (df would be 0)
-        sel = lo_c + np.flatnonzero(counts[lo_c:hi_c] > 0)
-        if not len(sel):
-            continue
-        lo_e, hi_e = int(code_starts[lo_c]), int(code_ends[hi_c - 1])
-        lo_p, hi_p = int(pos_bounds_all[lo_e]), int(pos_bounds_all[hi_e])
-        ncol = "norm" if fld == "text" else f"norm_{fld}"
-        norms = docs_table[ncol].to_numpy().astype(np.uint8)
-        ft = encode_term_table_arrays(
-            fterms.take(pa.array(sel - lo_c)), e_doc[lo_e:hi_e],
-            e_freq[lo_e:hi_e], posd_all[lo_p:hi_p],
-            code_starts[sel] - lo_e, code_ends[sel] - lo_e,
-            pos_bounds_all[lo_e:hi_e + 1] - lo_p, norms)
-        field_tables.append(_prepend_field(ft, fld))
-        lcol = "length" if fld == "text" else f"length_{fld}"
-        field_stats[fld] = field_stats_of(
-            docs_table[lcol].to_numpy().astype(np.int64), ft)
-    if field_tables:
-        terms_table = pa.concat_tables(field_tables)
-    else:  # no surviving terms: empty table with the uniform schema
-        terms_table = _prepend_field(
-            encode_term_table(iter(()), np.empty(0, np.uint8)), "text")
-    phases = {"read_sec": t_vocab - t_read, "vocab_sec": t_postings - t_vocab,
-              "postings_sec": t_encode - t_postings,
-              "encode_sec": time.monotonic() - t_encode}
-    return split_postings(terms_table), field_stats, phases
-
-
-def _merged_vocab(source_tables: list[pa.Table]):
-    """The sources' (field, term) union, built by Arrow with the
-    inverter's ``sorted_codes`` (dictionary-encode, then sort the
-    dictionary in UTF-8 byte order == code-point order): first the field
-    of every row, then the terms of each field. No Python object is made
-    per term.
-
-    Returns ``(codes, fields)``. ``codes`` is one int64 array over the
-    sources' rows concatenated in source order: each row's code in the
-    merged (field, term)-ascending vocabulary. ``fields`` lists
-    ``(field, lo, hi, terms)`` in field order: codes ``lo..hi-1`` are the
-    field's terms, ``terms`` their sorted Arrow string array. A source
-    without a ``field`` column (the old single-field layout) is all
-    ``text``.
-    """
-    def column(name):
-        chunks = []
-        for tt in source_tables:
-            if name in tt.column_names:
-                chunks += tt[name].chunks
-            else:
-                chunks.append(pc.fill_null(pa.nulls(tt.num_rows, pa.string()),
-                                           "text"))
-        return pa.chunked_array(chunks, pa.string()).combine_chunks()
-
-    terms = column("term")
-    field_of, field_names = sorted_codes(column("field"))
-    codes = np.empty(len(terms), np.int64)
-    fields, base = [], 0
-    for fi, fld in enumerate(field_names.to_pylist()):  # a handful of names
-        rows = np.flatnonzero(field_of == fi)
-        rank, fterms = sorted_codes(terms.take(pa.array(rows)))
-        codes[rows] = base + rank
-        fields.append((fld, base, base + len(fterms), fterms))
-        base += len(fterms)
-    return codes, fields
-
-
-def _filter_entries(nl: np.ndarray, freqs: np.ndarray, posd: np.ndarray,
-                    keep: np.ndarray):
-    """Drop posting entries of reclaimed docs, carrying each surviving
-    entry's position-delta run along (vectorized gather; delta chains
-    restart per entry so runs move independently)."""
-    bounds = np.append(0, np.cumsum(freqs))
-    starts = bounds[:-1][keep]
-    lens = freqs[keep]
-    total = int(lens.sum())
-    outs = np.cumsum(lens) - lens
-    gather = np.arange(total, dtype=np.int64) - \
-        np.repeat(outs, lens) + np.repeat(starts, lens)
-    return nl[keep], lens, posd[gather]
 
 
 MERGE_POLICIES = {

@@ -26,8 +26,6 @@ A term row (``TermRow``) is one positioned read of its record. One C call
 record into ``docs_enc`` / ``freqs_enc`` when a caller asks for those.
 Every read is checked against the record's stream bytes, so a truncated
 or corrupt record raises IndexError instead of reading past its buffer.
-Without a C library the numpy decoders (``forutil.decode_blocks``,
-``stream_nbytes``) run instead, and stay the reference.
 
 Segments written before this layout keep every payload column in
 ``terms.parquet``; ``SegmentPostings`` reads such a table once, whole,
@@ -175,27 +173,12 @@ def stream_nbytes(buf: np.ndarray, starts: np.ndarray,
     return pos - np.asarray(starts, np.int64)
 
 
-def decode_streams(buf: np.ndarray, starts: np.ndarray,
-                   counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of the streams at ``starts`` (C bulk pass, numpy per-stream
-    fallback) → ``(values_flat, value_offsets)``."""
-    out = cfor.decode_streams_at(buf, starts, counts)
-    if out is not None:
-        return out
-    counts = np.asarray(counts, np.int64)
-    voffs = np.zeros(len(counts) + 1, np.int64)
-    np.cumsum(counts, out=voffs[1:])
-    parts = [fu.decode_blocks(buf[int(s):], int(n))
-             for s, n in zip(starts, counts)]
-    return (np.concatenate(parts) if parts else np.empty(0, np.int64)), voffs
-
-
 def _decode_records(buf: np.ndarray, starts: np.ndarray, df: np.ndarray,
                     ttf: np.ndarray, freqs: bool = True):
     """Docs (absolute) and freqs of the ``.doc`` records at ``starts``
     → ``(docs_flat, freqs_flat | None, value_offsets)``."""
     df = np.asarray(df, np.int64)
-    deltas, voffs = decode_streams(buf, starts, df)
+    deltas, voffs = cfor.decode_streams_at(buf, starts, df)
     docs = deltas
     if len(deltas):  # per-stream restart: cumsum minus carried prefix
         cs = np.cumsum(deltas)
@@ -207,7 +190,7 @@ def _decode_records(buf: np.ndarray, starts: np.ndarray, df: np.ndarray,
     has = ttf > df
     if has.any():
         fs = starts[has] + stream_nbytes(buf, starts[has], df[has])
-        f[np.repeat(has, df)] = decode_streams(buf, fs, df[has])[0]
+        f[np.repeat(has, df)] = cfor.decode_streams_at(buf, fs, df[has])[0]
     return docs, f, voffs
 
 
@@ -249,14 +232,11 @@ class TermRow(dict):
     __slots__ = ("_src", "rec", "payload")
 
     def docs_freqs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Absolute docs and freqs: the C record decoder, or the numpy
-        decode of the split streams without a C library."""
+        """Absolute docs and freqs, from the C record decoder."""
         df, ttf = self["df"], self["ttf"]
-        out = cfor.decode_record(self.rec, self.payload, df, ttf > df)
-        if out is not None:
-            return out[0], out[1]
-        return (fu.delta_decode(fu.decode_blocks(self["docs_enc"], df)),
-                fu.decode_blocks(self["freqs_enc"], df))
+        docs, freqs, _ = cfor.decode_record(self.rec, self.payload, df,
+                                            ttf > df)
+        return docs, freqs
 
     def __missing__(self, key):
         postings, i, norms_of = self._src
@@ -267,9 +247,7 @@ class TermRow(dict):
             if ttf == df:
                 dl, freqs = self.payload, ones_stream(df)
             else:
-                out = cfor.decode_record(rec, self.payload, df, True)
-                dl = out[2] if out is not None else int(stream_nbytes(
-                    np.frombuffer(rec, np.uint8), [0], [df])[0])
+                dl = cfor.decode_record(rec, self.payload, df, True)[2]
                 freqs = rec.slice(dl, self.payload - dl).to_pybytes()
             self.update(docs_enc=rec.slice(0, dl).to_pybytes(),
                         freqs_enc=freqs)

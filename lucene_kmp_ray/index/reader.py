@@ -508,24 +508,9 @@ class SegmentReader:
         total = int(sel_freqs.sum())
         if total == 0:
             return sel_freqs, np.empty(0, np.int64)
-        # fused C path: masked decode + gather/cumsum in one stream pass
-        # (util/cfor.py; numpy below stays the fallback + reference)
-        flat_c = cfor.positions_select(row["pos_enc"], pm, n_pos, mask,
-                                       s, e, total)
-        if flat_c is not None:
-            return sel_freqs, flat_c
-        posd = fu.decode_blocks_masked(row["pos_enc"], n_pos, mask, meta=pm)
-        # gather selected occurrence deltas (entry-major order)
-        ends = np.cumsum(sel_freqs)
-        starts_out = ends - sel_freqs
-        idx = np.arange(total, dtype=np.int64) - \
-            np.repeat(starts_out, sel_freqs) + np.repeat(s, sel_freqs)
-        deltas = posd[idx]
-        # per-entry cumsum: global cumsum minus carried base at entry starts
-        flat = np.cumsum(deltas)
-        carried = flat[starts_out] - deltas[starts_out]
-        flat = flat - np.repeat(carried, sel_freqs)
-        return sel_freqs, flat
+        # masked decode + gather/cumsum in one C pass over the stream
+        return sel_freqs, cfor.positions_select(row["pos_enc"], pm, n_pos,
+                                                mask, s, e, total)
 
     def postings_pruned(self, term: str, keep_block,
                         field: str = "text") -> tuple[np.ndarray, np.ndarray]:

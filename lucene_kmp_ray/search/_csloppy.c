@@ -1,16 +1,16 @@
 /* Batched 2-distinct-term sloppy-phrase walk.
  *
- * walk2() is a line-for-line transcription of searcher._sloppy_freq_2
- * (itself the exact SloppyPhraseMatcher.kt:139-173 greedy minimal-window
- * state machine specialized to two slots): two pointers, one live min,
+ * walk2() is the exact SloppyPhraseMatcher.kt:139-173 greedy
+ * minimal-window state machine specialized to two slots (the Python
+ * transcription it mirrors is tests/_ref_search.py sloppy_freq_2): two
+ * pointers, one live min,
  * freq accumulated in IEEE single precision exactly like the reference's
  * float arithmetic (x86-64 SSE scalar math == numpy float32 semantics).
  *
  * sloppy2_batch() runs the walk over every screened candidate doc in one
  * call, replacing ~10us/doc of Python interpreter dispatch with ~0.1us of
- * C per doc.  Python remains the semantic reference and the fallback when
- * no C compiler is available (see csloppy.py); exact equivalence is
- * asserted by tests/test_csloppy.py (fuzz vs both Python matchers).
+ * C per doc.  Exact equivalence with the Python matchers is asserted by
+ * tests/test_csloppy.py.
  */
 #include <stdint.h>
 

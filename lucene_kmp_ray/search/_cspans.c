@@ -6,8 +6,8 @@
  * the common user query — and runs the per-doc walk over every candidate
  * doc in one call.  freq accumulates in IEEE single precision exactly
  * like spans.span_freqs (SpanScorer.kt:82).  The Python matchers remain
- * the semantic reference and the fallback (nested/non-term shapes always
- * take them); equivalence is fuzz-asserted by tests/test_cspans.py.
+ * the semantic reference (nested/non-term shapes always take them);
+ * equivalence is fuzz-asserted by tests/test_cspans.py.
  *
  * Per sub i: flats[i] = absolute positions (doc runs concatenated in
  * candidate order), starts[i]/cnts[i] = per-candidate run offsets/length.

@@ -37,13 +37,13 @@ cache sees them as before) and enter as sorted doc arrays. Exact phrases
 take their doc conjunction from the same leapfrog (``cfor.conjoin``),
 then read positions through ``positions_for_entries``.
 
-Every other shape, and every query when no C compiler is available, runs
-the numpy handlers: block/vector-at-a-time instead of doc-at-a-time
-iterators — the BooleanScorer 4096-doc-window idea (BooleanScorer.kt:
-318-319) taken to whole-posting granularity. Boolean combination:
-MUST/FILTER = sorted-docID intersection, SHOULD = union + score sum,
-MUST_NOT = anti-join (ReqExclScorer analog), FILTER never contributes score
-(BooleanClause.kt:15) and minimumNumberShouldMatch is enforced. The numpy
+Every other shape runs the numpy handlers: block/vector-at-a-time
+instead of doc-at-a-time iterators — the BooleanScorer 4096-doc-window
+idea (BooleanScorer.kt:318-319) taken to whole-posting granularity.
+Boolean combination: MUST/FILTER = sorted-docID intersection, SHOULD =
+union + score sum, MUST_NOT = anti-join (ReqExclScorer analog), FILTER
+never contributes score (BooleanClause.kt:15) and
+minimumNumberShouldMatch is enforced. The numpy
 path is the reference: the bulk scorer sums in its order and dtypes (MUST
 scores in the similarity's dtype in clause order, a doc's SHOULD scores in
 float64 in clause order, cast, then added), so scores are bit-identical
@@ -1528,17 +1528,15 @@ class Weight:
     built once per search): the scorer of each freq-leaf node (Term,
     Phrase, span...), resolved on first use and reused by every segment,
     and the bulk plan of a term query or a flat boolean over term
-    clauses, which scores a segment in one C call when the C kernels are
-    built (``_BulkPlan``). Any other shape, or no C library, scores
-    through ``_HANDLERS``."""
+    clauses, which scores a segment in one C call (``_BulkPlan``). Any
+    other shape scores through ``_HANDLERS``."""
     __slots__ = ("searcher", "query", "_scorers", "_plan")
 
     def __init__(self, searcher: Searcher, query: Query):
         self.searcher = searcher
         self.query = query
         self._scorers: dict = {}
-        self._plan = _bulk_plan(searcher, query) \
-            if cfor.lib() is not None else None
+        self._plan = _bulk_plan(searcher, query)
 
     def scorer(self, leaf: "_FreqLeaf", q: Query, boost: float):
         """``leaf.stats(searcher, q, boost)``, built once per (node,
@@ -2242,78 +2240,6 @@ class _PP:
         return False
 
 
-def _sloppy_freq_2(a: np.ndarray, b: np.ndarray, slop: int) -> float:
-    """Specialized 2-distinct-term greedy walk — the exact state machine of
-    ``_sloppy_freq_doc`` with the queue/repeat machinery peeled away (two
-    pointers, one live min). Fuzz-verified identical to the general matcher
-    (tests/test_query_operators.py::test_sloppy_two_term_specialization).
-
-    ``a``/``b`` are the offset-normalized position arrays (position - slot
-    offset), ascending.
-    """
-    ia = ib = 0
-    pa_ = int(a[0])
-    pb = int(b[0])
-    end = pa_ if pa_ > pb else pb
-    freq = np.float32(0.0)
-    one = np.float32(1.0)
-    # pop the lesser (tie: lower offset = a), matchLength = end - popped
-    while True:
-        if pa_ < pb or (pa_ == pb):
-            ml = end - pa_
-            nxt = pb
-            adv_a = True
-        else:
-            ml = end - pb
-            nxt = pa_
-            adv_a = False
-        matched = False
-        matched_ml = 0
-        while True:
-            if adv_a:
-                ia += 1
-                if ia >= len(a):
-                    break
-                pa_ = int(a[ia])
-                if pa_ > end:
-                    end = pa_
-                cur = pa_
-            else:
-                ib += 1
-                if ib >= len(b):
-                    break
-                pb = int(b[ib])
-                if pb > end:
-                    end = pb
-                cur = pb
-            if cur > nxt:
-                if ml <= slop:
-                    matched = True
-                    matched_ml = ml  # before the re-pop overwrites it
-                # pop the new lesser
-                if pa_ < pb or (pa_ == pb):
-                    ml = end - pa_
-                    nxt = pb
-                    adv_a = True
-                else:
-                    ml = end - pb
-                    nxt = pa_
-                    adv_a = False
-                if matched:
-                    break
-            else:
-                ml2 = end - cur
-                if ml2 < ml:
-                    ml = ml2
-        if matched:
-            freq = freq + one / (one + np.float32(matched_ml))
-            continue
-        # exhausted
-        if ml <= slop:
-            freq = freq + one / (one + np.float32(ml))
-        return float(freq)
-
-
 def _sloppy_freq_doc(pos_lists: list[np.ndarray], slop: int,
                      rpt_of: list[int] | None = None) -> float:
     """One doc's sloppy phrase freq = Σ 1/(1+matchLength) over the matches
@@ -2503,24 +2429,16 @@ def _phrase_conjunction(sr: SegmentReader, terms: list[str], field: str,
     """Postings of each distinct phrase term, the docs holding all of
     them (docs intersect before any position decodes) and, per term,
     each such doc's entry in its postings: one C leapfrog
-    (``cfor.conjoin``), or ``_intersect`` and ``searchsorted`` without
-    a C library. (None, None, None) when a term is absent from the
-    segment."""
+    (``cfor.conjoin``). (None, None, None) when a term is absent from
+    the segment."""
     posts = {}
     for t in dict.fromkeys(terms):
         p = sr.postings(t, positions=positions, field=field)
         if p is None:
             return None, None, None
         posts[t] = p
-    docs = [p[0] for p in posts.values()]
-    out = cfor.conjoin(docs)
-    if out is not None:
-        return posts, out[0], dict(zip(posts, out[1]))
-    cand = docs[0]
-    for d in docs[1:]:
-        cand = _intersect(cand, d)
-    return posts, cand, {t: np.searchsorted(d, cand)
-                         for t, d in zip(posts, docs)}
+    cand, entries = cfor.conjoin([p[0] for p in posts.values()])
+    return posts, cand, dict(zip(posts, entries))
 
 
 def _sloppy_screen_2(a_runs, b_runs, slop: int) -> np.ndarray:
@@ -2628,8 +2546,9 @@ def _sloppy_phrase(sr: SegmentReader, terms: list[str], slop: int,
                    field: str = "text"):
     """Docs + float sloppy freqs for a slop > 0 phrase.
 
-    The per-candidate Python greedy walk (exact SloppyPhraseMatcher port)
-    runs ONLY on docs that survive a vectorized screen: exact
+    The per-candidate greedy walk (exact SloppyPhraseMatcher port; in C
+    for two distinct terms, ``csloppy``) runs ONLY on docs that survive a
+    vectorized screen: exact
     nearest-gap existence for the dominant 2-distinct-term shape, and the
     necessary window-overlap bound max_s(min positions) − min_s(max
     positions) ≤ slop otherwise (any valid alignment implies it, so no
@@ -2653,36 +2572,30 @@ def _sloppy_phrase(sr: SegmentReader, terms: list[str], slop: int,
             np.repeat(starts_out, cnt) + np.repeat(offs[idx], cnt)
         runs[t] = (flat[gidx], starts_out, cnt)
 
-    two_distinct = len(terms) == 2 and terms[0] != terms[1]
-    if two_distinct:
+    if len(terms) == 2 and terms[0] != terms[1]:
         a_flat, a_starts, a_cnt = runs[terms[0]]
         b_flat, b_starts, b_cnt = runs[terms[1]]
         b_norm = b_flat - 1
         passed = _sloppy_screen_2((a_flat, a_starts),
                                   (b_norm, b_starts), slop)
         walk_idx = np.flatnonzero(passed)
-        # batched C walk (csloppy): same greedy state machine, no Python
-        # dispatch per doc — falls through to the per-doc loop when no C
-        # compiler is available
+        # batched C walk (csloppy): the greedy state machine with no
+        # Python dispatch per doc
         from .csloppy import sloppy2_batch
         freqs_c = sloppy2_batch(a_flat, a_starts, a_cnt,
                                 b_norm, b_starts, b_cnt, walk_idx, slop)
-        if freqs_c is not None:
-            keep = freqs_c > 0.0
-            return (cand[walk_idx[keep]].astype(np.int64),
-                    freqs_c[keep])
-    else:
-        # necessary window-overlap screen over per-slot min/max
-        mins, maxs = [], []
-        for s, t in enumerate(terms):
-            flat, starts, cnt = runs[t]
-            norm = flat - s
-            mins.append(np.minimum.reduceat(norm, starts))
-            maxs.append(np.maximum.reduceat(norm, starts))
-        lo = np.max(np.vstack(mins), axis=0)
-        hi = np.min(np.vstack(maxs), axis=0)
-        passed = (lo - hi) <= slop
-    walk_idx = np.flatnonzero(passed)
+        keep = freqs_c > 0.0
+        return cand[walk_idx[keep]].astype(np.int64), freqs_c[keep]
+    # necessary window-overlap screen over per-slot min/max
+    mins, maxs = [], []
+    for s, t in enumerate(terms):
+        flat, starts, cnt = runs[t]
+        norm = flat - s
+        mins.append(np.minimum.reduceat(norm, starts))
+        maxs.append(np.maximum.reduceat(norm, starts))
+    lo = np.max(np.vstack(mins), axis=0)
+    hi = np.min(np.vstack(maxs), axis=0)
+    walk_idx = np.flatnonzero((lo - hi) <= slop)
 
     out_docs, out_freqs = [], []
     for j in walk_idx:
@@ -2693,10 +2606,7 @@ def _sloppy_phrase(sr: SegmentReader, terms: list[str], slop: int,
                 flat, starts, cnt = runs[t]
                 cache[t] = flat[starts[j]:starts[j] + cnt[j]]
             pos_lists.append(cache[t])
-        if two_distinct:
-            f = _sloppy_freq_2(pos_lists[0], pos_lists[1] - 1, slop)
-        else:
-            f = _sloppy_freq_doc(pos_lists, slop)
+        f = _sloppy_freq_doc(pos_lists, slop)
         if f > 0.0:
             out_docs.append(int(cand[j]))
             out_freqs.append(f)

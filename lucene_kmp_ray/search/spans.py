@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cspans import MAX_SUBS, span_near_batch
 from .query import Query
 
 
@@ -380,10 +381,7 @@ def _unordered_matches(subs, slop: int):
 def _span_near_term_freqs(sr, q: SpanNearQuery, cand: np.ndarray):
     """Batched C walk for the all-SpanTermQuery near shape (cspans.py):
     gather each clause's candidate position runs vectorized, then one
-    call
-    walks every doc. Returns None (caller falls back to the per-doc
-    Python matchers) when no C library is available."""
-    from .cspans import span_near_batch
+    call walks every doc."""
     flats, starts, cnts = [], [], []
     for c in q.clauses:
         p = sr.postings(c.term, positions=True, field=c.field)
@@ -402,8 +400,6 @@ def _span_near_term_freqs(sr, q: SpanNearQuery, cand: np.ndarray):
         cnts.append(cnt)
     out = span_near_batch(flats, starts, cnts, len(cand), q.slop,
                           q.in_order)
-    if out is None:
-        return None
     keep = out > 0.0
     return cand[keep].astype(np.int64), out[keep]
 
@@ -413,11 +409,10 @@ def span_freqs(sr, q: SpanQuery):
     doc (SpanScorer.kt:82, float32 accumulation like the reference)."""
     cand = _candidates(sr, q)
     if (isinstance(q, SpanNearQuery) and len(cand)
+            and 0 < len(q.clauses) <= MAX_SUBS
             and all(isinstance(c, SpanTermQuery) for c in q.clauses)
             and len({c.field for c in q.clauses}) == 1):
-        fast = _span_near_term_freqs(sr, q, cand)
-        if fast is not None:
-            return fast
+        return _span_near_term_freqs(sr, q, cand)
     out_docs, out_freqs = [], []
     one = np.float32(1.0)
     for d in cand:

@@ -2,12 +2,13 @@
  * bulk encode, checked stream and .doc record decode), the term
  * dictionary search, the per-segment conjunction and BM25 bulk scorer of
  * search/searcher.py, and the record-to-record merge of index/merge.py.
+ * They are the engine's only implementation; the numpy references the
+ * tests compare them with live in tests/_ref_codec.py.
  *
  * Fused positional skip-read: masked FOR/PFor block decode + per-entry
  * position gather for positions_for_entries (index/reader.py).
  *
- * Semantics are EXACTLY the numpy path's (which remains the fallback and
- * the reference, fuzz-asserted by tests/test_cfor.py):
+ * Semantics are EXACTLY the numpy reference's (tests/test_cfor.py):
  *   1. decode only the 128-value blocks the caller's mask selects
  *      (little-endian bit-packed width-w values, PFor exceptions as
  *      (pos_u8, high_u8) pairs OR-ed in at << width);
@@ -103,9 +104,9 @@ int64_t positions_select(const uint8_t *mv, int64_t mvlen,
 
 /* ---- bulk block ENCODE (for_blocks_matrix / pfor_blocks_matrix core) ----
  *
- * The numpy encoders in util/forutil.py remain the fallback and the
- * semantic reference (tests/test_cfor.py fuzzes byte-identity).  Width and
- * exception selection reproduce pfor_blocks_matrix exactly:
+ * The numpy encoders of tests/_ref_codec.py are the semantic reference
+ * (tests/test_cfor.py fuzzes byte-identity).  Width and exception
+ * selection reproduce them exactly:
  *   cand_w[e] = (e+1)-th largest bit length in the row (multiplicity kept),
  *   nexc[e]   = count(bl > cand_w[e]) over all 128 columns,
  *   valid     = (max_bl - cand_w[e]) <= 8 && nexc[e] <= 7,
@@ -301,7 +302,7 @@ int64_t term_search(const void *offsets, int wide, const uint8_t *data,
  * metadata, which the caller leaves out of reclen.  Writes absolute docs
  * and freqs (ones without a freqs stream); returns the docs stream's byte
  * length, or -1 when a read would leave the record.  The numpy decode of
- * the split streams stays the fallback and the reference. */
+ * the split streams (tests/_ref_codec.py) is the reference. */
 int64_t decode_record(const uint8_t *rec, int64_t reclen, int64_t df,
                       int has_freqs, int64_t *docs, int64_t *freqs) {
     int64_t dl = decode_stream_checked(rec, reclen, 0, df, docs);
@@ -576,8 +577,8 @@ done:
 }
 
 /* ---- the record-to-record merge of index/merge.py.  The per-term numpy
- * merge stays its reference (tests/test_merge_kernel.py compares the
- * merged files byte for byte). ---- */
+ * merge of tests/_ref_merge.py is its reference (tests/test_merge_kernel.py
+ * compares the merged files byte for byte). ---- */
 
 /* Encode the n-value stream v at out; pfor=0 -> plain FOR.  Returns the
  * bytes written. */

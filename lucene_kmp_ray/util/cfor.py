@@ -1,134 +1,31 @@
-"""On-demand compiled C core of the block codec, the term search, the
-bulk scorer and the merge (``_cfor.c``, ``lib()``).
+"""The Python side of the engine's C kernels (``util/_cfor.c``, built
+and bound by ``util/native.py``; ``lib()`` is that loader).
 
-It fuses ``decode_blocks_masked`` + the per-entry position gather/cumsum
-of ``SegmentReader.positions_for_entries`` into one C pass over the
-encoded stream — the numpy path stays as the fallback and the semantic
-reference (tests/test_cfor.py fuzzes both against each other over
-random posting shapes, widths and PFor exceptions). It also holds the
-term dictionary search ``SortedTerms`` runs over an Arrow string
-array's buffers (``bisect`` is its fallback, tests/test_term_search.py
-fuzzes both against ``sorted``), the checked ``.doc`` record decoder
-(``decode_record``), the leapfrog doc conjunction (``conjoin``), the
-per-segment BM25 bulk scorer (``bulk_score``, search/searcher.py;
-tests/test_bulk_scorer.py holds them to the numpy path bit for bit),
-the bulk block encoders of a flush (``encode_csr``) and the
-record-to-record merge (``merge_terms``, ``merge_postings``,
-index/merge.py; tests/test_merge_kernel.py holds it to the per-term
-numpy merge byte for byte).
+``positions_select`` fuses the masked block decode and the per-entry
+position gather of ``SegmentReader.positions_for_entries`` into one pass
+over the encoded stream. ``SortedTerms`` binary-searches a term
+dictionary's Arrow buffers (``term_search``). ``decode_record`` decodes a
+checked ``.doc`` record, ``decode_streams_at`` many FOR/PFor streams of
+one buffer, ``conjoin`` leapfrogs sorted doc lists and ``bulk_score``
+scores a term query or a flat boolean over term clauses for one segment
+(search/searcher.py). ``encode_csr`` is the flush's bulk block encoder,
+and ``merge_terms`` / ``merge_postings`` are the record-to-record merge
+(index/merge.py).
 
-It is one library, compiled at a process's first use: perfbench's
-``start_engine`` compiles it inside ``setup_s``. With ``cc -O2`` on a
-1-CPU VM (medians of 9), it compiles in 0.60-0.68 s, against
-0.42-0.48 s before the merge kernels joined it. A separate write
-library would only move that compile out of ``setup_s``: every
-perfbench workload also builds an index, so each run would compile
-both.
-
-``compile_kernel`` builds every C kernel of the package once per
-(source, flags) hash; a failed compile warns once per process
-(``warn_unavailable``) and every caller takes its fallback.
+There is no other implementation in the engine. The numpy references
+the tests compare these kernels with live under ``tests/``:
+tests/test_cfor.py, tests/test_term_search.py, tests/test_bulk_scorer.py
+and tests/test_merge_kernel.py fuzz them for byte, bit and row identity.
 """
 
 from __future__ import annotations
 
-import bisect
-import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
-import warnings
 from collections.abc import Sequence
 
 import numpy as np
 import pyarrow as pa
 
-_SRC = os.path.join(os.path.dirname(__file__), "_cfor.c")
-_CACHED: "ctypes.CDLL | None | bool" = False
-_CACHED_PID = -1
-_WARNED_PID = -1
-
-
-# -ffp-contract=off: a compiler targeting FMA hardware (aarch64, or x86
-# with -march=native) may otherwise fuse ``weight - weight / (1 + f *
-# inv)`` into a multiply-add, whose single rounding breaks the bulk
-# scorer's bit-identity with numpy's float32 scores.
-CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def compile_kernel(src_path: str, prefix: str) -> ctypes.CDLL:
-    """Load the shared library of ``src_path``, compiling it into the
-    tempdir first unless a build of the same source and flags is
-    there (the flags are part of the tag, so a build made with other
-    flags is never reused)."""
-    with open(src_path, "rb") as f:
-        src = f.read()
-    tag = hashlib.sha256(src + " ".join(CFLAGS).encode()).hexdigest()[:16]
-    so = os.path.join(tempfile.gettempdir(), f"{prefix}_{tag}.so")
-    if not os.path.exists(so):
-        tmp = f"{so}.{os.getpid()}.tmp"
-        subprocess.run(["cc", *CFLAGS, "-o", tmp, src_path],
-                       check=True, capture_output=True, timeout=120)
-        os.replace(tmp, so)  # atomic: concurrent processes race safely
-    return ctypes.CDLL(so)
-
-
-def warn_unavailable(what: str, e: Exception) -> None:
-    """The one RuntimeWarning a process gets when a kernel fails to
-    build, with the compiler's error."""
-    detail = getattr(e, "stderr", None) or b""
-    if isinstance(detail, bytes):
-        detail = detail.decode("utf-8", "replace")
-    warnings.warn(f"lucene_kmp_ray {what} unavailable, using the slow "
-                  f"fallbacks: {e!r} {detail.strip()}".rstrip(),
-                  RuntimeWarning, stacklevel=3)
-
-
-def _compile() -> "ctypes.CDLL | None":
-    lib = compile_kernel(_SRC, "lkr_cfor")
-    vp = ctypes.c_void_p
-    i64 = ctypes.c_int64
-    i32 = ctypes.c_int
-    lib.positions_select.restype = i64
-    lib.positions_select.argtypes = [vp, i64, vp, i64, i64, vp,
-                                     vp, vp, i64, vp, vp]
-    lib.encode_meta_csr.restype = None
-    lib.encode_meta_csr.argtypes = [vp, vp, i64, i32, vp, vp]
-    lib.encode_pack_csr.restype = None
-    lib.encode_pack_csr.argtypes = [vp, vp, i64, vp, vp, vp, vp]
-    lib.decode_streams.restype = i64
-    lib.decode_streams.argtypes = [vp, i64, vp, vp, i64, vp, vp]
-    lib.term_search.restype = i64
-    lib.term_search.argtypes = [vp, i32, vp, i64, i64, ctypes.c_char_p,
-                                i64, i32]
-    lib.decode_record.restype = i64
-    lib.decode_record.argtypes = [vp, i64, i64, i32, vp, vp]
-    lib.conjoin.restype = i64
-    lib.conjoin.argtypes = [i64, vp, vp, vp, vp, i64]
-    lib.bulk_score.restype = i64
-    lib.bulk_score.argtypes = [i64, vp, vp, i64, vp, vp, i64, vp, vp, i64,
-                               i32, i64, vp, vp]
-    lib.merge_terms.restype = i64
-    lib.merge_terms.argtypes = [i64] + [vp] * 8
-    lib.merge_postings.restype = i64
-    lib.merge_postings.argtypes = [i64, vp, i64, vp, i64] + [vp] * 7
-    return lib
-
-
-def lib() -> "ctypes.CDLL | None":
-    global _CACHED, _CACHED_PID, _WARNED_PID
-    if _CACHED is False or _CACHED_PID != os.getpid():
-        try:
-            _CACHED = _compile()
-        except Exception as e:
-            _CACHED = None
-            if _WARNED_PID != os.getpid():
-                _WARNED_PID = os.getpid()
-                warn_unavailable("C kernels", e)
-        _CACHED_PID = os.getpid()
-    return _CACHED
-
+from .native import lib
 
 EXACT, CEIL, PREFIX_END = 0, 1, 2  # term_search modes
 
@@ -136,20 +33,18 @@ EXACT, CEIL, PREFIX_END = 0, 1, 2  # term_search modes
 class SortedTerms(Sequence):
     """A sorted Arrow string array, searched in place. ``find``, ``ceil``
     and ``prefix_end`` binary-search its offsets and data buffers with
-    the C ``term_search`` (``bisect`` over the same buffers without a C
-    library); ``[i]`` decodes one term. Nothing is built per term, so
-    wrapping a 700k-term dictionary costs no conversion. Rows are
-    compared as UTF-8 bytes, whose order is code-point order."""
+    the C ``term_search``; ``[i]`` decodes one term. Nothing is built
+    per term, so wrapping a 700k-term dictionary costs no conversion.
+    Rows are compared as UTF-8 bytes, whose order is code-point
+    order."""
 
     def __init__(self, arr):
         self.array, self._offs, self._wide, self._data = string_parts(arr)
         self._n = len(self.array)
         self._mv = memoryview(self._data)
-        L = lib()
         # pointers and the bound function, set up once per dictionary
-        self._c = None if L is None else (
-            L.term_search, self._offs.ctypes.data, self._wide,
-            self._data.address)
+        self._c = (lib().term_search, self._offs.ctypes.data, self._wide,
+                   self._data.address)
 
     def __len__(self) -> int:
         return self._n
@@ -184,20 +79,7 @@ class SortedTerms(Sequence):
         if not 0 <= lo <= hi <= n:  # the C search trusts the bounds
             raise IndexError(f"rows [{lo}, {hi}) outside [0, {n})")
         c = self._c
-        if c is not None:
-            return c[0](c[1], c[2], c[3], lo, hi, b, len(b), mode)
-        rows = range(lo, hi)
-        if mode == PREFIX_END:
-            k = len(b)
-            return lo + bisect.bisect_right(
-                rows, b, key=lambda i: self._bytes(i)[:k])
-        i = lo + bisect.bisect_left(rows, b, key=self._bytes)
-        if mode == CEIL:
-            return i
-        return i if i < hi and self._bytes(i) == b else -1
-
-    def _bytes(self, i: int) -> bytes:
-        return self._mv[self._offs[i]:self._offs[i + 1]].tobytes()
+        return c[0](c[1], c[2], c[3], lo, hi, b, len(b), mode)
 
 
 def string_parts(arr):
@@ -230,11 +112,9 @@ def decode_record(rec: pa.Buffer, payload: int, df: int,
                   has_freqs: bool):
     """Absolute docs, freqs (ones unless ``has_freqs``) and the docs
     stream's byte length of the ``.doc`` record ``rec``, whose first
-    ``payload`` bytes hold the two streams; None without a C library.
-    Raises IndexError when a stream runs past ``payload``."""
+    ``payload`` bytes hold the two streams. Raises IndexError when a
+    stream runs past ``payload``."""
     L = lib()
-    if L is None:
-        return None
     docs = np.empty(df, np.int64)
     freqs = np.empty(df, np.int64)
     dl = L.decode_record(rec.address, payload, df, int(has_freqs),
@@ -246,13 +126,12 @@ def decode_record(rec: pa.Buffer, payload: int, df: int,
 
 def positions_select(buf: bytes, meta_pair, n: int, mask: np.ndarray,
                      s: np.ndarray, e: np.ndarray,
-                     total: int) -> np.ndarray | None:
+                     total: int) -> np.ndarray:
     """Absolute positions for the occurrence ranges ``[s,e)`` (entry
-    order), or None when no C library is available.  ``meta_pair`` =
-    ``block_stream_meta(buf, n)``; ``total`` = ``(e - s).sum()``."""
+    order) of the position stream ``buf``, decoding only the blocks
+    ``mask`` selects. ``meta_pair`` = ``block_stream_meta(buf, n)``;
+    ``total`` = ``(e - s).sum()``."""
     L = lib()
-    if L is None:
-        return None
     mv, meta = meta_pair
     mv = np.ascontiguousarray(mv, dtype=np.uint8)
     meta = np.ascontiguousarray(meta, dtype=np.int64)
@@ -270,11 +149,10 @@ def positions_select(buf: bytes, meta_pair, n: int, mask: np.ndarray,
 
 def encode_matrix(resh: np.ndarray, counts: np.ndarray,
                   pfor: bool):
-    """C bulk block encode — the for_blocks_matrix / pfor_blocks_matrix
-    core (byte-identical, fuzz-asserted): ``encode_csr`` over each row's
-    first ``counts[r]`` values (the zero padding past them has bit
-    length 0 and is never an exception). Returns ``(stream_uint8,
-    block_starts)`` or None when no C library is available."""
+    """The for_blocks_matrix / pfor_blocks_matrix core: ``encode_csr``
+    over each row's first ``counts[r]`` values (the zero padding past
+    them has bit length 0 and is never an exception). Returns
+    ``(stream_uint8, block_starts)``."""
     counts = np.asarray(counts, np.int64)
     keep = np.arange(resh.shape[1]) < counts[:, None]
     vals = np.ascontiguousarray(resh, np.uint64)[keep].view(np.int64)
@@ -282,15 +160,11 @@ def encode_matrix(resh: np.ndarray, counts: np.ndarray,
 
 
 def encode_csr(vals: np.ndarray, row_ptr: np.ndarray, pfor: bool):
-    """C bulk block encode over a CSR layout — row ``r``'s (<= 128)
-    values are ``vals[row_ptr[r]:row_ptr[r+1]]``.  Byte-identical to
-    the numpy matrix encoders over the equivalent zero-padded matrix
-    (the padding contributes bit length 0 and can never be an
-    exception). Returns ``(stream_uint8, block_starts)`` or None
-    without a C lib."""
+    """Bulk block encode over a CSR layout — row ``r``'s (<= 128)
+    values are ``vals[row_ptr[r]:row_ptr[r+1]]``, each row one FOR
+    (``pfor`` False) or PFor block. Returns ``(stream_uint8,
+    block_starts)``."""
     L = lib()
-    if L is None:
-        return None
     R = len(row_ptr) - 1
     vals = np.ascontiguousarray(vals, dtype=np.int64)
     row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
@@ -316,12 +190,9 @@ def decode_streams_at(data: np.ndarray, starts: np.ndarray,
     """Decode many independent FOR/PFor streams, starting at byte
     offsets ``starts`` of one buffer (a stream needs no end: its value
     count bounds it), in one C pass → ``(values_flat int64,
-    value_offsets)`` (stream s's values are ``values[offs[s]:offs[s+1]]``),
-    or None without a C lib. Raises IndexError when a stream runs past
-    the buffer."""
+    value_offsets)`` (stream s's values are ``values[offs[s]:offs[s+1]]``).
+    Raises IndexError when a stream runs past the buffer."""
     L = lib()
-    if L is None:
-        return None
     data = np.ascontiguousarray(data, dtype=np.uint8)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     total = int(counts.sum())
@@ -347,13 +218,10 @@ def _list_table(arrays):
             np.array([len(a) for a in arrays], np.int64))
 
 
-def conjoin(lists: list) -> "tuple[np.ndarray, list] | None":
+def conjoin(lists: list) -> "tuple[np.ndarray, list]":
     """The docs common to the ascending int64 ``lists`` and, per list,
-    each one's entry in it (leapfrog from the shortest list), or None
-    without a C library."""
+    each one's entry in it (leapfrog from the shortest list)."""
     L = lib()
-    if L is None:
-        return None
     lists, ptrs, lens = _list_table(lists)
     cap = int(lens.min())
     out = np.empty(cap, np.int64)
@@ -378,7 +246,7 @@ def bulk_score(clauses: list, weights: list, filters: list, excluded: list,
     record Buffer and its stream bytes, the scorer's 256-entry cache and
     the field's norms; ``weights`` the scorers' weights; ``filters`` and
     ``excluded`` the FILTER and MUST_NOT doc arrays; at most ``cap``
-    docs match. The caller checks ``lib()`` first."""
+    docs match."""
     L = lib()
     cl = np.empty((len(clauses), CL_NCOL), np.int64)
     for row, (rec, payload, df, has, must, cache, norms) in zip(cl,
@@ -408,7 +276,7 @@ def merge_terms(runs: list) -> tuple[np.ndarray, np.ndarray]:
     lists ``(terms, lo, hi)``, rows ``[lo, hi)`` of an Arrow string
     array each. Returns each run row's merged code (over the runs
     concatenated in order) and, per code, the concatenated row of its
-    first occurrence. The caller checks ``lib()`` first."""
+    first occurrence."""
     L = lib()
     tab = np.empty((6, len(runs)), np.int64)  # offs, wide, data, lo, hi,
     keep, base = [], 0                        # base
@@ -445,7 +313,7 @@ def merge_postings(sources: list, n_codes: int, norms: np.ndarray,
     place). Returns the rows ``df, ttf, doc_ptr, pos_ptr`` per code; df
     is 0 for a term whose postings were all reclaimed. Raises IndexError
     when a record is corrupt or a doc lies past its source's doc map or
-    the norms. The caller checks ``lib()`` first."""
+    the norms."""
     L = lib()
     tab = np.zeros((len(sources), SRC_NCOL), np.int64)
     keep = []

@@ -1,19 +1,21 @@
 """The per-segment bulk scorer (``cfor.bulk_score``), the checked
-``.doc`` record decoder and the C phrase conjunction against the numpy
-path they replace, which runs when no C library is available
-(``cfor._CACHED = None``) and stays the reference: equal docs,
-bit-equal float32 and float64 scores and equal total hits over random
-multi-segment indexes with multi-block terms, PFor-patched freq blocks
-and tombstones."""
+``.doc`` record decoder and the C phrase conjunction against their
+references: the numpy handlers (a Weight without a bulk plan), the numpy
+stream decode of tests/_ref_codec.py and the sorted-set conjunction of
+tests/_ref_search.py. Equal docs, bit-equal float32 and float64 scores
+and equal total hits over random multi-segment indexes with multi-block
+terms, PFor-patched freq blocks and tombstones."""
 
 import os
 import shutil
+
+import _ref_codec
+import _ref_search
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from lucene_kmp_ray.index import format as fmt
 from lucene_kmp_ray.index import postings as pf
 from lucene_kmp_ray.index import reader as rd
 from lucene_kmp_ray.index.builder import commit_index
@@ -22,6 +24,7 @@ from lucene_kmp_ray.index.format import build_and_write_segment
 from lucene_kmp_ray.index.reader import IndexReader
 from lucene_kmp_ray.search import (BooleanQuery, Occur, PhraseQuery,
                                    PrefixQuery, Searcher, TermQuery)
+from lucene_kmp_ray.search import searcher as searcher_mod
 from lucene_kmp_ray.search.query import BoostQuery
 from lucene_kmp_ray.search.searcher import Weight
 from lucene_kmp_ray.similarity import bm25
@@ -31,11 +34,6 @@ from lucene_kmp_ray.util import forutil as fu
 FIELDS = ("text", "title")
 N_DOCS = 300  # per segment: "every" spans three 128-doc blocks
 VOCAB = [f"w{i:02d}" for i in range(40)]
-
-
-def _require_lib():
-    if cfor.lib() is None:
-        pytest.skip("no C compiler in environment")
 
 
 def _docs(seg, rng):
@@ -71,15 +69,18 @@ def index(tmp_path_factory):
     return root
 
 
-class _NoC:
-    """Every C kernel of ``util.cfor`` unavailable inside the block."""
+class _Reference:
+    """Inside the block, searches score through the numpy handlers (no
+    Weight gets a bulk plan) and phrases conjoin with the reference
+    intersection."""
 
     def __enter__(self):
-        self.saved = cfor._CACHED, cfor._CACHED_PID
-        cfor._CACHED, cfor._CACHED_PID = None, os.getpid()
+        self.saved = searcher_mod._bulk_plan, cfor.conjoin
+        searcher_mod._bulk_plan = lambda searcher, query: None
+        cfor.conjoin = _ref_search.conjoin
 
     def __exit__(self, *exc):
-        cfor._CACHED, cfor._CACHED_PID = self.saved
+        searcher_mod._bulk_plan, cfor.conjoin = self.saved
 
 
 def _leaf(rng):
@@ -135,13 +136,12 @@ def _assert_same(got, want, q):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_kernel_equals_numpy_path(index, dtype):
-    _require_lib()
     root = index
     rng = np.random.default_rng({"float32": 1, "float64": 2}[dtype])
     queries = [_random_query(rng) for _ in range(150)]
     queries += [_phrase(rng) for _ in range(40)]
     sim = bm25.BM25Similarity(dtype=dtype)
-    with _NoC():
+    with _Reference():
         ref = Searcher(IndexReader(root), sim)
         want = [(_per_segment(ref, q), ref.search(q, k=20)) for q in queries]
     fast = Searcher(IndexReader(root), sim)
@@ -177,16 +177,15 @@ def _record(rng, df, has_freqs, pfor_docs):
 
 
 def test_record_decoder_fuzz():
-    _require_lib()
     rng = np.random.default_rng(5)
     for trial in range(400):
         df = int(rng.integers(1, 700))
         has = bool(rng.random() < 0.7)
         rec, payload, docs_enc, freqs_enc = _record(rng, df, has,
                                                     trial % 2 == 1)
-        ttf = df + 1 if has else df
-        want = fmt.decode_postings(df, ttf, docs_enc,
-                                   freqs_enc if has else pf.ones_stream(df))
+        want = (fu.delta_decode(_ref_codec.decode_blocks(docs_enc, df)),
+                _ref_codec.decode_blocks(
+                    freqs_enc if has else pf.ones_stream(df), df))
         docs, freqs, dl = cfor.decode_record(pa.py_buffer(rec), payload, df,
                                              has)
         assert dl == len(docs_enc)
@@ -195,7 +194,6 @@ def test_record_decoder_fuzz():
 
 
 def test_truncated_record_raises():
-    _require_lib()
     rng = np.random.default_rng(9)
     for _ in range(60):
         df = int(rng.integers(1, 400))
@@ -212,7 +210,6 @@ def test_truncated_record_raises():
 def test_doc_past_norms_raises():
     """A posting whose doc lies past its field's norms raises, as the
     numpy path's ``norms[docs]`` does, for MUST and SHOULD clauses."""
-    _require_lib()
     rng = np.random.default_rng(3)
     rec, payload, _, _ = _record(rng, 50, True, False)
     sc = bm25.BM25Similarity().scorer(1.0, 100, 1000, [50], [80])
@@ -225,7 +222,6 @@ def test_doc_past_norms_raises():
 
 
 def test_truncated_postings_file_raises(index, tmp_path):
-    _require_lib()
     root = index
     work = str(tmp_path / "cut")
     shutil.copytree(root, work)
@@ -276,7 +272,6 @@ def test_one_scorer_per_leaf_per_search(index, monkeypatch):
 def test_no_numpy_decode_on_the_query_path(index, monkeypatch):
     """Term, boolean and phrase queries decode docs and freqs through the
     C record decoder only."""
-    _require_lib()
     root = index
     calls = []
 

@@ -1,39 +1,24 @@
-"""The fused C positional skip-read must agree exactly with the numpy
-masked-decode + gather path (which remains the semantic reference) over
-random posting shapes, widths and PFor exception patterns."""
+"""The C block codec against its numpy references (tests/_ref_codec.py):
+the fused positional skip-read must agree exactly with the masked decode
++ gather, and the block encoders must write the same bytes as the numpy
+matrix encoders, over random posting shapes, widths and PFor exception
+patterns."""
 
+import _ref_codec as ref
 import numpy as np
 import pytest
 
 from lucene_kmp_ray.util import forutil as fu
-from lucene_kmp_ray.util.cfor import lib, positions_select
-
-
-def _require_lib():
-    if lib() is None:
-        pytest.skip("no C compiler in environment")
+from lucene_kmp_ray.util.cfor import positions_select
 
 
 def _numpy_reference(enc, n, mask, s, e):
-    posd = fu.decode_blocks_masked(enc, n, mask)
-    sel = (e - s).astype(np.int64)
-    total = int(sel.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    ends = np.cumsum(sel)
-    starts_out = ends - sel
-    idx = np.arange(total, dtype=np.int64) - \
-        np.repeat(starts_out, sel) + np.repeat(s, sel)
-    deltas = posd[idx]
-    flat = np.cumsum(deltas)
-    carried = flat[starts_out] - deltas[starts_out]
-    return flat - np.repeat(carried, sel)
+    return ref.positions_select(enc, None, n, mask, s, e, int((e - s).sum()))
 
 
 @pytest.mark.parametrize("encoder", [fu.encode_blocks,
                                      fu.encode_blocks_pfor])
 def test_cfor_fuzz_vs_numpy(encoder):
-    _require_lib()
     rng = np.random.default_rng(13)
     for trial in range(300):
         n = int(rng.integers(1, 700))
@@ -78,7 +63,6 @@ def test_cfor_fuzz_vs_numpy(encoder):
 def test_cfor_wide_width_tail():
     """Widths > 57 and buffer-tail values exercise the byte-assembly
     fallback inside the C decoder."""
-    _require_lib()
     rng = np.random.default_rng(5)
     vals = rng.integers(0, 1 << 62, size=200).astype(np.int64)
     enc = fu.encode_blocks(vals)
@@ -97,7 +81,6 @@ def test_c_encode_matrix_fuzz_vs_numpy():
     """The C bulk block encoder must be byte-identical to the numpy
     for/pfor matrix encoders over random widths, counts and exception
     patterns (incl. all-zero rows, width-64 values, partial tails)."""
-    _require_lib()
     rng = np.random.default_rng(41)
     for trial in range(300):
         R = int(rng.integers(1, 40))
@@ -112,10 +95,10 @@ def test_c_encode_matrix_fuzz_vs_numpy():
         counts = rng.integers(1, fu.BLOCK_SIZE + 1, R)
         for r in range(R):
             m[r, counts[r]:] = 0
-        for pub, ref in ((fu.for_blocks_matrix, fu._for_blocks_matrix_np),
-                         (fu.pfor_blocks_matrix, fu._pfor_blocks_matrix_np)):
+        for pub, want in ((fu.for_blocks_matrix, ref.for_blocks_matrix),
+                          (fu.pfor_blocks_matrix, ref.pfor_blocks_matrix)):
             a, sa = pub(m, counts)
-            b, sb = ref(m, counts)
+            b, sb = want(m, counts)
             assert np.array_equal(a, b) and np.array_equal(sa, sb), \
                 (trial, pub.__name__)
         # and the stream must round-trip through the decoder per row
@@ -131,7 +114,6 @@ def test_c_encode_csr_fuzz_vs_matrix():
     """encode_csr over flat values + row_ptr must be byte-identical to the
     matrix encoders over the equivalent zero-padded rows (padding has bit
     length 0 and can never be an exception)."""
-    _require_lib()
     from lucene_kmp_ray.util.cfor import encode_csr
     rng = np.random.default_rng(97)
     for trial in range(200):
@@ -148,10 +130,10 @@ def test_c_encode_csr_fuzz_vs_matrix():
             m[r, :counts[r]] = vals[row_ptr[r]:row_ptr[r + 1]]
         for pfor in (False, True):
             a, sa = encode_csr(vals, row_ptr, pfor)
-            ref = fu._pfor_blocks_matrix_np(m, counts) if pfor \
-                else fu._for_blocks_matrix_np(m, counts)
-            assert np.array_equal(a, ref[0]) and np.array_equal(sa, ref[1]), \
-                (trial, pfor)
+            want = ref.pfor_blocks_matrix(m, counts) if pfor \
+                else ref.for_blocks_matrix(m, counts)
+            assert np.array_equal(a, want[0]) and \
+                np.array_equal(sa, want[1]), (trial, pfor)
 
 
 def test_c_encode_csr_many_short_rows():
@@ -159,7 +141,6 @@ def test_c_encode_csr_many_short_rows():
     encodes — one to three values — plus full rows, with zero, tiny,
     exception-bait and 64-bit values: byte-identical to the numpy
     matrix encoders."""
-    _require_lib()
     from lucene_kmp_ray.util.cfor import encode_csr
     rng = np.random.default_rng(5)
     for trial in range(100):
@@ -180,18 +161,15 @@ def test_c_encode_csr_many_short_rows():
             m[r, :counts[r]] = vals[row_ptr[r]:row_ptr[r + 1]]
         for pfor in (False, True):
             a, sa = encode_csr(vals, row_ptr, pfor)
-            ref = fu._pfor_blocks_matrix_np(m, counts) if pfor \
-                else fu._for_blocks_matrix_np(m, counts)
-            assert np.array_equal(a, ref[0]) and np.array_equal(sa, ref[1]), \
-                (trial, pfor)
+            want = ref.pfor_blocks_matrix(m, counts) if pfor \
+                else ref.for_blocks_matrix(m, counts)
+            assert np.array_equal(a, want[0]) and \
+                np.array_equal(sa, want[1]), (trial, pfor)
 
 
-def test_union_docs_c_path_matches_numpy(tmp_path):
+def test_union_docs_c_path_matches_numpy(tmp_path, monkeypatch):
     """union_docs through decode_streams_at must equal the numpy
-    single-block-bulk + per-term fallback path on a real segment."""
-    _require_lib()
-    import os
-
+    per-stream reference decode on a real segment."""
     import pyarrow as pa
 
     import lucene_kmp_ray.util.cfor as cf
@@ -213,12 +191,8 @@ def test_union_docs_c_path_matches_numpy(tmp_path):
     sr = SegmentReader(str(tmp_path), meta)
     idxs = np.arange(sr.terms_table.num_rows)
     a = sr.union_docs(idxs)
-    cached, pid = cf._CACHED, cf._CACHED_PID
-    try:
-        cf._CACHED, cf._CACHED_PID = None, os.getpid()
-        b = sr.union_docs(idxs)
-    finally:
-        cf._CACHED, cf._CACHED_PID = cached, pid
+    monkeypatch.setattr(cf, "decode_streams_at", ref.decode_streams)
+    b = sr.union_docs(idxs)
     assert np.array_equal(a, b)
 
 
@@ -242,7 +216,6 @@ def test_hypothesis_encode_decode_roundtrip(vals, pfor):
 @settings(max_examples=40, deadline=None)
 @given(vals=_vals, pfor=st.booleans())
 def test_hypothesis_c_encode_matches_numpy(vals, pfor):
-    _require_lib()
     v = np.asarray(vals, dtype=np.int64)
     n = len(v)
     nblocks = (n + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
@@ -252,16 +225,15 @@ def test_hypothesis_c_encode_matches_numpy(vals, pfor):
     counts[-1] = n - (nblocks - 1) * fu.BLOCK_SIZE
     m = padded.reshape(nblocks, fu.BLOCK_SIZE)
     pub = fu.pfor_blocks_matrix if pfor else fu.for_blocks_matrix
-    ref = fu._pfor_blocks_matrix_np if pfor else fu._for_blocks_matrix_np
+    want = ref.pfor_blocks_matrix if pfor else ref.for_blocks_matrix
     a, sa = pub(m, counts)
-    b, sb = ref(m, counts)
+    b, sb = want(m, counts)
     assert np.array_equal(a, b) and np.array_equal(sa, sb)
 
 
 @settings(max_examples=40, deadline=None)
 @given(lists=st.lists(_vals, min_size=1, max_size=12), pfor=st.booleans())
 def test_hypothesis_bulk_stream_decode(lists, pfor):
-    _require_lib()
     from lucene_kmp_ray.util.cfor import decode_streams_at
     enc = fu.encode_blocks_pfor if pfor else fu.encode_blocks
     bufs = [enc(np.asarray(v, np.int64)) for v in lists]
@@ -272,29 +244,3 @@ def test_hypothesis_bulk_stream_decode(lists, pfor):
     for i, v in enumerate(lists):
         assert np.array_equal(out[voffs[i]:voffs[i + 1]],
                               np.asarray(v, np.int64))
-
-
-def test_compile_failure_warns_once_per_process(monkeypatch):
-    """A failed compile is not silent: one RuntimeWarning per process
-    carries the compiler's error, and callers get None (the fallbacks)."""
-    import os
-    import subprocess
-    import warnings
-
-    import lucene_kmp_ray.util.cfor as cfor
-
-    def broken():
-        raise subprocess.CalledProcessError(
-            1, ["cc"], stderr=b"cc: error: no such compiler")
-    monkeypatch.setattr(cfor, "_compile", broken)
-    monkeypatch.setattr(cfor, "_CACHED", False)
-    monkeypatch.setattr(cfor, "_WARNED_PID", -1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cfor.lib() is None
-        monkeypatch.setattr(cfor, "_CACHED_PID", os.getpid() + 1)
-        assert cfor.lib() is None  # a retry in the same process
-    msgs = [str(w.message) for w in caught
-            if issubclass(w.category, RuntimeWarning)]
-    assert len(msgs) == 1
-    assert "no such compiler" in msgs[0]

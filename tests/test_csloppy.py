@@ -1,23 +1,18 @@
 """The compiled 2-term sloppy walk must be bit-identical to the Python
 matchers (which remain the semantic reference — the exact
 SloppyPhraseMatcher.kt greedy walk, see test_query_operators'
-specialization fuzz)."""
+specialization fuzz): the general ``_sloppy_freq_doc`` and the two-slot
+walk of tests/_ref_search.py."""
 
 import numpy as np
-import pytest
+from _ref_search import sloppy_freq_2 as _sloppy_freq_2
 
-from lucene_kmp_ray.search.csloppy import lib, sloppy2_batch
-from lucene_kmp_ray.search.searcher import _sloppy_freq_2, _sloppy_freq_doc
-
-
-def _require_lib():
-    if lib() is None:
-        pytest.skip("no C compiler in environment")
+from lucene_kmp_ray.search.csloppy import sloppy2_batch
+from lucene_kmp_ray.search.searcher import _sloppy_freq_doc
 
 
 def test_csloppy_fuzz_vs_python():
     """3000 random position configurations, one doc per batch call."""
-    _require_lib()
     rng = np.random.default_rng(7)
     for _ in range(3000):
         la = int(rng.integers(1, 9))
@@ -43,7 +38,6 @@ def test_csloppy_batch_layout():
     """Many docs in one flat buffer, walked through a strided walk_idx —
     the exact layout _sloppy_phrase hands over (contiguous runs with
     starts/cnt, a subset of candidates selected by the screen)."""
-    _require_lib()
     rng = np.random.default_rng(11)
     n_docs = 400
     a_parts, b_parts = [], []
@@ -70,35 +64,8 @@ def test_csloppy_batch_layout():
 
 
 def test_csloppy_empty_walk():
-    _require_lib()
     out = sloppy2_batch(np.array([1], np.int64), np.zeros(1, np.int64),
                         np.ones(1, np.int64), np.array([2], np.int64),
                         np.zeros(1, np.int64), np.ones(1, np.int64),
                         np.empty(0, np.int64), 2)
     assert out is not None and len(out) == 0
-
-
-def test_compile_failure_warns_once_per_process(monkeypatch):
-    """A failed compile is not silent: one RuntimeWarning per process
-    carries the compiler's error, and callers get None (the fallback)."""
-    import os
-    import subprocess
-    import warnings
-
-    import lucene_kmp_ray.search.csloppy as kernel
-
-    def broken():
-        raise subprocess.CalledProcessError(
-            1, ["cc"], stderr=b"cc: error: no such compiler")
-    monkeypatch.setattr(kernel, "_compile", broken)
-    monkeypatch.setattr(kernel, "_CACHED", False)
-    monkeypatch.setattr(kernel, "_WARNED_PID", -1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert kernel.lib() is None
-        monkeypatch.setattr(kernel, "_CACHED_PID", os.getpid() + 1)
-        assert kernel.lib() is None  # a retry in the same process
-    msgs = [str(w.message) for w in caught
-            if issubclass(w.category, RuntimeWarning)]
-    assert len(msgs) == 1
-    assert "no such compiler" in msgs[0]

@@ -6,14 +6,9 @@ accumulation order."""
 import numpy as np
 import pytest
 
-from lucene_kmp_ray.search.cspans import lib, span_near_batch
+from lucene_kmp_ray.search.cspans import span_near_batch
 from lucene_kmp_ray.search.spans import (_ordered_matches,
                                          _unordered_matches)
-
-
-def _require_lib():
-    if lib() is None:
-        pytest.skip("no C compiler in environment")
 
 
 def _py_freq(pos_lists, slop, in_order):
@@ -31,7 +26,6 @@ def _py_freq(pos_lists, slop, in_order):
 
 @pytest.mark.parametrize("in_order", [True, False])
 def test_cspans_fuzz_vs_python(in_order):
-    _require_lib()
     rng = np.random.default_rng(17)
     for trial in range(1500):
         n_subs = int(rng.integers(1, 5))
@@ -70,7 +64,6 @@ def test_cspans_fuzz_vs_python(in_order):
 def test_cspans_shared_term_positions():
     """A repeated clause term shares one positions array but walks with
     independent cursors — exactly like two separate _doc_spans lists."""
-    _require_lib()
     pos = np.array([2, 5, 9, 14], np.int64)
     one = np.array([4], np.int64)
     starts = np.zeros(1, np.int64)
@@ -79,29 +72,3 @@ def test_cspans_shared_term_positions():
                               [one, one], 1, 3, in_order)
         want = _py_freq([pos, pos], 3, in_order)
         assert got is not None and got[0] == want
-
-
-def test_compile_failure_warns_once_per_process(monkeypatch):
-    """A failed compile is not silent: one RuntimeWarning per process
-    carries the compiler's error, and callers get None (the fallback)."""
-    import os
-    import subprocess
-    import warnings
-
-    import lucene_kmp_ray.search.cspans as kernel
-
-    def broken():
-        raise subprocess.CalledProcessError(
-            1, ["cc"], stderr=b"cc: error: no such compiler")
-    monkeypatch.setattr(kernel, "_compile", broken)
-    monkeypatch.setattr(kernel, "_CACHED", False)
-    monkeypatch.setattr(kernel, "_WARNED_PID", -1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert kernel.lib() is None
-        monkeypatch.setattr(kernel, "_CACHED_PID", os.getpid() + 1)
-        assert kernel.lib() is None  # a retry in the same process
-    msgs = [str(w.message) for w in caught
-            if issubclass(w.category, RuntimeWarning)]
-    assert len(msgs) == 1
-    assert "no such compiler" in msgs[0]

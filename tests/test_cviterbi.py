@@ -3,33 +3,26 @@ pure-Python kuromoji lattice, which remains the semantic reference.
 
 The C core must produce bit-identical token streams (surface, offsets,
 POS, base form, reading) in all three modes; any divergence is a bug
-in the C mirror. Python path is forced by clearing the cviterbi cache.
+in the C mirror. The Python lattice (``_tokenize_lattice``, which a
+tokenizer with a user dictionary runs) is called directly.
 """
 
 import random
 
 import pytest
 
-from lucene_kmp_ray.analysis import cviterbi as cv
 from lucene_kmp_ray.analysis.japanese import (JapaneseAnalyzer,
                                               JapaneseTokenizer)
+from lucene_kmp_ray.util.native import lib
 
 
 @pytest.fixture(scope="module")
 def clib():
-    lib = cv.lib()
-    if lib is None:  # pragma: no cover - no compiler in env
-        pytest.skip("no C compiler available")
-    return lib
+    return lib("viterbi")
 
 
 def _py_tokenize(tk, text):
-    saved = cv._CACHED
-    cv._CACHED = None
-    try:
-        return tk.tokenize(text)
-    finally:
-        cv._CACHED = saved
+    return tk._tokenize_lattice(text) if text else []
 
 
 def _key(toks):
@@ -70,16 +63,13 @@ def test_c_lattice_matches_python(clib, mode):
             repr(text)
 
 
-def test_analyzer_chain_matches_python(clib):
+def test_analyzer_chain_matches_python(clib, monkeypatch):
     a = JapaneseAnalyzer()
     for text in _corpus():
         got_c = a.analyze_tokens(text)
-        saved = cv._CACHED
-        cv._CACHED = None
-        try:
+        with monkeypatch.context() as mp:
+            mp.setattr(JapaneseTokenizer, "tokenize", _py_tokenize)
             got_py = a.analyze_tokens(text)
-        finally:
-            cv._CACHED = saved
         assert got_c == got_py, repr(text)
 
 

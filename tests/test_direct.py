@@ -72,14 +72,14 @@ def test_load_direct_cached(reader):
 
 
 def test_numpy_fallback_matches_c(reader, monkeypatch):
-    import os
+    """The C bulk decode against the numpy per-stream reference."""
+    from _ref_codec import decode_streams
 
     import lucene_kmp_ray.util.cfor as cfor
 
     sr = reader.segment_readers[-1]
     with_c = DirectField(sr, "text")
-    monkeypatch.setattr(cfor, "_CACHED", None)
-    monkeypatch.setattr(cfor, "_CACHED_PID", os.getpid())
+    monkeypatch.setattr(cfor, "decode_streams_at", decode_streams)
     fallback = DirectField(sr, "text")
     assert np.array_equal(with_c.docs_flat, fallback.docs_flat)
     assert np.array_equal(with_c.freqs_flat, fallback.freqs_flat)

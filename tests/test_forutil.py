@@ -89,8 +89,9 @@ def test_pfor_property_random():
 
 def test_decode_blocks_masked_equivalence():
     import numpy as np
+    from _ref_codec import decode_blocks_masked
+
     from lucene_kmp_ray.util.forutil import (BLOCK_SIZE, decode_blocks,
-                                             decode_blocks_masked,
                                              encode_blocks_pfor)
     rng = np.random.default_rng(11)
     v = rng.integers(0, 50, size=1000)

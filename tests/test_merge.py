@@ -378,20 +378,20 @@ def test_run_merges_log_policy_end_to_end(built):
     assert key(before) == key(after)
 
 
-def test_bulk_merge_bit_equivalent_to_python_fallback(built, tmp_path):
+def test_bulk_merge_bit_equivalent_to_python_fallback(built, tmp_path,
+                                                     monkeypatch):
     """The C record-to-record merge must produce byte-identical segment
-    tables to the per-term Python decode fallback (same index, same
-    merge set), including with deletes to exercise the entry filter."""
-    import os
+    tables to the per-term numpy merge of tests/_ref_merge.py (same
+    index, same merge set), including with deletes to exercise the entry
+    filter."""
     import shutil as _sh
 
-    import lucene_kmp_ray.util.cfor as cf
+    from _ref_merge import numpy_merge
+
     from lucene_kmp_ray.index.deletes import delete_by_url
     from lucene_kmp_ray.index.format import seg_dirname
     from lucene_kmp_ray.index.merge import merge_segments
 
-    if cf.lib() is None:
-        pytest.skip("no C compiler in environment")
     many, _ = built
     idx = str(tmp_path / "bulkeq")
     _sh.copytree(many, idx)
@@ -401,12 +401,8 @@ def test_bulk_merge_bit_equivalent_to_python_fallback(built, tmp_path):
     segs = [sr.seg for sr in r.segment_readers[:4]]
 
     merge_segments(idx, segs, 900)          # C record merge
-    cached, pid = cf._CACHED, cf._CACHED_PID
-    try:
-        cf._CACHED, cf._CACHED_PID = None, os.getpid()  # force fallback
-        merge_segments(idx, segs, 901)
-    finally:
-        cf._CACHED, cf._CACHED_PID = cached, pid
+    numpy_merge(monkeypatch)
+    merge_segments(idx, segs, 901)          # the reference
     for f in ("terms.parquet", "docs.parquet"):
         a = pq.read_table(f"{idx}/segments/{seg_dirname(900)}/{f}")
         b = pq.read_table(f"{idx}/segments/{seg_dirname(901)}/{f}")

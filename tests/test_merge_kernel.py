@@ -1,32 +1,31 @@
 """The record-to-record merge (``merge._merge_records``: the C
 ``merge_terms`` / ``merge_postings`` pair) against the per-term numpy
-merge, its reference. Each case merges the same sources twice, once with
-the C library forced off, and the two new segments must hold the same
-files byte for byte (the manifests differ only in their timings)."""
+merge of tests/_ref_merge.py, its reference. Each case merges the same
+sources twice, once through the reference, and the two new segments must
+hold the same files byte for byte (the manifests differ only in their
+timings)."""
 
 import json
 import os
 import shutil
-import subprocess
-import warnings
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from _ref_merge import numpy_merge
 from test_postings_file import _to_old_layout
 
-import lucene_kmp_ray.util.cfor as cf
 from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
+from lucene_kmp_ray.index.builder import commit_index
 from lucene_kmp_ray.index.deletes import delete_segment_urls
 from lucene_kmp_ray.index.format import build_and_write_segment, seg_dirname
 from lucene_kmp_ray.index.merge import merge_segments
 from lucene_kmp_ray.index.postings import (DOC_FILE, POS_FILE, TERMS_FILE,
                                            read_terms_table)
+from lucene_kmp_ray.index.reader import IndexReader
 from lucene_kmp_ray.index.softdeletes import soft_delete_segment_urls
-
-pytestmark = pytest.mark.skipif(cf.lib() is None,
-                                reason="no C compiler in environment")
+from lucene_kmp_ray.search import BooleanQuery, Occur, Searcher, TermQuery
 
 
 def _dir(idx, seg):
@@ -40,9 +39,9 @@ def _write(idx, seg, ids, texts, titles=None, index_sort=None):
     if titles is not None:
         cols["title"] = titles
         fields = ("text", "title")
-    build_and_write_segment(pa.table(cols), seg, idx,
-                            analyzer=WhitespaceAnalyzer(), fields=fields,
-                            index_sort=index_sort)
+    return build_and_write_segment(pa.table(cols), seg, idx,
+                                   analyzer=WhitespaceAnalyzer(),
+                                   fields=fields, index_sort=index_sort)
 
 
 def _corpus(seed, ids, hot_every=0):
@@ -65,15 +64,12 @@ def _corpus(seed, ids, hot_every=0):
 
 
 def _merge_both(idx, segs, **kw):
-    """Merge ``segs`` with the record kernel (seg 900) and the numpy path
-    (seg 901); every file must match byte for byte."""
+    """Merge ``segs`` with the record kernel (seg 900) and the numpy
+    reference (seg 901); every file must match byte for byte."""
     merge_segments(idx, segs, 900, **kw)
-    saved = cf._CACHED, cf._CACHED_PID
-    try:
-        cf._CACHED, cf._CACHED_PID = None, os.getpid()
+    with pytest.MonkeyPatch.context() as mp:
+        numpy_merge(mp)
         merge_segments(idx, segs, 901, **kw)
-    finally:
-        cf._CACHED, cf._CACHED_PID = saved
     a, b = _dir(idx, 900), _dir(idx, 901)
     assert sorted(os.listdir(a)) == sorted(os.listdir(b))
     for name in os.listdir(a):
@@ -141,6 +137,49 @@ def test_two_fields(tmp_path):
     out = _merge_both(idx, [0, 1])
     fields = set(read_terms_table(out, columns=())["field"].to_pylist())
     assert fields == {"text", "title"}
+
+
+def test_sources_with_different_field_sets(tmp_path):
+    """A segment built without "title" merges with one built with it:
+    its docs get 0 in the title's per-doc columns, and term and boolean
+    queries on either field return the same hits, scores and total hits
+    as on the two unmerged segments."""
+    idx = str(tmp_path / "idx")
+    ids0, ids1 = list(range(200)), list(range(200, 400))
+    mans = [_write(idx, 0, ids0, _corpus(0, ids0)),
+            _write(idx, 1, ids1, _corpus(1, ids1),
+                   titles=_corpus(11, ids1))]
+    commit_index(idx, mans)
+    queries = [TermQuery("w0"), TermQuery("w0", "title"),
+               TermQuery("w5", "title"),
+               BooleanQuery.build((Occur.MUST, TermQuery("w1")),
+                                  (Occur.SHOULD, TermQuery("w2", "title"))),
+               BooleanQuery.build((Occur.SHOULD, TermQuery("w3", "title")),
+                                  (Occur.SHOULD, TermQuery("w4", "title")),
+                                  (Occur.MUST_NOT, TermQuery("w0")))]
+
+    def hits():
+        s = Searcher(IndexReader(idx))
+        out = []
+        for q in queries:
+            td = s.search(q, k=20)
+            out.append((td.total_hits,
+                        [(h.doc_id, h.score) for h in td.score_docs]))
+        return out
+
+    before = hits()
+    assert all(n for n, _ in before)
+    out = _merge_both(idx, [0, 1])
+    docs = pq.read_table(os.path.join(out, "docs.parquet"))
+    for col in ("length_title", "norm_title", "max_tf_title",
+                "unique_terms_title"):
+        assert docs[col].null_count == 0
+        assert not any(docs[col].to_numpy()[:200])
+    with open(os.path.join(out, "manifest.json")) as f:
+        merged = json.load(f)
+    assert merged["fields"]["title"]["doc_count"] == 200
+    commit_index(idx, [merged])
+    assert hits() == before
 
 
 def test_old_layout_source(tmp_path):
@@ -213,31 +252,6 @@ def test_truncated_source_raises(tmp_path, name):
         f.truncate(os.path.getsize(path) - 3)
     with pytest.raises(IndexError):
         merge_segments(idx, [0, 1], 900)
-
-
-def test_compile_failure_warns_once_and_falls_back(tmp_path, monkeypatch):
-    idx = str(tmp_path / "idx")
-    _two(idx, hot_every=7)
-    merge_segments(idx, [0, 1], 900)
-
-    def broken():
-        raise subprocess.CalledProcessError(
-            1, ["cc"], stderr=b"cc: error: no such compiler")
-    monkeypatch.setattr(cf, "_compile", broken)
-    monkeypatch.setattr(cf, "_CACHED", False)
-    monkeypatch.setattr(cf, "_WARNED_PID", -1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        merge_segments(idx, [0, 1], 901)
-        monkeypatch.setattr(cf, "_CACHED_PID", os.getpid() + 1)
-        assert cf.lib() is None  # a retry in the same process
-    msgs = [str(w.message) for w in caught
-            if issubclass(w.category, RuntimeWarning)]
-    assert len(msgs) == 1 and "no such compiler" in msgs[0]
-    for name in (DOC_FILE, POS_FILE):
-        with open(os.path.join(_dir(idx, 900), name), "rb") as fa, \
-                open(os.path.join(_dir(idx, 901), name), "rb") as fb:
-            assert fa.read() == fb.read(), name
 
 
 @pytest.mark.parametrize("col", ["df", "ttf"])

@@ -1,9 +1,9 @@
 """The merge's (field, term) union: the C ``merge_terms`` of the record
-merge, and ``merge._merged_vocab`` (Arrow, array-at-a-time) without the C
-library. Each case checks the merged dictionary against a pure-Python
-``sorted({(field, term)})`` over the sources, each term's df/ttf against
-the sources' sums minus the reclaimed postings, and the C record merge
-against the no-C-library branch, file for file."""
+merge, and ``merged_vocab`` (Arrow, array-at-a-time) of the reference
+merge in tests/_ref_merge.py. Each case checks the merged dictionary
+against a pure-Python ``sorted({(field, term)})`` over the sources, each
+term's df/ttf against the sources' sums minus the reclaimed postings,
+and the C record merge against the reference merge, file for file."""
 
 import collections
 import os
@@ -11,9 +11,10 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
+from _ref_merge import merged_vocab, numpy_merge
 from test_postings_file import _to_old_layout
 
-import lucene_kmp_ray.util.cfor as cf
 from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
 from lucene_kmp_ray.index.deletes import delete_segment_urls
 from lucene_kmp_ray.index.format import build_and_write_segment, seg_dirname
@@ -42,15 +43,12 @@ def _write(idx, seg, docs, fields=("text",)):
 
 
 def _merge_both(idx, segs):
-    """Merge ``segs`` through the C branch (seg 900) and the no-C-library
-    branch (seg 901); the two must write the same files."""
+    """Merge ``segs`` through the C record merge (seg 900) and the
+    reference merge (seg 901); the two must write the same files."""
     merge_segments(idx, segs, 900)
-    cached, pid = cf._CACHED, cf._CACHED_PID
-    try:
-        cf._CACHED, cf._CACHED_PID = None, os.getpid()
+    with pytest.MonkeyPatch.context() as mp:
+        numpy_merge(mp)
         merge_segments(idx, segs, 901)
-    finally:
-        cf._CACHED, cf._CACHED_PID = cached, pid
     a, b = _seg_dir(idx, 900), _seg_dir(idx, 901)
     for f in (TERMS_FILE, "docs.parquet"):
         assert pq.read_table(os.path.join(a, f)).equals(
@@ -148,13 +146,12 @@ def test_old_layout_source_without_field_column(tmp_path):
 def test_vocab_codes_slice_per_source(tmp_path):
     """Each source row's code indexes its own (field, term) in the
     merged vocabulary."""
-    from lucene_kmp_ray.index.merge import _merged_vocab
     idx = str(tmp_path / "idx")
     a = {i: {"text": s, "title": "t"} for i, s in SOURCE_A.items()}
     _write(idx, 0, a, fields=("text", "title"))
     _write(idx, 1, _text(SOURCE_B))
     tables = [read_terms_table(_seg_dir(idx, s), columns=()) for s in (0, 1)]
-    codes, fields = _merged_vocab(tables)
+    codes, fields = merged_vocab(tables)
     vocab = [(f, t) for f, lo, hi, terms in fields
              for t in terms.to_pylist()]
     assert vocab == sorted(vocab)

@@ -313,8 +313,9 @@ def test_sloppy_two_term_specialization_fuzz():
     """The 2-term fast walk must be bit-identical to the general greedy
     matcher on thousands of random position configurations."""
     import numpy as np
-    from lucene_kmp_ray.search.searcher import (_sloppy_freq_2,
-                                                _sloppy_freq_doc)
+    from _ref_search import sloppy_freq_2 as _sloppy_freq_2
+
+    from lucene_kmp_ray.search.searcher import _sloppy_freq_doc
     rng = np.random.default_rng(99)
     for trial in range(3000):
         la = int(rng.integers(1, 8))

@@ -1,20 +1,20 @@
 """The term dictionary search over Arrow buffers (util/cfor.py
-``SortedTerms``): the C ``term_search`` kernel and its ``bisect``
-fallback must both agree with a reference built from ``sorted`` and
-``bisect`` over Python strings, in every mode, over random sorted
+``SortedTerms``): the C ``term_search`` kernel and the ``bisect`` search
+over the same buffers (tests/_ref_codec.py ``BisectTerms``) must both
+agree with a reference built from ``sorted`` and ``bisect`` over Python
+strings, in every mode, over random sorted
 vocabularies with non-ASCII terms, terms that prefix each other,
 U+10FFFF, field sub-ranges and sliced arrays. Then the reader paths
 built on it: prefix expansion keeps terms that continue with U+10FFFF,
 and multi-term queries match a brute-force evaluation."""
 
 import bisect
-import os
 
 import numpy as np
 import pyarrow as pa
 import pytest
+from _ref_codec import BisectTerms
 
-from lucene_kmp_ray.util import cfor
 from lucene_kmp_ray.util.cfor import SortedTerms
 
 ALPHABET = ["", "a", "b", "ab", "é", "ｚ", "😀", "aÿ", "\U0010ffff", "z",
@@ -80,20 +80,14 @@ def _arrays(vocab, rng):
 
 
 @pytest.mark.parametrize("with_c", [True, False])
-def test_term_search_fuzz(with_c, monkeypatch):
-    if with_c:
-        if cfor.lib() is None:
-            pytest.skip("no C compiler in environment")
-    else:
-        monkeypatch.setattr(cfor, "_CACHED", None)
-        monkeypatch.setattr(cfor, "_CACHED_PID", os.getpid())
+def test_term_search_fuzz(with_c):
     rng = np.random.default_rng(21 if with_c else 22)
     for trial in range(12):
         vocab = _vocab(rng, int(rng.integers(1, 60)))
         keys = _keys(rng, vocab)
         for arr in _arrays(vocab, rng):
-            st = SortedTerms(arr)
-            assert (st._c is not None) == with_c
+            st = SortedTerms(arr) if with_c else BisectTerms(arr)
+            assert isinstance(st, SortedTerms) == with_c
             _check(st, vocab, keys, rng)
 
 
