@@ -7,16 +7,17 @@ analog of a Lucene segment produced by one DWPT flush
 an Arrow table of documents. Layout per segment directory:
 
 - ``terms.parquet`` + ``postings.doc`` + ``postings.pos`` — the term
-  dictionary and the flat postings files it points into
-  (index/postings.py). Logically one row per term, terms in unsigned-byte
-  (== UTF-8 code-point) order: ``term, df, ttf, docs_enc, freqs_enc,
-  pos_enc, block_last_doc, block_max_freq, block_min_norm``. ``docs_enc``
-  is delta+FOR over ascending local docIDs in 128-doc blocks (ForDeltaUtil
-  semantics), ``freqs_enc`` FOR over term freqs, ``pos_enc`` FOR over
-  within-doc delta-encoded positions. The ``block_*`` lists are the skip +
-  impact metadata (one entry per 128-doc block: last docID, max freq, min
-  norm byte — the block-max WAND upper-bound inputs,
-  ``Lucene101PostingsWriter.kt:96-107``).
+  dictionary (one row per term, terms in unsigned-byte == UTF-8
+  code-point order) and the flat postings records it points into
+  (index/postings.py): delta+FOR over ascending local docIDs in 128-doc
+  blocks (ForDeltaUtil semantics), PFor over term freqs and over
+  within-doc delta-encoded positions, and the per-block skip + impact
+  metadata (last docID, max freq, min norm byte — the block-max WAND
+  upper-bound inputs, ``Lucene101PostingsWriter.kt:96-107``). The flush
+  (``encode_term_table_arrays``), the grouped build (index/grouped.py)
+  and the merge (index/merge.py) write the records through one C
+  writer (``cfor.write_postings`` / ``cfor.merge_postings``), the
+  ``FieldsConsumer`` role; no logical terms table is built.
 - ``docs.parquet`` — per-doc metadata, row N == local docID N:
   ``doc_id, url, length, norm`` (norm = SmallFloat.intToByte4(length),
   Similarity.kt:134-144).
@@ -42,7 +43,7 @@ import pyarrow.parquet as pq
 from ..util import cfor
 from ..util import forutil as fu
 from ..util.smallfloat import int_to_byte4_np
-from .postings import split_postings, write_postings
+from .postings import _narrow, write_postings
 
 DOCS_FILE = "docs.parquet"
 VECTORS_FILE = "vectors.parquet"
@@ -69,8 +70,10 @@ def sorted_codes(values: pa.Array) -> tuple[np.ndarray, pa.Array]:
 
 def invert_field(texts, n_docs: int, analyzer=None,
                  entries_out: dict | None = None):
-    """Invert one field's values → (doc_lengths, norms, field terms table,
-    per-doc max term frequency, per-doc unique term count) — the last two
+    """Invert one field's values → (doc_lengths, norms, the field's terms
+    and records ``(terms, stats, .doc bytes, .pos bytes)`` as
+    ``encode_term_table_arrays`` writes them, per-doc max term
+    frequency, per-doc unique term count) — the last two
     are FieldInvertState.maxTermFrequency / uniqueTermCount
     (``index/FieldInvertState.kt:59-62``), tracked per doc at invert time.
 
@@ -123,18 +126,14 @@ def invert_field(texts, n_docs: int, analyzer=None,
         np.subtract(pos_sorted[1:], pos_sorted[:-1], out=pos_delta[1:])
         pos_delta[entry_starts_occ] = pos_sorted[entry_starts_occ]
 
-    n_terms = len(uniques)
-    term_starts = np.searchsorted(entry_term, np.arange(n_terms))
-    term_ends = np.append(term_starts[1:], n_entries)
-    pos_bounds = np.append(0, np.cumsum(s_freq))
-
     if entries_out is not None:
         entries_out.update(
             uniques=uniques, s_doc=s_doc, e_term=entry_term,
-            s_freq=s_freq, pos_sorted=pos_sorted, pos_bounds=pos_bounds)
-    terms_table = encode_term_table_arrays(
-        uniques, s_doc, s_freq, pos_delta, term_starts, term_ends,
-        pos_bounds, norms)
+            s_freq=s_freq, pos_sorted=pos_sorted,
+            pos_bounds=np.append(0, np.cumsum(s_freq)))
+    term_bounds = np.searchsorted(entry_term, np.arange(len(uniques) + 1))
+    records = encode_term_table_arrays(s_doc, s_freq, pos_delta,
+                                       term_bounds, norms)
     # FieldInvertState.maxTermFrequency / uniqueTermCount per doc — one
     # bincount + maximum.at over the (term, doc) entry arrays
     max_tf = np.zeros(n_docs, dtype=np.int64)
@@ -142,19 +141,31 @@ def invert_field(texts, n_docs: int, analyzer=None,
         np.maximum.at(max_tf, s_doc, s_freq)
     uniq_terms = np.bincount(s_doc, minlength=n_docs).astype(np.int64) \
         if n_entries else np.zeros(n_docs, dtype=np.int64)
-    return doc_lengths, norms, terms_table, max_tf, uniq_terms
+    return doc_lengths, norms, (uniques, *records), max_tf, uniq_terms
 
 
-def field_stats_of(doc_lengths: np.ndarray, terms_table: pa.Table) -> dict:
+def encode_term_table_arrays(s_doc, s_freq, pos_delta, term_bounds,
+                             norms: np.ndarray):
+    """The flush's entry into the postings writer: one
+    ``cfor.write_postings`` pass over the inverter's flat entry arrays
+    (term ``t`` holds entries ``term_bounds[t]:term_bounds[t+1]``) →
+    ``(stats, .doc bytes, .pos bytes)``, the field's record triple
+    (``stats`` = int64 rows df, ttf, doc_ptr, pos_ptr per term).
+    ``invert_field`` calls it through this module's global, which
+    perfbench's tracer wraps as the ``format.encode`` span."""
+    return cfor.write_postings(term_bounds, s_doc, s_freq, pos_delta, norms)
+
+
+def field_stats_of(doc_lengths: np.ndarray, df: np.ndarray) -> dict:
     """Per-field collection stats (the per-field accumulation of
-    Lucene90BlockTreeTermsWriter.kt:160): docCount counts docs with at
-    least one indexed term of the field (Terms.getDocCount semantics)."""
+    Lucene90BlockTreeTermsWriter.kt:160) from the field's doc lengths and
+    per-term ``df``: docCount counts docs with at least one indexed term
+    of the field (Terms.getDocCount semantics)."""
     return {
         "doc_count": int((doc_lengths > 0).sum()),
         "sum_total_term_freq": int(doc_lengths.sum()),
-        "sum_doc_freq": int(terms_table["df"].to_numpy().sum())
-        if terms_table.num_rows else 0,
-        "unique_terms": int(terms_table.num_rows),
+        "sum_doc_freq": int(np.sum(df)),
+        "unique_terms": len(df),
     }
 
 
@@ -178,8 +189,11 @@ def invert_segment(docs: pa.Table, seg: int, lineage: dict | None = None,
                    index_sort: tuple[tuple[str, bool], ...] | None = None,
                    presorted: bool = False,
                    tv_out: dict | None = None
-                   ) -> tuple[pa.Table, pa.Table, dict]:
-    """Invert one segment's documents → (terms_table, docs_table, manifest).
+                   ) -> tuple[tuple, pa.Table, dict]:
+    """Invert one segment's documents → (postings, docs_table, manifest),
+    ``postings`` the ``(dictionary, .doc, .pos)`` triple ``write_segment``
+    takes: each field's records, written by ``encode_term_table_arrays``,
+    follow the previous field's.
 
     ``docs`` must have columns ``doc_id, url`` plus one column per entry of
     ``fields`` (the fielded-document model, Document.kt:20 / FieldInfos.kt
@@ -191,7 +205,7 @@ def invert_segment(docs: pa.Table, seg: int, lineage: dict | None = None,
     StandardAnalyzer, applied to every field (per-field analyzers slot in
     via a dict, PerFieldAnalyzerWrapper role: pass {field: analyzer}).
 
-    Output terms table carries a ``field`` column and is sorted by
+    The dictionary carries a ``field`` column and is sorted by
     (field, term) — the (field, term)-keyed term dictionary of
     Lucene90BlockTreeTermsWriter (one block-tree per field). The docs table
     holds per-field norms: field "text" keeps the legacy ``length``/``norm``
@@ -203,30 +217,32 @@ def invert_segment(docs: pa.Table, seg: int, lineage: dict | None = None,
     n_docs = docs.num_rows
     fields = tuple(sorted(fields))
 
-    per_field_tables = []
+    parts, doc_bytes, pos_bytes = [], [], []
+    at = np.zeros((2, 1), np.int64)  # the fields' bytes so far
     doc_cols: dict = {"doc_id": docs["doc_id"], "url": docs["url"]}
     field_stats: dict = {}
     for f in fields:
         ana = analyzer.get(f) if isinstance(analyzer, dict) else analyzer
         ent = {} if tv_out is not None else None
-        lengths, norms, ft, max_tf, uniq = invert_field(docs[f], n_docs,
-                                                        ana, entries_out=ent)
+        lengths, norms, (terms, stats, doc, pos), max_tf, uniq = \
+            invert_field(docs[f], n_docs, ana, entries_out=ent)
         if tv_out is not None:
             tv_out[f] = ent
-        per_field_tables.append(_prepend_field(ft, f))
+        stats[2:] += at
+        at += [[len(doc)], [len(pos)]]
+        parts.append((f, terms, stats))
+        doc_bytes.append(doc)
+        pos_bytes.append(pos)
         sfx = "" if f == "text" else f"_{f}"
         doc_cols[f"length{sfx}"] = pa.array(lengths, type=pa.int32())
         doc_cols[f"norm{sfx}"] = pa.array(norms, type=pa.uint8())
         # FieldInvertState extras (per-doc, per-field)
         doc_cols[f"max_tf{sfx}"] = pa.array(max_tf, type=pa.int32())
         doc_cols[f"unique_terms{sfx}"] = pa.array(uniq, type=pa.int32())
-        field_stats[f] = field_stats_of(lengths, ft)
+        field_stats[f] = field_stats_of(lengths, stats[0])
 
     for mc in meta_cols:  # stored doc-values columns (DocValues role:
         doc_cols[mc] = docs[mc]  # numeric per-doc payload for filters/sort)
-    terms_table = pa.concat_tables(per_field_tables) if per_field_tables \
-        else _prepend_field(encode_term_table(iter(()), np.empty(0, np.uint8)),
-                            "text").slice(0, 0)
     docs_table = pa.table(doc_cols)
     # top-level stats remain the text field's (back-compat: the primary
     # scored field); per-field stats live under "fields"
@@ -253,13 +269,10 @@ def invert_segment(docs: pa.Table, seg: int, lineage: dict | None = None,
                     "tokens": sum(s["sum_total_term_freq"]
                                   for s in field_stats.values())},
     }
-    return terms_table, docs_table, manifest
-
-
-def _prepend_field(terms_table: pa.Table, field: str) -> pa.Table:
-    """Add the constant ``field`` column in front (dictionary-friendly)."""
-    return terms_table.add_column(0, "field",
-                                  field_column(field, terms_table.num_rows))
+    postings = (postings_dictionary(parts),
+                *(np.concatenate(b or [np.empty(0, np.uint8)])
+                  for b in (doc_bytes, pos_bytes)))
+    return postings, docs_table, manifest
 
 
 def field_column(field: str, n: int) -> pa.Array:
@@ -268,176 +281,21 @@ def field_column(field: str, n: int) -> pa.Array:
     return pa.nulls(n, pa.string()).fill_null(field)
 
 
-def _list_column(n_terms: int, counts: np.ndarray,
-                 values: np.ndarray) -> pa.Array:
-    """Per-term list<int32> column from (counts per term, concatenated
-    values in term order)."""
-    offsets = np.zeros(n_terms + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return pa.ListArray.from_arrays(
-        pa.array(offsets.astype(np.int32)),
-        pa.array(values.astype(np.int32)))
-
-
-def encode_term_table_arrays(uniques, s_doc, s_freq, pos_delta,
-                             term_starts, term_ends, pos_bounds,
-                             norms: np.ndarray) -> pa.Table:
-    """Bulk term-table encode over the inverter's flat entry arrays.
-
-    The r1 per-term Python loop (one generator step + ~10 numpy calls per
-    term) is invisible on a 31-term synthetic vocabulary and dominant on a
-    real web vocabulary (millions of terms/segment, mostly df=1). Here
-    EVERY term — single-block majority and multi-block Zipf head alike —
-    encodes through ONE ``cfor.encode_csr`` call per stream: each term
-    contributes ``ceil(len/128)`` consecutive block rows of the flat
-    entry arrays, and since blocks are independent in the
-    stream the concatenated bytes are identical to the per-term path
-    (asserted in tests). The per-term binary columns are then plain
-    offset slices of the single shared stream (terms tile the rows in
-    term order), and the skip/impact metadata falls out of one global
-    ``reduceat`` over the entry arrays (block starts tile them exactly).
-    """
-    n_terms = len(uniques)
-    BS = fu.BLOCK_SIZE
-    df = (term_ends - term_starts).astype(np.int64)
-    ttf = (pos_bounds[term_ends] - pos_bounds[term_starts]).astype(np.int64)
-
-    # The block/row layout below assumes the kept terms TILE the entry and
-    # position arrays. Merge passes gapped views when a term's postings
-    # were fully reclaimed (index/merge.py drops df==0 codes), so compact
-    # the gaps out first — also makes the block max-freq / min-norm
-    # reduceats exact instead of conservatively spanning dropped entries.
-    contiguous = n_terms == 0 or (
-        int(term_starts[0]) == 0 and int(term_ends[-1]) == len(s_doc)
-        and np.array_equal(term_starts[1:], term_ends[:-1]))
-    if not contiguous:
-        total = int(df.sum())
-        out_start = np.cumsum(df) - df
-        within = np.arange(total, dtype=np.int64) - np.repeat(out_start, df)
-        gather = np.repeat(term_starts, df) + within
-        ptotal = int(ttf.sum())
-        pout = np.cumsum(ttf) - ttf
-        pwithin = np.arange(ptotal, dtype=np.int64) - np.repeat(pout, ttf)
-        pgather = np.repeat(pos_bounds[term_starts], ttf) + pwithin
-        s_doc = s_doc[gather]
-        s_freq = s_freq[gather]
-        pos_delta = pos_delta[pgather]
-        term_starts = out_start
-        term_ends = out_start + df
-        pos_bounds = np.append(0, np.cumsum(s_freq))
-
-    # docs delta chain restarts at every term: one global diff + absolute
-    # first-of-term fix (no per-term delta_encode calls)
-    d_delta = np.empty_like(s_doc)
-    if len(s_doc):
-        d_delta[0] = s_doc[0]
-        np.subtract(s_doc[1:], s_doc[:-1], out=d_delta[1:])
-        d_delta[term_starts] = s_doc[term_starts]
-
-    nb_d = (df + BS - 1) // BS   # doc/freq blocks per term (df >= 1)
-    nb_p = (ttf + BS - 1) // BS  # position blocks per term (ttf >= df)
-    Rd = int(nb_d.sum())
-    Rp = int(nb_p.sum())
-    drow = np.cumsum(nb_d) - nb_d
-    prow = np.cumsum(nb_p) - nb_p
-    # block starts tile the entry / position arrays exactly (terms tile
-    # them, each term's blocks tile the term) — shared by the CSR encoder
-    # row_ptrs and the skip/impact reduceats below
-    blk_start = (np.repeat(term_starts, nb_d)
-                 + (np.arange(Rd) - np.repeat(drow, nb_d)) * BS) \
-        if Rd else np.empty(0, np.int64)
-    pblk_start = (np.repeat(pos_bounds[term_starts], nb_p)
-                  + (np.arange(Rp) - np.repeat(prow, nb_p)) * BS) \
-        if Rp else np.empty(0, np.int64)
-
-    # encode straight off the flat entry arrays, one C call per stream
-    row_ptr_d = np.append(blk_start, len(s_doc))
-    d_stream, d_starts = cfor.encode_csr(d_delta, row_ptr_d, pfor=False)
-    f_stream, f_starts = cfor.encode_csr(s_freq, row_ptr_d, pfor=True)
-    p_stream, p_starts = cfor.encode_csr(
-        pos_delta, np.append(pblk_start, len(pos_delta)), pfor=True)
-
-    def _contig_binary(stream: np.ndarray, starts: np.ndarray,
-                       row_off: np.ndarray) -> pa.Array:
-        """Per-term binary column as offset slices of the shared stream
-        (terms tile the block rows contiguously in term order)."""
-        offs = np.empty(n_terms + 1, np.int64)
-        if n_terms:
-            offs[:n_terms] = starts[row_off]
-        offs[n_terms] = len(stream)
-        return pa.Array.from_buffers(
-            pa.binary(), n_terms,
-            [None, pa.py_buffer(offs.astype(np.int32).tobytes()),
-             pa.py_buffer(stream.tobytes())])
-
-    # ---- skip/impact metadata: doc-block starts tile the entry arrays
-    # exactly (each term's blocks cover its entries, terms tile the
-    # array), so one reduceat per stat covers every block of every term ----
-    if Rd:
-        term_of_block = np.repeat(np.arange(n_terms), nb_d)
-        blk_end = np.minimum(blk_start + BS, term_ends[term_of_block])
-        v_last = s_doc[blk_end - 1]
-        v_maxf = np.maximum.reduceat(s_freq, blk_start)
-        v_minn = np.minimum.reduceat(norms[s_doc].astype(np.int64),
-                                     blk_start)
-    else:
-        v_last = v_maxf = v_minn = np.empty(0, np.int64)
-
-    term_col = uniques if isinstance(uniques, (pa.Array, pa.ChunkedArray)) \
-        else pa.array(uniques, type=pa.string())
-    return pa.table({
-        "term": term_col,
-        "df": pa.array(df, type=pa.int64()),
-        "ttf": pa.array(ttf, type=pa.int64()),
-        "docs_enc": _contig_binary(d_stream, d_starts, drow),
-        "freqs_enc": _contig_binary(f_stream, f_starts, drow),
-        "pos_enc": _contig_binary(p_stream, p_starts, prow),
-        "block_last_doc": _list_column(n_terms, nb_d, v_last),
-        "block_max_freq": _list_column(n_terms, nb_d, v_maxf),
-        "block_min_norm": _list_column(n_terms, nb_d, v_minn),
-    })
-
-
-def encode_term_table(entries, norms: np.ndarray) -> pa.Table:
-    """Encode per-term postings → the segment terms table.
-
-    ``entries`` yields ``(term, docs, freqs, pos_deltas)`` in ascending term
-    order: ``docs`` ascending local docIDs, ``freqs`` per-doc term freqs,
-    ``pos_deltas`` the flat within-entry delta-encoded positions (first of
-    each entry absolute). Emits delta+FOR encoded columns plus per-128-doc
-    block skip/impact metadata (Lucene101PostingsWriter.kt:96-107 role).
-    Shared by the segment builder (invert_segment) and the segment merger.
-    """
-    terms, dfs, ttfs = [], [], []
-    docs_enc, freqs_enc, pos_enc = [], [], []
-    blk_last, blk_maxf, blk_minn = [], [], []
-    for term, d, f, posd in entries:
-        terms.append(term)
-        dfs.append(len(d))
-        ttfs.append(int(f.sum()))
-        # docs: delta+FOR (ForDeltaUtil role); freqs/positions: PFor with
-        # ≤7 patched exceptions (PForUtil role) — skewed freqs are the norm
-        docs_enc.append(fu.encode_blocks(fu.delta_encode(d)))
-        freqs_enc.append(fu.encode_blocks_pfor(f))
-        pos_enc.append(fu.encode_blocks_pfor(posd))
-        # per-128-doc-block skip + impact metadata
-        idx = np.arange(0, len(d), fu.BLOCK_SIZE)
-        blk_last.append(d[np.minimum(idx + fu.BLOCK_SIZE - 1, len(d) - 1)]
-                        .astype(np.int32))
-        blk_maxf.append(np.maximum.reduceat(f, idx).astype(np.int32))
-        blk_minn.append(np.minimum.reduceat(
-            norms[d].astype(np.int64), idx).astype(np.int32))
-    return pa.table({
-        "term": pa.array(terms, type=pa.string()),
-        "df": pa.array(dfs, type=pa.int64()),
-        "ttf": pa.array(ttfs, type=pa.int64()),
-        "docs_enc": pa.array(docs_enc, type=pa.binary()),
-        "freqs_enc": pa.array(freqs_enc, type=pa.binary()),
-        "pos_enc": pa.array(pos_enc, type=pa.binary()),
-        "block_last_doc": pa.array(blk_last, type=pa.list_(pa.int32())),
-        "block_max_freq": pa.array(blk_maxf, type=pa.list_(pa.int32())),
-        "block_min_norm": pa.array(blk_minn, type=pa.list_(pa.int32())),
-    })
+def postings_dictionary(parts: list) -> pa.Table:
+    """A segment's term dictionary (``field, term, df, ttf, doc_ptr,
+    pos_ptr``) from ``parts``, in field order: ``(field, terms, stats)``
+    with the field's sorted terms and their int64 rows df, ttf, doc_ptr,
+    pos_ptr (pointers into the segment's files). The four numbers are
+    int32 when every value fits (``postings._narrow``)."""
+    stats = np.concatenate([p[2] for p in parts], axis=1) if parts \
+        else np.empty((4, 0), np.int64)
+    cols = {"field": pa.chunked_array(
+                [field_column(f, len(t)) for f, t, _ in parts], pa.string()),
+            "term": pa.chunked_array(
+                [c for _, t, _ in parts for c in getattr(t, "chunks", [t])],
+                pa.string())}
+    cols.update(zip(("df", "ttf", "doc_ptr", "pos_ptr"), map(_narrow, stats)))
+    return pa.table(cols)
 
 
 def term_vectors_of(texts, doc_ids: np.ndarray, field: str,
@@ -569,7 +427,9 @@ def write_segment(index_dir: str, postings: tuple, docs_table: pa.Table,
     """Atomically persist one segment (write tmp dir, rename) — the
     per-partition two-phase commit (SegmentInfos.kt:35-45 analog).
     ``postings`` is ``(dictionary, postings.doc bytes, postings.pos
-    bytes)``, as ``postings.split_postings`` returns them.
+    bytes)``, written by the one postings writer: the flush's
+    ``segment_postings``, the grouped build's assemble step and the
+    merge's ``_merge_records`` all hand over this triple.
     ``vectors_table`` is the optional per-doc vector sidecar (row N ==
     local docID N — the KnnVectorsFormat role, codecs/lucene99);
     ``graph_table`` the optional HNSW neighbor-list sidecar over it;
@@ -658,12 +518,12 @@ def build_and_write_segment(docs: pa.Table, seg: int, index_dir: str,
             .rename_columns(["embedding"])
         docs = docs.drop_columns([vector_col])
     tv_entries: dict | None = {} if store_term_vectors else None
-    terms_table, docs_table, manifest = invert_segment(docs, seg, lineage,
-                                                       analyzer, fields,
-                                                       meta_cols,
-                                                       index_sort=index_sort,
-                                                       presorted=True,
-                                                       tv_out=tv_entries)
+    postings, docs_table, manifest = invert_segment(docs, seg, lineage,
+                                                    analyzer, fields,
+                                                    meta_cols,
+                                                    index_sort=index_sort,
+                                                    presorted=True,
+                                                    tv_out=tv_entries)
     if vectors_table is not None:
         d = vectors_table["embedding"][0].as_py() \
             if vectors_table.num_rows else []
@@ -693,8 +553,8 @@ def build_and_write_segment(docs: pa.Table, seg: int, index_dir: str,
                 [("doc_id", "ascending"), ("field", "ascending"),
                  ("term", "ascending")])
         manifest["term_vectors"] = True
-    return write_segment(index_dir, split_postings(terms_table), docs_table,
-                         manifest, vectors_table, graph_table, qvectors_table,
+    return write_segment(index_dir, postings, docs_table, manifest,
+                         vectors_table, graph_table, qvectors_table,
                          tvectors_table, bloom=bloom)
 
 

@@ -24,13 +24,14 @@ When to use which build path:
      salt_docs``, splitting their posting list into doc-range sub-lists
      that encode in parallel; tail terms keep ``salt = -1`` (single group).
   2. ``groupby(seg, term, salt).map_groups(encode)``: sort each group by
-     doc, delta+FOR-encode → one compressed sub-list row with skip/impact
-     block metadata. After this stage data volume drops ~5-10×.
+     doc, delta+FOR-encode → one compressed sub-list row. After this
+     stage data volume drops ~5-10×.
   3. ``groupby(seg).map_groups(assemble)``: per segment, doc-meta rows
-     become ``docs.parquet``; sub-lists of the same term concatenate in
-     salt (== doc) order — head terms decode+re-encode (few, bounded),
-     tail terms pass through — then the sorted term table + manifest
-     commit atomically exactly like the sharded path.
+     become ``docs.parquet``; every sub-list decodes in one C pass per
+     stream, sub-lists of the same term concatenate in salt (== doc)
+     order, and the flush's postings writer (``cfor.write_postings``)
+     writes the segment's records; the dictionary + manifest then commit
+     atomically exactly like the sharded path.
 
 Output is file-identical to the other build paths (asserted in
 tests/test_grouped_build.py), so readers, merge and search are oblivious.
@@ -54,12 +55,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..analysis.standard import tokenize_flat
+from ..util import cfor
 from ..util import forutil as fu
 from ..util.smallfloat import int_to_byte4_np
 from .builder import commit_index, completed_segments
-from .format import (_prepend_field, encode_term_table, field_stats_of,
-                     read_seg_manifest, write_segment)
-from .postings import split_postings
+from .format import (field_stats_of, postings_dictionary, read_seg_manifest,
+                     write_segment)
+from .postings import _binary_parts
 
 DEFAULT_SALT_DOCS = 16_384          # head-term sub-list = ≤ this many docs
 DEFAULT_HEAD_DF_FRAC = 0.05         # df/doc_count above this → head term
@@ -182,16 +184,16 @@ def _explode(batch: pa.Table, segment_size: int, heads: set[str],
 
 
 def _stage2_table(kind, seg, term, salt, doc, doc_id, url, length, norm,
-                  df, ttf, docs_enc, freqs_enc, pos_enc,
-                  blk_last, blk_maxf, blk_minn) -> pa.Table:
+                  df, ttf, docs_enc, freqs_enc, pos_enc) -> pa.Table:
     """Single canonical stage-2 schema for both row kinds (column order and
-    types must be identical across groups — Ray Data blocks concatenate)."""
+    types must be identical across groups — Ray Data blocks concatenate).
+    A sub-list carries its streams only: the assemble step writes each
+    term's skip/impact metadata with its record."""
     return pa.table({
         "kind": kind, "seg": seg, "term": term, "salt": salt, "doc": doc,
         "doc_id": doc_id, "url": url, "length": length, "norm": norm,
         "df": df, "ttf": ttf, "docs_enc": docs_enc, "freqs_enc": freqs_enc,
-        "pos_enc": pos_enc, "block_last_doc": blk_last,
-        "block_max_freq": blk_maxf, "block_min_norm": blk_minn,
+        "pos_enc": pos_enc,
     })
 
 
@@ -210,15 +212,12 @@ def _encode_group(g: pa.Table) -> pa.Table:
             g["kind"], g["seg"], g["term"], g["salt"], g["doc"],
             g["doc_id"], g["url"], g["length"], g["norm"],
             i64z, i64z, pa.nulls(n, pa.binary()), pa.nulls(n, pa.binary()),
-            pa.nulls(n, pa.binary()), pa.nulls(n, pa.list_(pa.int32())),
-            pa.nulls(n, pa.list_(pa.int32())), pa.nulls(n, pa.list_(pa.int32())))
+            pa.nulls(n, pa.binary()))
     order = pc.sort_indices(g, sort_keys=[("doc", "ascending")])
     g = g.take(order)
     d = g["doc"].to_numpy()
     f = g["freq"].to_numpy()
     posd_flat = pc.list_flatten(g["posd"]).to_numpy().astype(np.int64)
-    norms = g["norm"].to_numpy().astype(np.int64)
-    idx = np.arange(0, len(d), fu.BLOCK_SIZE)
     i64 = pa.int64()
     return _stage2_table(
         pa.array([np.int8(1)]), g["seg"].slice(0, 1), g["term"].slice(0, 1),
@@ -227,13 +226,7 @@ def _encode_group(g: pa.Table) -> pa.Table:
         pa.array([len(d)], i64), pa.array([int(f.sum())], i64),
         pa.array([fu.encode_blocks(fu.delta_encode(d))], pa.binary()),
         pa.array([fu.encode_blocks_pfor(f)], pa.binary()),
-        pa.array([fu.encode_blocks_pfor(posd_flat)], pa.binary()),
-        pa.array([d[np.minimum(idx + fu.BLOCK_SIZE - 1, len(d) - 1)]
-                  .astype(np.int32)], pa.list_(pa.int32())),
-        pa.array([np.maximum.reduceat(f, idx).astype(np.int32)],
-                 pa.list_(pa.int32())),
-        pa.array([np.minimum.reduceat(norms, idx).astype(np.int32)],
-                 pa.list_(pa.int32())))
+        pa.array([fu.encode_blocks_pfor(posd_flat)], pa.binary()))
 
 
 _EMPTY_S2 = _stage2_table(
@@ -243,9 +236,7 @@ _EMPTY_S2 = _stage2_table(
     pa.array([], pa.string()), pa.array([], pa.int64()),
     pa.array([], pa.int64()), pa.array([], pa.int64()),
     pa.array([], pa.int64()), pa.array([], pa.binary()),
-    pa.array([], pa.binary()), pa.array([], pa.binary()),
-    pa.array([], pa.list_(pa.int32())), pa.array([], pa.list_(pa.int32())),
-    pa.array([], pa.list_(pa.int32())))
+    pa.array([], pa.binary()), pa.array([], pa.binary()))
 
 
 def make_assembler(index_dir: str, lineage_source: str, segment_size: int):
@@ -270,52 +261,37 @@ def make_assembler(index_dir: str, lineage_source: str, segment_size: int):
         need_remap = not np.array_equal(stored_locals,
                                         np.arange(n_docs, dtype=np.int64))
 
-        # per term: single sub-list passes through; multi-salt (head terms)
-        # decode sub-lists, concat in salt==doc order, re-encode
+        # sub-lists in (term, salt) order: a head term's salts (== doc
+        # ranges) follow each other, so each term's entries are one run
         subs = subs.sort_by([("term", "ascending"), ("salt", "ascending")])
-        terms = subs["term"].to_pylist()
         dfs = subs["df"].to_numpy()
-        ttfs = subs["ttf"].to_numpy()
+        terms = subs["term"].combine_chunks()
+        new_term = np.ones(len(terms), bool)
+        new_term[1:] = pc.not_equal(terms[1:], terms[:-1]).to_numpy(
+            zero_copy_only=False)
+        starts = np.flatnonzero(new_term)
 
-        def sub_arrays(i):
-            df_i, ttf_i = int(dfs[i]), int(ttfs[i])
-            d = fu.delta_decode(fu.decode_blocks(
-                subs["docs_enc"][i].as_py(), df_i))
-            if need_remap:
-                d = np.searchsorted(stored_locals, d)
-            f = fu.decode_blocks(subs["freqs_enc"][i].as_py(), df_i)
-            p = fu.decode_blocks(subs["pos_enc"][i].as_py(), ttf_i)
-            return d, f, p
+        def decoded(col, counts):  # every sub-list's stream of ``col``
+            buf, offs = _binary_parts(subs[col])
+            return cfor.decode_streams_at(np.frombuffer(buf, np.uint8),
+                                          offs[:-1], counts)[0]
 
-        # FieldInvertState.maxTermFrequency / uniqueTermCount per doc,
-        # accumulated while the entry stream feeds the encoder (same
-        # values the sharded path computes at invert time)
+        deltas = decoded("docs_enc", dfs)
+        freqs = decoded("freqs_enc", dfs)
+        posd = decoded("pos_enc", subs["ttf"].to_numpy())
+        first = np.cumsum(dfs) - dfs  # each sub-list's first entry
+        docs = np.cumsum(deltas)  # the delta chains restart per sub-list
+        docs -= np.repeat(docs[first] - deltas[first], dfs)
+        if need_remap:
+            docs = np.searchsorted(stored_locals, docs)
+        # FieldInvertState.maxTermFrequency / uniqueTermCount per doc
+        # (the values the sharded path computes at invert time)
         max_tf = np.zeros(n_docs, dtype=np.int64)
-        uniq_terms = np.zeros(n_docs, dtype=np.int64)
-
-        def entries():
-            i, n = 0, len(terms)
-            while i < n:
-                j = i
-                while j + 1 < n and terms[j + 1] == terms[i]:
-                    j += 1
-                if j == i:
-                    d, f, p = _passthrough(i)
-                else:  # head term: salt-order concat + re-encode
-                    parts = [sub_arrays(x) for x in range(i, j + 1)]
-                    d = np.concatenate([p[0] for p in parts])
-                    f = np.concatenate([p[1] for p in parts])
-                    p = np.concatenate([p[2] for p in parts])
-                np.maximum.at(max_tf, d, f)
-                np.add.at(uniq_terms, d, 1)
-                yield (terms[i], d, f, p)
-                i = j + 1
-
-        def _passthrough(i):
-            return sub_arrays(i)
-
-        terms_plain = encode_term_table(entries(), norms_by_doc)
-        terms_table = _prepend_field(terms_plain, "text")
+        np.maximum.at(max_tf, docs, freqs)
+        uniq_terms = np.bincount(docs, minlength=n_docs).astype(np.int64)
+        term_bounds = np.append(first[starts], len(docs))
+        stats, doc, pos = cfor.write_postings(term_bounds, docs, freqs, posd,
+                                              norms_by_doc)
         docs_table = pa.table({
             "doc_id": docrows["doc_id"],
             "url": docrows["url"],
@@ -329,10 +305,9 @@ def make_assembler(index_dir: str, lineage_source: str, segment_size: int):
             "seg": seg,
             "doc_count": int(n_docs),
             "sum_total_term_freq": int(lengths.sum()),
-            "sum_doc_freq": int(terms_plain["df"].to_numpy().sum())
-            if terms_plain.num_rows else 0,
-            "unique_terms": int(terms_plain.num_rows),
-            "fields": {"text": field_stats_of(lengths, terms_plain)},
+            "sum_doc_freq": int(stats[0].sum()),
+            "unique_terms": len(starts),
+            "fields": {"text": field_stats_of(lengths, stats[0])},
             "doc_id_min": int(docrows["doc_id"][0].as_py()) if n_docs else None,
             "doc_id_max": int(docrows["doc_id"][n_docs - 1].as_py())
             if n_docs else None,
@@ -340,8 +315,10 @@ def make_assembler(index_dir: str, lineage_source: str, segment_size: int):
                         "segment_size": segment_size},
             "metrics": {"assemble_sec": round(time.monotonic() - t0, 4)},
         }
-        man = write_segment(index_dir, split_postings(terms_table),
-                            docs_table, manifest)
+        dictionary = postings_dictionary(
+            [("text", terms.take(pa.array(starts)), stats)])
+        man = write_segment(index_dir, (dictionary, doc, pos), docs_table,
+                            manifest)
         return pa.table({"manifest": pa.array([json.dumps(man)], pa.string())})
 
     return assemble

@@ -46,8 +46,8 @@ import pyarrow.parquet as pq
 
 from ..util import forutil as fu
 from .builder import commit_index
-from .format import (DOCS_FILE, field_column, field_stats_of, seg_dirname,
-                     write_segment)
+from .format import (DOCS_FILE, field_stats_of, postings_dictionary,
+                     seg_dirname, write_segment)
 
 # TieredMergePolicy.kt defaults, re-based on docs (5GB/16MB ≈ 320:1 ratio
 # preserved): segments under the floor count as floor-sized.
@@ -452,14 +452,14 @@ def _merge_records(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
     unions the sources' sorted term runs, ``cfor.merge_postings`` reads
     each holding source's ``.doc`` / ``.pos`` record, maps its docs
     through ``inv_perm`` (dropping reclaimed ones) and writes the merged
-    record where ``split_postings`` would put it. Returns ``((dictionary,
+    record with the record writer the flush uses. Returns ``((dictionary,
     postings.doc, postings.pos), field_stats, phase seconds)``: no
     logical terms table is built. Phases: ``read_sec`` opens the
     sources, ``vocab_sec`` is ``merge_terms``, ``postings_sec`` the
     fused decode and encode of ``merge_postings``, ``encode_sec`` the
     dictionary's assembly."""
     from ..util import cfor
-    from .postings import SegmentPostings, _narrow
+    from .postings import SegmentPostings
 
     def ends(ptr, lo, hi, size):  # rows' pointers + the last one's end
         return np.append(ptr[lo:hi], ptr[hi] if hi < len(ptr) else size)
@@ -523,22 +523,15 @@ def _merge_records(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
             parts.append((fld, terms, stats))
             lcol = "length" if fld == "text" else f"length_{fld}"
             field_stats[fld] = field_stats_of(
-                docs_table[lcol].to_numpy().astype(np.int64),
-                pa.table({"df": stats[0]}))
+                docs_table[lcol].to_numpy().astype(np.int64), stats[0])
         phases["vocab_sec"] += t2 - t1
         phases["postings_sec"] += t3 - t2
         phases["encode_sec"] += time.monotonic() - t3
     t4 = time.monotonic()
-    stats = np.concatenate([p[2] for p in parts], axis=1) if parts \
-        else np.empty((4, 0), np.int64)
-    cols = {"field": pa.chunked_array(
-                [field_column(f, len(t)) for f, t, _ in parts], pa.string()),
-            "term": pa.chunked_array([c for _, t, _ in parts
-                                      for c in t.chunks], pa.string())}
-    cols.update(zip(("df", "ttf", "doc_ptr", "pos_ptr"), map(_narrow, stats)))
+    dictionary = postings_dictionary(parts)
     phases["encode_sec"] += time.monotonic() - t4
-    return (pa.table(cols), out_doc[:io[0]], out_pos[:io[2]]), \
-        field_stats, phases
+    return (dictionary, out_doc[:io[0]], out_pos[:io[2]]), field_stats, \
+        phases
 
 
 # a source of the record merge: its SegmentPostings, term column,

@@ -29,13 +29,16 @@ or corrupt record raises IndexError instead of reading past its buffer.
 
 Segments written before this layout keep every payload column in
 ``terms.parquet``; ``SegmentPostings`` reads such a table once, whole,
-and splits it in memory with the writer's own ``split_postings``, so
-both layouts answer through one lookup path.
+and splits it in memory with ``split_postings``, so both layouts answer
+through one lookup path. That old-layout read is ``split_postings``'
+only engine caller.
 
-``write_postings`` stores the three parts as they are. A flush gets
-them from ``split_postings`` over its logical terms table; the
-record-to-record merge (index/merge.py) writes each merged record
-straight into the ``.doc`` / ``.pos`` bytes in this layout.
+``write_postings`` stores the three parts as they are. One C record
+writer makes them: the flush (``format.encode_term_table_arrays``) and
+the grouped build (index/grouped.py) hand the inverted entry arrays to
+``cfor.write_postings``, and the record-to-record merge (index/merge.py,
+``cfor.merge_postings``) writes each merged record through the same
+writer. No writer builds a logical terms table.
 """
 
 from __future__ import annotations
@@ -102,7 +105,9 @@ def _meta_column(t: pa.Table, df: np.ndarray) -> pa.Array:
 
 def split_postings(t: pa.Table) -> tuple[pa.Table, pa.Buffer, pa.Buffer]:
     """Logical terms table → (dictionary table with ``doc_ptr``/
-    ``pos_ptr``, ``postings.doc`` bytes, ``postings.pos`` bytes)."""
+    ``pos_ptr``, ``postings.doc`` bytes, ``postings.pos`` bytes): how an
+    old-layout segment, whose ``terms.parquet`` holds the payload
+    columns, is read (``SegmentPostings``)."""
     df = t["df"].to_numpy()
     ttf = t["ttf"].to_numpy()
     freqs = pc.if_else(pa.array(ttf > df), t["freqs_enc"], _EMPTY)
@@ -123,10 +128,11 @@ def _narrow(a: np.ndarray) -> pa.Array:
 
 
 def write_postings(seg_dir: str, dictionary: pa.Table, doc, pos) -> None:
-    """Write the dictionary plus the two flat postings files (the one
-    writer every build path and merge uses): ``doc`` / ``pos`` are the
+    """Write the dictionary plus the two flat postings files (every build
+    path and the merge store through it): ``doc`` / ``pos`` are the
     ``postings.doc`` / ``postings.pos`` bytes the dictionary's pointers
-    address, as ``split_postings`` returns them."""
+    address, as the C record writer (``cfor.write_postings`` /
+    ``cfor.merge_postings``) returns them."""
     pq.write_table(
         dictionary, os.path.join(seg_dir, TERMS_FILE),
         use_dictionary=["field"],

@@ -1,22 +1,10 @@
-/* C kernels of util/cfor.py: the block codec (fused positional skip-read,
- * bulk encode, checked stream and .doc record decode), the term
- * dictionary search, the per-segment conjunction and BM25 bulk scorer of
- * search/searcher.py, and the record-to-record merge of index/merge.py.
- * They are the engine's only implementation; the numpy references the
- * tests compare them with live in tests/_ref_codec.py.
- *
- * Fused positional skip-read: masked FOR/PFor block decode + per-entry
- * position gather for positions_for_entries (index/reader.py).
- *
- * Semantics are EXACTLY the numpy reference's (tests/test_cfor.py):
- *   1. decode only the 128-value blocks the caller's mask selects
- *      (little-endian bit-packed width-w values, PFor exceptions as
- *      (pos_u8, high_u8) pairs OR-ed in at << width);
- *   2. per selected entry [s,e), cumulative-sum its delta slice into
- *      absolute positions, concatenated in entry order.
- *
- * meta rows are block_stream_meta()'s (payload_start, width, n_exc,
- * payload_bytes, total_bytes).
+/* C kernels of util/cfor.py: the block codec (stream encode, checked
+ * stream and .doc record decode, the fused positional skip-read), the
+ * term dictionary search, the conjunction and BM25 bulk scorer of
+ * search/searcher.py, and the postings writer that the flush
+ * (index/format.py) and the record-to-record merge (index/merge.py)
+ * share.  They are the engine's only implementation; the numpy
+ * references the tests hold them to live in tests/_ref_*.py.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -77,9 +65,13 @@ static void decode_block(const uint8_t *mv, int64_t mvlen,
     }
 }
 
-/* mask: uint8 per block (nonzero = decode).  scratch: caller-allocated
- * n-value workspace (unselected regions are never read).  out_flat:
- * sum(e-s) values.  Returns the number of values written. */
+/* The fused positional skip-read of positions_for_entries
+ * (index/reader.py): decode the blocks mask selects (uint8 per block;
+ * meta rows are block_stream_meta()'s payload_start, width, n_exc,
+ * payload_bytes, total_bytes) into scratch (n values, unselected regions
+ * never read), then cumulative-sum each entry [s,e)'s deltas into
+ * absolute positions in out_flat, in entry order.  Returns the number of
+ * values written. */
 int64_t positions_select(const uint8_t *mv, int64_t mvlen,
                          const int64_t *meta, int64_t nblocks, int64_t n,
                          const uint8_t *mask,
@@ -102,10 +94,10 @@ int64_t positions_select(const uint8_t *mv, int64_t mvlen,
     return j;
 }
 
-/* ---- bulk block ENCODE (for_blocks_matrix / pfor_blocks_matrix core) ----
+/* ---- block ENCODE ----
  *
- * The numpy encoders of tests/_ref_codec.py are the semantic reference
- * (tests/test_cfor.py fuzzes byte-identity).  Width and exception
+ * The numpy matrix encoders of tests/_ref_codec.py are the semantic
+ * reference (tests/test_cfor.py fuzzes byte-identity).  Width and exception
  * selection reproduce them exactly:
  *   cand_w[e] = (e+1)-th largest bit length in the row (multiplicity kept),
  *   nexc[e]   = count(bl > cand_w[e]) over all 128 columns,
@@ -196,22 +188,17 @@ static int64_t block_pack(const int64_t *row, int64_t cnt, int64_t w,
     return (p - h) + paybytes + 2 * ne;
 }
 
-/* Row r's values are vals[row_ptr[r] .. row_ptr[r+1]) (0 <= count <=
- * 128).  Pass 1: per-row width + exception count. */
-void encode_meta_csr(const int64_t *vals, const int64_t *row_ptr,
-                     int64_t R, int pfor, int64_t *widths, int64_t *nexc) {
-    for (int64_t r = 0; r < R; r++)
-        block_width(vals + row_ptr[r], row_ptr[r + 1] - row_ptr[r], pfor,
-                    widths + r, nexc + r);
-}
-
-/* Pass 2: write each row's block at the caller-computed starts. */
-void encode_pack_csr(const int64_t *vals, const int64_t *row_ptr,
-                     int64_t R, const int64_t *widths, const int64_t *nexc,
-                     const int64_t *starts, uint8_t *out) {
-    for (int64_t r = 0; r < R; r++)
-        block_pack(vals + row_ptr[r], row_ptr[r + 1] - row_ptr[r],
-                   widths[r], nexc[r], out + starts[r]);
+/* Encode the n-value stream v at out (pfor=0 -> plain FOR): one block
+ * per 128 values.  Returns the bytes written, at most nblocks + 8 * n. */
+int64_t encode_stream(const int64_t *v, int64_t n, int pfor, uint8_t *out) {
+    int64_t at = 0;
+    for (int64_t done = 0; done < n; done += BLOCK_SIZE) {
+        int64_t cnt = n - done < BLOCK_SIZE ? n - done : BLOCK_SIZE;
+        int64_t w, ne;
+        block_width(v + done, cnt, pfor, &w, &ne);
+        at += block_pack(v + done, cnt, w, ne, out + at);
+    }
+    return at;
 }
 
 /* Decode the n-value stream at buf[pos]; returns the offset just past it,
@@ -576,24 +563,6 @@ done:
     return got;
 }
 
-/* ---- the record-to-record merge of index/merge.py.  The per-term numpy
- * merge of tests/_ref_merge.py is its reference (tests/test_merge_kernel.py
- * compares the merged files byte for byte). ---- */
-
-/* Encode the n-value stream v at out; pfor=0 -> plain FOR.  Returns the
- * bytes written. */
-static int64_t encode_stream(const int64_t *v, int64_t n, int pfor,
-                             uint8_t *out) {
-    int64_t at = 0;
-    for (int64_t done = 0; done < n; done += BLOCK_SIZE) {
-        int64_t cnt = n - done < BLOCK_SIZE ? n - done : BLOCK_SIZE;
-        int64_t w, ne;
-        block_width(v + done, cnt, pfor, &w, &ne);
-        at += block_pack(v + done, cnt, w, ne, out + at);
-    }
-    return at;
-}
-
 /* ---- the merge's vocabulary: the sorted union of k sorted term runs ----
  *
  * Source s's run is rows [lo[s], hi[s]) of the Arrow string array whose
@@ -659,6 +628,82 @@ int64_t merge_terms(int64_t k, const int64_t *offs, const int64_t *wide,
     return n;
 }
 
+/* ---- the postings writer of the flush (write_postings) and the merge
+ * (merge_postings); tests/_ref_postings.py and tests/_ref_merge.py hold
+ * their numpy references, file for file. ---- */
+
+/* Write the record (index/postings.py) of a term with n ascending docs,
+ * their freqs and their np position deltas pv: FOR doc deltas; PFor
+ * freqs unless np == n; for more than one block, block_last_doc,
+ * block_max_freq and block_min_norm (over norms) as int32 LE; PFor pv
+ * into .pos.  io holds (doc bytes used, doc capacity, pos bytes used,
+ * pos capacity); the record goes in at the used counts, which advance.
+ * dd: n int64s of scratch.  Returns 0, -2 for a doc past the norms, -4
+ * when an output buffer is too small. */
+static int64_t write_record(const int64_t *docs, const int64_t *freqs,
+                            int64_t n, const int64_t *pv, int64_t np,
+                            const uint8_t *norms, int64_t nnorms,
+                            int64_t *dd, uint8_t *out_doc, uint8_t *out_pos,
+                            int64_t *io) {
+    int64_t nb = (n + BLOCK_SIZE - 1) / BLOCK_SIZE;
+    int64_t nbp = (np + BLOCK_SIZE - 1) / BLOCK_SIZE;
+    /* a block takes at most 1 + 8 * cnt bytes (PFor never costs more
+     * than FOR at the widest width) */
+    if (io[1] - io[0] < 2 * (nb + 8 * n) + 12 * nb ||
+        io[3] - io[2] < nbp + 8 * np)
+        return -4;
+    for (int64_t i = 0; i < n; i++) {
+        if (docs[i] < 0 || docs[i] >= nnorms) return -2;
+        dd[i] = i ? docs[i] - docs[i - 1] : docs[i];
+    }
+    uint8_t *o = out_doc + io[0];
+    o += encode_stream(dd, n, 0, o);
+    if (np > n) o += encode_stream(freqs, n, 1, o);
+    if (nb > 1) {
+        int32_t *meta = (int32_t *)dd;   /* 3 * nb <= n int32s */
+        for (int64_t b = 0; b < nb; b++) {
+            int64_t lo = b * BLOCK_SIZE;
+            int64_t hi = lo + BLOCK_SIZE < n ? lo + BLOCK_SIZE : n;
+            int64_t mf = 0, mn = 256;
+            for (int64_t i = lo; i < hi; i++) {
+                if (freqs[i] > mf) mf = freqs[i];
+                if (norms[docs[i]] < mn) mn = norms[docs[i]];
+            }
+            meta[b] = (int32_t)docs[hi - 1];
+            meta[nb + b] = (int32_t)mf;
+            meta[2 * nb + b] = (int32_t)mn;
+        }
+        memcpy(o, meta, sizeof(int32_t) * (size_t)(3 * nb));
+        o += 12 * nb;
+    }
+    io[0] = o - out_doc;
+    io[2] += encode_stream(pv, np, 1, out_pos + io[2]);
+    return 0;
+}
+
+/* The flush: one field's records from the inverter's entry arrays.  Term
+ * t holds entries [tb[t], tb[t+1]) of docs / freqs, and its position
+ * deltas follow the previous term's in posd.  df, ttf, doc_ptr and
+ * pos_ptr get each term's values; dd holds the largest df, io and the
+ * returns are write_record's. */
+int64_t write_postings(int64_t nterms, const int64_t *tb, const int64_t *docs,
+                       const int64_t *freqs, const int64_t *posd,
+                       const uint8_t *norms, int64_t nnorms, int64_t *dd,
+                       uint8_t *out_doc, uint8_t *out_pos, int64_t *io,
+                       int64_t *df, int64_t *ttf, int64_t *doc_ptr,
+                       int64_t *pos_ptr) {
+    int64_t got = 0, p = 0;
+    for (int64_t t = 0; t < nterms && !got; t++) {
+        int64_t lo = tb[t], n = tb[t + 1] - lo, np = 0;
+        for (int64_t i = lo; i < lo + n; i++) np += freqs[i];
+        df[t] = n, ttf[t] = np, doc_ptr[t] = io[0], pos_ptr[t] = io[2];
+        got = write_record(docs + lo, freqs + lo, n, posd + p, np, norms,
+                           nnorms, dd, out_doc, out_pos, io);
+        p += np;
+    }
+    return got;
+}
+
 /* ---- the merge's postings: one field's records, source to merged ----
  *
  * Source s is the row src + s * SRC_NCOL of int64s: its whole .doc and
@@ -669,15 +714,10 @@ int64_t merge_terms(int64_t k, const int64_t *offs, const int64_t *wide,
  * every holding source's record with the checked decoder, map its docs
  * and drop the reclaimed ones with their position runs, sort the entries
  * by new doc if their concatenation is not ascending (interleaved doc
- * ranges, an index sort), and write the merged record as split_postings
- * lays it out: FOR doc deltas; PFor freqs unless ttf == df; for a term
- * of more than one block, block_last_doc, block_max_freq and
- * block_min_norm as int32 LE (over the merged field's norms); PFor
- * position deltas into .pos.  io holds (doc bytes used, doc capacity,
- * pos bytes used, pos capacity); records are written from the used
- * counts on, which come back advanced.  df, ttf, doc_ptr and pos_ptr get
- * each code's values (df 0 for a term whose postings were all
- * reclaimed).  Returns 0; -1 when a read would leave a record or its
+ * ranges, an index sort), and write the merged record with write_record
+ * (over the merged field's norms; io as there).  df, ttf, doc_ptr and
+ * pos_ptr get each code's values (df 0 for a term whose postings were
+ * all reclaimed).  Returns 0; -1 when a read would leave a record or its
  * buffer or a record disagrees with its df / ttf, -2 for a doc past its
  * source's doc map or past the norms, -3 when out of memory, -4 when an
  * output buffer is too small. */
@@ -830,54 +870,11 @@ int64_t merge_postings(int64_t k, int64_t *src, int64_t ncodes,
             freqs = f2;
             pv = p2;
         }
-        int64_t nb = (n + BLOCK_SIZE - 1) / BLOCK_SIZE;
-        int64_t nbp = (np + BLOCK_SIZE - 1) / BLOCK_SIZE;
-        df[c] = n;
-        ttf[c] = np;
-        doc_ptr[c] = io[0];
-        pos_ptr[c] = io[2];
-        if (!n) continue;
-        /* a block takes at most 1 + 8 * cnt bytes (PFor never costs more
-         * than FOR at the widest width) */
-        if (io[1] - io[0] < 2 * (nb + 8 * n) + 12 * nb ||
-            io[3] - io[2] < nbp + 8 * np) {
-            got = -4;
-            goto done;
-        }
-        /* doc deltas, the first of the term absolute, into the scratch
-         * freed by the sort (ps) */
-        int64_t *dd = ps;
-        dd[0] = docs[0];
-        for (int64_t i = 1; i < n; i++) dd[i] = docs[i] - docs[i - 1];
-        uint8_t *o = out_doc + io[0];
-        o += encode_stream(dd, n, 0, o);
-        if (np > n) o += encode_stream(freqs, n, 1, o);
-        if (nb > 1) {
-            int32_t *meta = (int32_t *)dd;   /* 3 * nb <= n int32s */
-            for (int64_t b = 0; b < nb; b++) {
-                int64_t lo = b * BLOCK_SIZE;
-                int64_t hi = lo + BLOCK_SIZE < n ? lo + BLOCK_SIZE : n;
-                int64_t mf = 0, mn = 256;
-                for (int64_t i = lo; i < hi; i++) {
-                    if (docs[i] < 0 || docs[i] >= nnorms) {
-                        got = -2;
-                        goto done;
-                    }
-                    if (freqs[i] > mf) mf = freqs[i];
-                    if (norms[docs[i]] < mn) mn = norms[docs[i]];
-                }
-                meta[b] = (int32_t)docs[hi - 1];
-                meta[nb + b] = (int32_t)mf;
-                meta[2 * nb + b] = (int32_t)mn;
-            }
-            memcpy(o, meta, sizeof(int32_t) * (size_t)(3 * nb));
-            o += 12 * nb;
-        } else if (docs[n - 1] >= nnorms || docs[0] < 0) {
-            got = -2;
-            goto done;
-        }
-        io[0] = o - out_doc;
-        io[2] += encode_stream(pv, np, 1, out_pos + io[2]);
+        df[c] = n, ttf[c] = np, doc_ptr[c] = io[0], pos_ptr[c] = io[2];
+        /* ps is free once the entries are in order */
+        got = write_record(docs, freqs, n, pv, np, norms, nnorms, ps,
+                           out_doc, out_pos, io);
+        if (got < 0) goto done;
     }
 done:
     free(ent);

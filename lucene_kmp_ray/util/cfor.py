@@ -8,14 +8,17 @@ dictionary's Arrow buffers (``term_search``). ``decode_record`` decodes a
 checked ``.doc`` record, ``decode_streams_at`` many FOR/PFor streams of
 one buffer, ``conjoin`` leapfrogs sorted doc lists and ``bulk_score``
 scores a term query or a flat boolean over term clauses for one segment
-(search/searcher.py). ``encode_csr`` is the flush's bulk block encoder,
-and ``merge_terms`` / ``merge_postings`` are the record-to-record merge
-(index/merge.py).
+(search/searcher.py). ``encode_stream`` is the block encoder;
+``write_postings`` writes a flushed field's ``.doc`` / ``.pos`` records
+(index/format.py), and ``merge_terms`` / ``merge_postings`` are the
+record-to-record merge (index/merge.py), whose records go through the
+same C record writer.
 
 There is no other implementation in the engine. The numpy references
 the tests compare these kernels with live under ``tests/``:
-tests/test_cfor.py, tests/test_term_search.py, tests/test_bulk_scorer.py
-and tests/test_merge_kernel.py fuzz them for byte, bit and row identity.
+tests/test_cfor.py, tests/test_term_search.py, tests/test_bulk_scorer.py,
+tests/test_flush_writer.py and tests/test_merge_kernel.py fuzz them for
+byte, bit and row identity.
 """
 
 from __future__ import annotations
@@ -147,42 +150,48 @@ def positions_select(buf: bytes, meta_pair, n: int, mask: np.ndarray,
     return out
 
 
-def encode_matrix(resh: np.ndarray, counts: np.ndarray,
-                  pfor: bool):
-    """The for_blocks_matrix / pfor_blocks_matrix core: ``encode_csr``
-    over each row's first ``counts[r]`` values (the zero padding past
-    them has bit length 0 and is never an exception). Returns
-    ``(stream_uint8, block_starts)``."""
-    counts = np.asarray(counts, np.int64)
-    keep = np.arange(resh.shape[1]) < counts[:, None]
-    vals = np.ascontiguousarray(resh, np.uint64)[keep].view(np.int64)
-    return encode_csr(vals, np.append(0, np.cumsum(counts)), pfor)
-
-
-def encode_csr(vals: np.ndarray, row_ptr: np.ndarray, pfor: bool):
-    """Bulk block encode over a CSR layout — row ``r``'s (<= 128)
-    values are ``vals[row_ptr[r]:row_ptr[r+1]]``, each row one FOR
-    (``pfor`` False) or PFor block. Returns ``(stream_uint8,
-    block_starts)``."""
-    L = lib()
-    R = len(row_ptr) - 1
+def encode_stream(vals: np.ndarray, pfor: bool) -> np.ndarray:
+    """The FOR (``pfor`` False) or PFor block stream of ``vals`` (non-
+    negative int64): one block per 128 values, in one C pass."""
     vals = np.ascontiguousarray(vals, dtype=np.int64)
-    row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-    widths = np.empty(R, dtype=np.int64)
-    nexc = np.empty(R, dtype=np.int64)
-    L.encode_meta_csr(vals.ctypes.data, row_ptr.ctypes.data, R,
-                      1 if pfor else 0,
-                      widths.ctypes.data, nexc.ctypes.data)
-    counts = np.diff(row_ptr)
-    payload = (counts * widths + 7) // 8
-    block_bytes = 1 + np.where(nexc > 0, 1 + 2 * nexc, 0) + payload
-    ends = np.cumsum(block_bytes)
-    starts = np.ascontiguousarray(ends - block_bytes)
-    out = np.empty(int(ends[-1]) if R else 0, dtype=np.uint8)
-    L.encode_pack_csr(vals.ctypes.data, row_ptr.ctypes.data, R,
-                      widths.ctypes.data, nexc.ctypes.data,
-                      starts.ctypes.data, out.ctypes.data)
-    return out, starts
+    n = len(vals)
+    out = np.empty(8 * n + -(-n // 128), np.uint8)
+    return out[:lib().encode_stream(_ptr(vals), n, int(pfor), _ptr(out))]
+
+
+def write_postings(term_bounds: np.ndarray, docs: np.ndarray,
+                   freqs: np.ndarray, posd: np.ndarray, norms: np.ndarray):
+    """One field's postings records, in one C pass: term ``t`` holds the
+    entries ``term_bounds[t]:term_bounds[t+1]`` of ``docs`` (ascending
+    within a term) and ``freqs``, and its position deltas (each entry's
+    first absolute) follow the previous term's in ``posd``. ``norms``
+    are the field's. Returns ``(stats, doc, pos)``: the int64 rows ``df,
+    ttf, doc_ptr, pos_ptr`` per term and the ``.doc`` / ``.pos`` bytes.
+    Raises ValueError when the arrays disagree in size and IndexError
+    when a doc lies past the norms."""
+    tb, docs, freqs, posd = (np.ascontiguousarray(a, np.int64)
+                             for a in (term_bounds, docs, freqs, posd))
+    norms = np.ascontiguousarray(norms, np.uint8)
+    df = np.diff(tb)
+    if tb[0] != 0 or tb[-1] != len(docs) or len(freqs) != len(docs) or \
+            (df < 0).any() or (freqs < 0).any() or freqs.sum() != len(posd):
+        raise ValueError("term bounds, entries and positions disagree")
+    # a block takes at most 1 + 8 * count bytes (write_record's bound)
+    nb = -(-df // 128)
+    io = np.array([0, 16 * len(docs) + 14 * int(nb.sum()), 0,
+                   8 * len(posd) + len(posd) // 128 + len(df)], np.int64)
+    out_doc, out_pos = np.empty(io[1], np.uint8), np.empty(io[3], np.uint8)
+    dd = np.empty(max(int(df.max(initial=0)), 1), np.int64)
+    stats = np.empty((4, len(df)), np.int64)
+    rc = lib().write_postings(len(df), _ptr(tb), _ptr(docs), _ptr(freqs),
+                              _ptr(posd), _ptr(norms), len(norms), _ptr(dd),
+                              _ptr(out_doc), _ptr(out_pos), _ptr(io),
+                              *(_ptr(r) for r in stats))
+    if rc == -2:
+        raise IndexError("a posting's doc lies past its field's norms")
+    if rc < 0:  # the capacities above bound every record
+        raise MemoryError("write_postings")
+    return stats, out_doc[:io[0]], out_pos[:io[2]]
 
 
 def decode_streams_at(data: np.ndarray, starts: np.ndarray,

@@ -12,8 +12,10 @@ short) one header byte = bit width ``w``, then ``ceil(nvals*w/8)`` payload
 bytes with values packed LSB-first. ``w == 0`` means all values are 0 and
 there is no payload. Decoding needs only the total value count.
 
-The bulk encode and decode run in C (``util/cfor.py``); the numpy
-references the tests compare them with live in tests/_ref_codec.py.
+The stream encode and decode run in C (``util/cfor.py``); the postings
+writer that the flush and the merge share writes its records with the
+same block encoder. The numpy references the tests compare them with
+live in tests/_ref_codec.py.
 """
 
 from __future__ import annotations
@@ -48,34 +50,17 @@ def unpack_ints(buf: memoryview | bytes, n: int, width: int) -> np.ndarray:
     return bits.reshape(n, width).astype(np.int64) @ weights
 
 
-def for_blocks_matrix(resh: np.ndarray,
-                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FOR-encode a (nblocks, 128) uint64 matrix (row b holds ``counts[b]``
-    values, zero-padded) into one self-describing block stream. Blocks are
-    INDEPENDENT in the stream, so callers may treat each row as a separate
-    value list (the bulk single-block-term path of encode_term_table) or as
-    consecutive blocks of one list (encode_blocks) — the bytes per block
-    are identical either way. Returns ``(stream_uint8, block_starts)``
-    (block b's bytes are ``stream[starts[b]:starts[b+1] or end]``).
-    """
-    return cfor.encode_matrix(resh, counts, pfor=False)
-
-
 def encode_blocks(vals: np.ndarray) -> bytes:
-    """FOR-encode an int array into self-describing 128-value blocks."""
+    """FOR-encode an int array into self-describing 128-value blocks
+    (one C ``encode_stream`` call)."""
+    return _encode(vals, pfor=False)
+
+
+def _encode(vals: np.ndarray, pfor: bool) -> bytes:
     v = np.asarray(vals, dtype=np.int64)
-    n = len(v)
-    if n == 0:
-        return b""
-    if v.min() < 0:
+    if len(v) and v.min() < 0:
         raise ValueError("FOR encoding requires non-negative values")
-    nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    padded = np.zeros(nblocks * BLOCK_SIZE, dtype=np.uint64)
-    padded[:n] = v.astype(np.uint64)
-    counts = np.full(nblocks, BLOCK_SIZE, dtype=np.int64)
-    counts[-1] = n - (nblocks - 1) * BLOCK_SIZE
-    out, _ = for_blocks_matrix(padded.reshape(nblocks, BLOCK_SIZE), counts)
-    return out.tobytes()
+    return cfor.encode_stream(v, pfor).tobytes()
 
 
 PATCHED_FLAG = 0x80      # header high bit: PFor block with exceptions
@@ -95,30 +80,10 @@ def encode_blocks_pfor(vals: np.ndarray) -> bytes:
 
     Width selection is cost-based: for e ∈ 0..7 the candidate width is
     the (e+1)-th largest bit length in the block; the cheapest valid
-    (high bits ≤ 8) candidate wins, the first on ties.
+    (high bits ≤ 8) candidate wins, the first on ties. One C
+    ``encode_stream`` call.
     """
-    v = np.asarray(vals, dtype=np.int64)
-    n = len(v)
-    if n == 0:
-        return b""
-    if v.min() < 0:
-        raise ValueError("FOR encoding requires non-negative values")
-    nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    padded = np.zeros(nblocks * BLOCK_SIZE, dtype=np.uint64)
-    padded[:n] = v.astype(np.uint64)
-    counts = np.full(nblocks, BLOCK_SIZE, dtype=np.int64)
-    counts[-1] = n - (nblocks - 1) * BLOCK_SIZE
-    out, _ = pfor_blocks_matrix(padded.reshape(nblocks, BLOCK_SIZE), counts)
-    return out.tobytes()
-
-
-def pfor_blocks_matrix(resh: np.ndarray,
-                       counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PFor-encode a (nblocks, 128) matrix into one block stream — the
-    core of encode_blocks_pfor (see for_blocks_matrix on block
-    independence).
-    Returns ``(stream_uint8, block_starts)``."""
-    return cfor.encode_matrix(resh, counts, pfor=True)
+    return _encode(vals, pfor=True)
 
 
 def block_stream_meta(buf, n: int):

@@ -4,11 +4,12 @@ Every C kernel of the package lives in one of two build units (``UNITS``):
 
 - ``engine``: ``util/_cfor.c`` (the block codec, the term dictionary
   search, the record decoder, the conjunction, the BM25 bulk scorer and
-  the record merge), ``search/_cspans.c`` (the span-near walk) and
-  ``search/_csloppy.c`` (the 2-term sloppy-phrase walk). Every index
-  build, merge and query needs it. The write-side kernels stay in it: a
-  separate unit would only move their compile, since every perfbench
-  workload also builds an index and would compile both.
+  the postings writer of the flush and the merge), ``search/_cspans.c``
+  (the span-near walk) and ``search/_csloppy.c`` (the 2-term
+  sloppy-phrase walk). Every index build, merge and query needs it. The
+  write-side kernels stay in it: a separate unit would only move their
+  compile, since every perfbench workload also builds an index and would
+  compile both.
 - ``viterbi``: ``analysis/_cviterbi.c``, the Japanese lattice. Only the
   Japanese analyzer calls it, so it is not built into the engine unit:
   with ``cc -O2`` on a 1-CPU VM it would add ~0.15 s (0.84 s against
@@ -53,8 +54,7 @@ UNITS = {
         {
             "positions_select": (_i64, [_vp, _i64, _vp, _i64, _i64, _vp,
                                         _vp, _vp, _i64, _vp, _vp]),
-            "encode_meta_csr": (None, [_vp, _vp, _i64, _i32, _vp, _vp]),
-            "encode_pack_csr": (None, [_vp, _vp, _i64, _vp, _vp, _vp, _vp]),
+            "encode_stream": (_i64, [_vp, _i64, _i32, _vp]),
             "decode_streams": (_i64, [_vp, _i64, _vp, _vp, _i64, _vp, _vp]),
             "term_search": (_i64, [_vp, _i32, _vp, _i64, _i64,
                                    ctypes.c_char_p, _i64, _i32]),
@@ -63,6 +63,8 @@ UNITS = {
             "bulk_score": (_i64, [_i64, _vp, _vp, _i64, _vp, _vp, _i64, _vp,
                                   _vp, _i64, _i32, _i64, _vp, _vp]),
             "merge_terms": (_i64, [_i64] + [_vp] * 8),
+            "write_postings": (_i64, [_i64] + [_vp] * 5 + [_i64]
+                               + [_vp] * 8),
             "merge_postings": (_i64, [_i64, _vp, _i64, _vp, _i64]
                                + [_vp] * 7),
             "span_near_batch": (_i64, [_vp, _vp, _vp, _i64, _i64, _i64,

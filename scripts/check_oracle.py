@@ -7,9 +7,13 @@ value comparison). Usage:
 
 from __future__ import annotations
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# the repo root: this process imports from it, and the Ray workers get it
+# on their PYTHONPATH, so they unpickle the package's classes from any cwd
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 def to_pandas(obj):
@@ -59,8 +63,10 @@ def compare(name, ray_df, sql_df) -> list[str]:
 def main():
     import duckdb
     import ray
+    path = os.pathsep.join(filter(None, (ROOT, os.environ.get("PYTHONPATH"))))
     ray.init(address="local", num_cpus=8, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
+             ignore_reinit_error=True, logging_level="ERROR",
+             runtime_env={"env_vars": {"PYTHONPATH": path}})
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 

@@ -6,8 +6,8 @@ pair) is held to, file for file.
 decoder, remaps docIDs, buckets the entries by merged term code (the
 vocabulary built by Arrow, ``merged_vocab``), then encodes each field's
 logical terms table and splits it into the postings files.
-``numpy_merge`` makes ``merge_segments`` run it, with the numpy block
-encoders in place of ``cfor.encode_csr``.
+``numpy_merge`` makes ``merge_segments`` run it. It encodes with the
+numpy logical-table writer of tests/_ref_postings.py.
 """
 
 import time
@@ -16,23 +16,20 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from _ref_codec import decode_blocks
-from _ref_codec import encode_csr as encode_csr_np
+from _ref_postings import (encode_term_table, encode_term_table_arrays,
+                           prepend_field)
 
 from lucene_kmp_ray.index import merge
-from lucene_kmp_ray.index.format import (_prepend_field, encode_term_table,
-                                         encode_term_table_arrays,
-                                         field_stats_of, sorted_codes)
+from lucene_kmp_ray.index.format import field_stats_of, sorted_codes
 from lucene_kmp_ray.index.postings import (PAYLOAD_COLS, read_terms_table,
                                            split_postings)
-from lucene_kmp_ray.util import cfor
 from lucene_kmp_ray.util.forutil import delta_decode
 
 
 def numpy_merge(monkeypatch) -> None:
-    """Make ``merge_segments`` merge postings with ``merge_logical`` and
-    encode blocks with the numpy encoders (undone with ``monkeypatch``)."""
+    """Make ``merge_segments`` merge postings with ``merge_logical``
+    (undone with ``monkeypatch``)."""
     monkeypatch.setattr(merge, "_merge_records", merge_logical)
-    monkeypatch.setattr(cfor, "encode_csr", encode_csr_np)
 
 
 def merge_logical(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
@@ -130,14 +127,15 @@ def merge_logical(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
             e_freq[lo_e:hi_e], posd_all[lo_p:hi_p],
             code_starts[sel] - lo_e, code_ends[sel] - lo_e,
             pos_bounds_all[lo_e:hi_e + 1] - lo_p, norms)
-        field_tables.append(_prepend_field(ft, fld))
+        field_tables.append(prepend_field(ft, fld))
         lcol = "length" if fld == "text" else f"length_{fld}"
         field_stats[fld] = field_stats_of(
-            docs_table[lcol].to_numpy().astype(np.int64), ft)
+            docs_table[lcol].to_numpy().astype(np.int64),
+            ft["df"].to_numpy())
     if field_tables:
         terms_table = pa.concat_tables(field_tables)
     else:  # no surviving terms: empty table with the uniform schema
-        terms_table = _prepend_field(
+        terms_table = prepend_field(
             encode_term_table(iter(()), np.empty(0, np.uint8)), "text")
     phases = {"read_sec": t_vocab - t_read, "vocab_sec": t_postings - t_vocab,
               "postings_sec": t_encode - t_postings,

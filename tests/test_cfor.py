@@ -1,15 +1,16 @@
 """The C block codec against its numpy references (tests/_ref_codec.py):
 the fused positional skip-read must agree exactly with the masked decode
-+ gather, and the block encoders must write the same bytes as the numpy
-matrix encoders, over random posting shapes, widths and PFor exception
-patterns."""
++ gather, and the block encoders (``forutil.encode_blocks`` /
+``encode_blocks_pfor`` and the postings writer ``cfor.write_postings``)
+must write the same bytes as the numpy matrix encoders, over random
+posting shapes, widths and PFor exception patterns."""
 
 import _ref_codec as ref
 import numpy as np
 import pytest
 
 from lucene_kmp_ray.util import forutil as fu
-from lucene_kmp_ray.util.cfor import positions_select
+from lucene_kmp_ray.util.cfor import positions_select, write_postings
 
 
 def _numpy_reference(enc, n, mask, s, e):
@@ -77,10 +78,17 @@ def test_cfor_wide_width_tail():
     assert np.array_equal(got, want)
 
 
+def _rows_of(stream, starts):
+    """Block r of a matrix encoder's stream: each row is one block."""
+    ends = np.append(starts[1:], len(stream))
+    return [stream[a:b].tobytes() for a, b in zip(starts, ends)]
+
+
 def test_c_encode_matrix_fuzz_vs_numpy():
-    """The C bulk block encoder must be byte-identical to the numpy
-    for/pfor matrix encoders over random widths, counts and exception
-    patterns (incl. all-zero rows, width-64 values, partial tails)."""
+    """The public block encoders, one row at a time, must write the bytes
+    of the numpy for/pfor matrix encoders over random widths, counts and
+    exception patterns (incl. all-zero rows, width-64 values, partial
+    tails)."""
     rng = np.random.default_rng(41)
     for trial in range(300):
         R = int(rng.integers(1, 40))
@@ -95,26 +103,34 @@ def test_c_encode_matrix_fuzz_vs_numpy():
         counts = rng.integers(1, fu.BLOCK_SIZE + 1, R)
         for r in range(R):
             m[r, counts[r]:] = 0
-        for pub, want in ((fu.for_blocks_matrix, ref.for_blocks_matrix),
-                          (fu.pfor_blocks_matrix, ref.pfor_blocks_matrix)):
-            a, sa = pub(m, counts)
-            b, sb = want(m, counts)
-            assert np.array_equal(a, b) and np.array_equal(sa, sb), \
-                (trial, pub.__name__)
-        # and the stream must round-trip through the decoder per row
-        stream, starts = fu.pfor_blocks_matrix(m, counts)
-        ends = np.append(starts[1:], len(stream))
-        for r in range(R):
-            dec = fu.decode_blocks(stream[starts[r]:ends[r]].tobytes(),
-                                   int(counts[r]))
-            assert np.array_equal(dec, m[r, :counts[r]].astype(np.int64)), r
+        for pub, want in ((fu.encode_blocks, ref.for_blocks_matrix),
+                          (fu.encode_blocks_pfor, ref.pfor_blocks_matrix)):
+            rows = _rows_of(*want(m, counts))
+            for r in range(R):
+                vals = m[r, :counts[r]].astype(np.int64)
+                enc = pub(vals)
+                assert enc == rows[r], (trial, pub.__name__, r)
+                # and the block must round-trip through the decoder
+                assert np.array_equal(fu.decode_blocks(enc, len(vals)),
+                                      vals), (trial, r)
+
+
+def _pfor_rows_through_writer(vals, row_ptr):
+    """Rows as the position streams of one-doc terms (row r = term r's
+    position deltas): ``write_postings``' ``.pos`` bytes and pointers."""
+    counts = np.diff(row_ptr)
+    R = len(counts)
+    stats, _, pos = write_postings(np.arange(R + 1), np.zeros(R, np.int64),
+                                   counts, vals, np.ones(1, np.uint8))
+    return pos, stats[3]
 
 
 def test_c_encode_csr_fuzz_vs_matrix():
-    """encode_csr over flat values + row_ptr must be byte-identical to the
-    matrix encoders over the equivalent zero-padded rows (padding has bit
-    length 0 and can never be an exception)."""
-    from lucene_kmp_ray.util.cfor import encode_csr
+    """Flat values cut into rows of at most 128: the public encoders per
+    row, and ``write_postings``' position records, must be byte-identical
+    to the numpy ``encode_csr`` (the matrix encoders over the equivalent
+    zero-padded rows: padding has bit length 0 and can never be an
+    exception)."""
     rng = np.random.default_rng(97)
     for trial in range(200):
         R = int(rng.integers(1, 40))
@@ -125,23 +141,23 @@ def test_c_encode_csr_fuzz_vs_matrix():
         if trial % 5 == 0:
             vals[rng.integers(0, len(vals))] = (1 << 61) + 3
         row_ptr = np.append(0, np.cumsum(counts))
-        m = np.zeros((R, fu.BLOCK_SIZE), np.uint64)
-        for r in range(R):
-            m[r, :counts[r]] = vals[row_ptr[r]:row_ptr[r + 1]]
         for pfor in (False, True):
-            a, sa = encode_csr(vals, row_ptr, pfor)
-            want = ref.pfor_blocks_matrix(m, counts) if pfor \
-                else ref.for_blocks_matrix(m, counts)
-            assert np.array_equal(a, want[0]) and \
-                np.array_equal(sa, want[1]), (trial, pfor)
+            want, starts = ref.encode_csr(vals, row_ptr, pfor)
+            enc = fu.encode_blocks_pfor if pfor else fu.encode_blocks
+            got = b"".join(enc(vals[row_ptr[r]:row_ptr[r + 1]])
+                           for r in range(R))
+            assert got == want.tobytes(), (trial, pfor)
+        pos, ptr = _pfor_rows_through_writer(vals, row_ptr)
+        assert np.array_equal(pos, want) and np.array_equal(ptr, starts), \
+            trial
 
 
 def test_c_encode_csr_many_short_rows():
     """The PFor width choice over the rows a flush or merge mostly
     encodes — one to three values — plus full rows, with zero, tiny,
-    exception-bait and 64-bit values: byte-identical to the numpy
-    matrix encoders."""
-    from lucene_kmp_ray.util.cfor import encode_csr
+    exception-bait and 64-bit values: the public encoders and
+    ``write_postings``' position records are byte-identical to the numpy
+    ``encode_csr``."""
     rng = np.random.default_rng(5)
     for trial in range(100):
         R = int(rng.integers(1, 400))
@@ -156,15 +172,22 @@ def test_c_encode_csr_many_short_rows():
         if trial % 9 == 0:
             vals[:] = 0
         row_ptr = np.append(0, np.cumsum(counts))
-        m = np.zeros((R, fu.BLOCK_SIZE), np.uint64)
-        for r in range(R):
-            m[r, :counts[r]] = vals[row_ptr[r]:row_ptr[r + 1]]
         for pfor in (False, True):
-            a, sa = encode_csr(vals, row_ptr, pfor)
-            want = ref.pfor_blocks_matrix(m, counts) if pfor \
-                else ref.for_blocks_matrix(m, counts)
-            assert np.array_equal(a, want[0]) and \
-                np.array_equal(sa, want[1]), (trial, pfor)
+            want, starts = ref.encode_csr(vals, row_ptr, pfor)
+            enc = fu.encode_blocks_pfor if pfor else fu.encode_blocks
+            got = b"".join(enc(vals[row_ptr[r]:row_ptr[r + 1]])
+                           for r in range(R))
+            assert got == want.tobytes(), (trial, pfor)
+        pos, ptr = _pfor_rows_through_writer(vals, row_ptr)
+        assert np.array_equal(pos, want) and np.array_equal(ptr, starts), \
+            trial
+
+
+def test_encoders_reject_negative_values():
+    for enc in (fu.encode_blocks, fu.encode_blocks_pfor):
+        with pytest.raises(ValueError):
+            enc(np.array([3, -1], np.int64))
+        assert enc(np.empty(0, np.int64)) == b""
 
 
 def test_union_docs_c_path_matches_numpy(tmp_path, monkeypatch):
@@ -224,11 +247,9 @@ def test_hypothesis_c_encode_matches_numpy(vals, pfor):
     counts = np.full(nblocks, fu.BLOCK_SIZE, dtype=np.int64)
     counts[-1] = n - (nblocks - 1) * fu.BLOCK_SIZE
     m = padded.reshape(nblocks, fu.BLOCK_SIZE)
-    pub = fu.pfor_blocks_matrix if pfor else fu.for_blocks_matrix
+    pub = fu.encode_blocks_pfor if pfor else fu.encode_blocks
     want = ref.pfor_blocks_matrix if pfor else ref.for_blocks_matrix
-    a, sa = pub(m, counts)
-    b, sb = want(m, counts)
-    assert np.array_equal(a, b) and np.array_equal(sa, sb)
+    assert pub(v) == want(m, counts)[0].tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ import json
 import os
 import random
 
+import _ref_postings as refp
 import numpy as np
 import pytest
 
@@ -16,9 +17,12 @@ SF = "/root/testdata/sf0.001"
 
 @pytest.fixture(scope="module")
 def inverted(corpus_texts):
+    """The logical terms table of the reference writer (tests/
+    _ref_postings.py) over the inverter's entries, and the engine's docs
+    table and manifest."""
     docs = corpus_table(SF).select(["doc_id", "url", "text"])
-    terms_t, docs_t, man = invert_segment(docs, 0)
-    return terms_t, docs_t, man
+    _, docs_t, man = invert_segment(docs, 0)
+    return refp.logical_segment(docs), docs_t, man
 
 
 def _brute_index(texts):
@@ -166,19 +170,30 @@ def test_crashed_tmp_dir_does_not_break_resume(tmp_path, ray_session):
     assert man["doc_count"] == 500 and len(man["segments"]) == 5
 
 
-def test_encode_term_table_arrays_matches_loop_path():
-    """The bulk single-block encoder must be byte-identical to the
-    per-term generator path on random data (incl. multi-block head terms
-    and patched PFor freq blocks)."""
-    import numpy as np
+def _term_arrays(rng, terms, n_pos_max):
+    """Flat entry arrays of ``(term, docs, freqs)`` in term order."""
+    s_doc = np.concatenate([d for _, d, _ in terms])
+    s_freq = np.concatenate([f for _, _, f in terms])
+    dfs = np.array([len(d) for _, d, _ in terms])
+    ends = np.cumsum(dfs)
+    pos_bounds = np.append(0, np.cumsum(s_freq))
+    pos_delta = rng.integers(1, n_pos_max, int(s_freq.sum()))
+    return s_doc, s_freq, ends - dfs, ends, pos_bounds, pos_delta
 
-    from lucene_kmp_ray.index.format import (encode_term_table,
-                                             encode_term_table_arrays)
+
+def test_encode_term_table_arrays_matches_loop_path():
+    """The flush's record writer (``encode_term_table_arrays``) must write
+    the bytes of the per-term reference path (tests/_ref_postings.py,
+    split by ``split_postings``) on random data (incl. multi-block head
+    terms and patched PFor freq blocks), and the reference's bulk
+    logical table must equal its per-term one."""
+    from lucene_kmp_ray.index.format import encode_term_table_arrays
+    from lucene_kmp_ray.index.postings import split_postings
     rng = np.random.default_rng(7)
     n_docs = 400
     norms = rng.integers(1, 255, n_docs).astype(np.uint8)
     # synthetic postings: 300 tail terms (df 1..5), 3 head terms (df ~300)
-    terms, entries = [], []
+    terms = []
     for i in range(300):
         df = int(rng.integers(1, 6))
         docs = np.sort(rng.choice(n_docs, df, replace=False))
@@ -191,20 +206,10 @@ def test_encode_term_table_arrays_matches_loop_path():
         freqs = rng.integers(1, 9, df)
         terms.append((f"zzhead{i}", docs, freqs))
     terms.sort(key=lambda t: t[0])
-
-    s_doc = np.concatenate([d for _, d, _ in terms])
-    s_freq = np.concatenate([f for _, _, f in terms])
-    dfs = np.array([len(d) for _, d, _ in terms])
-    term_ends = np.cumsum(dfs)
-    term_starts = term_ends - dfs
-    pos_bounds = np.append(0, np.cumsum(s_freq))
-    # positions: deltas 1..20, first absolute
-    pos_delta = rng.integers(1, 20, int(s_freq.sum()))
+    s_doc, s_freq, term_starts, term_ends, pos_bounds, pos_delta = \
+        _term_arrays(rng, terms, 20)  # position deltas 1..20
 
     uniques = np.array([t for t, _, _ in terms], dtype=object)
-    fast = encode_term_table_arrays(uniques, s_doc, s_freq, pos_delta,
-                                    term_starts, term_ends, pos_bounds,
-                                    norms)
 
     def gen():
         for t in range(len(terms)):
@@ -212,19 +217,26 @@ def test_encode_term_table_arrays_matches_loop_path():
                    s_freq[term_starts[t]:term_ends[t]],
                    pos_delta[pos_bounds[term_starts[t]]:
                              pos_bounds[term_ends[t]]])
-    slow = encode_term_table(gen(), norms)
-    assert fast.equals(slow), "bulk path diverges from per-term path"
+    slow = refp.encode_term_table(gen(), norms)
+    bulk = refp.encode_term_table_arrays(uniques, s_doc, s_freq, pos_delta,
+                                         term_starts, term_ends, pos_bounds,
+                                         norms)
+    assert bulk.equals(slow), "bulk path diverges from per-term path"
+    stats, doc, pos = encode_term_table_arrays(
+        s_doc, s_freq, pos_delta, np.append(term_starts, len(s_doc)), norms)
+    dictionary, want_doc, want_pos = split_postings(slow)
+    for k, c in enumerate(("df", "ttf", "doc_ptr", "pos_ptr")):
+        assert np.array_equal(stats[k], dictionary[c].to_numpy()), c
+    assert doc.tobytes() == want_doc.to_pybytes(), \
+        "record writer diverges from per-term path"
+    assert pos.tobytes() == want_pos.to_pybytes()
 
 
 def test_encode_term_table_arrays_gapped_views():
-    """Merge passes GAPPED entry views when a term's postings were fully
-    reclaimed (index/merge.py drops df==0 codes): term_starts/term_ends
-    need not tile the arrays. The bulk encoder must compact and still
+    """The numpy merge (tests/_ref_merge.py) passes GAPPED entry views
+    when a term's postings were fully reclaimed: term_starts/term_ends
+    need not tile the arrays. Its bulk encoder must compact and still
     match the per-term path exactly."""
-    import numpy as np
-
-    from lucene_kmp_ray.index.format import (encode_term_table,
-                                             encode_term_table_arrays)
     rng = np.random.default_rng(23)
     n_docs = 300
     norms = rng.integers(1, 255, n_docs).astype(np.uint8)
@@ -236,17 +248,12 @@ def test_encode_term_table_arrays_gapped_views():
         docs = np.sort(rng.choice(n_docs, min(df, n_docs), replace=False))
         freqs = rng.integers(1, 30, len(docs))
         terms.append((f"t{i:03d}", docs, freqs))
-    s_doc = np.concatenate([d for _, d, _ in terms])
-    s_freq = np.concatenate([f for _, _, f in terms])
-    dfs = np.array([len(d) for _, d, _ in terms])
-    all_ends = np.cumsum(dfs)
-    all_starts = all_ends - dfs
-    pos_bounds = np.append(0, np.cumsum(s_freq))
-    pos_delta = rng.integers(1, 15, int(s_freq.sum()))
+    s_doc, s_freq, all_starts, all_ends, pos_bounds, pos_delta = \
+        _term_arrays(rng, terms, 15)
 
     keep = np.array([i for i in range(40) if i % 5 != 0])
     uniques = np.array([terms[i][0] for i in keep], dtype=object)
-    fast = encode_term_table_arrays(
+    fast = refp.encode_term_table_arrays(
         uniques, s_doc, s_freq, pos_delta,
         all_starts[keep], all_ends[keep], pos_bounds, norms)
 
@@ -256,5 +263,5 @@ def test_encode_term_table_arrays_gapped_views():
                    s_freq[all_starts[i]:all_ends[i]],
                    pos_delta[pos_bounds[all_starts[i]]:
                              pos_bounds[all_ends[i]]])
-    slow = encode_term_table(gen(), norms)
+    slow = refp.encode_term_table(gen(), norms)
     assert fast.equals(slow), "gapped bulk path diverges from per-term path"

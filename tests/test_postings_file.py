@@ -1,12 +1,13 @@
 """Flat postings files reached through dictionary pointers: a term row
 is one positioned read of its ``postings.doc`` record (plus one of its
 ``postings.pos`` record only for positions), and every reader surface
-answers exactly what the logical terms table — the inverter's output —
-says."""
+answers exactly what the logical terms table — the inverter's entries
+through the reference writer of tests/_ref_postings.py — says."""
 
 import os
 import shutil
 
+import _ref_postings as refp
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -16,7 +17,7 @@ from lucene_kmp_ray.index import postings as pf
 from lucene_kmp_ray.index.builder import commit_index
 from lucene_kmp_ray.index.check import check_index
 from lucene_kmp_ray.index.format import (build_and_write_segment,
-                                         decode_postings, invert_segment)
+                                         decode_postings)
 from lucene_kmp_ray.index.parallel import ParallelReader
 from lucene_kmp_ray.index.reader import IndexReader, MultiReader
 from lucene_kmp_ray.search import (BooleanQuery, Occur, PhraseQuery,
@@ -43,13 +44,14 @@ def _docs(seg, rng):
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
-    """(index dir, {seg: logical terms table from the inverter})."""
+    """(index dir, {seg: logical terms table from the reference
+    writer})."""
     rng = np.random.default_rng(11)
     root = str(tmp_path_factory.mktemp("postings") / "idx")
     mans, truth = [], {}
     for seg in range(2):
         docs = _docs(seg, rng)
-        truth[seg] = invert_segment(docs, seg, fields=FIELDS)[0]
+        truth[seg] = refp.logical_segment(docs, fields=FIELDS)
         mans.append(build_and_write_segment(docs, seg, root, fields=FIELDS))
     commit_index(root, mans)
     return root, truth
