@@ -11,7 +11,11 @@ here calls ``ray.init()`` / ``ray.shutdown()``.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
+import shutil
+import tempfile
 from collections.abc import Callable
 from typing import Any
 
@@ -35,7 +39,6 @@ from lucene_kmp_ray.sources.corpus import corpus_dataset
 from lucene_kmp_ray.util.smallfloat import LENGTH_TABLE_INT
 
 SEGMENT_SIZE = 200
-_INDEX_CACHE: dict[str, str] = {}
 
 # query terms/phrases used by both engines (clause lists pre-sorted so the
 # engine's clause-order float sums match the oracle's left-fold order)
@@ -48,27 +51,77 @@ PHRASE_2 = ["batch", "batch"]
 PHRASE_3 = ["big", "order", "scan"]  # present at every sf
 AND_SORTED = ("join", "spark")  # sorted for deterministic clause order
 DISMAX_TB = 0.3
+GERMAN_QUERY_WORD = "merge"  # the analyzed-language top-10 query word
+
+_ROOT = os.path.dirname(os.path.abspath(__file__))
+
+
+@functools.cache
+def _code_digest() -> bytes:
+    """sha256 over every file of the package (``__pycache__`` aside) and
+    over this module: the code that builds and reads an entry index."""
+    paths = [os.path.abspath(__file__)]
+    for root, dirs, files in os.walk(os.path.join(_ROOT, "lucene_kmp_ray")):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        paths += [os.path.join(root, f) for f in sorted(files)]
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(os.path.relpath(p, _ROOT).encode() + b"\0")
+        with open(p, "rb") as f:
+            h.update(f.read())
+    return h.digest()
+
+
+def cached_index(kind: str, sf_dir: str, build: Callable[[str], Any]) -> str:
+    """The index that ``build(dir)`` writes for ``sf_dir``, built once per
+    stamp and reused after that. It lives in the temp dir, in one
+    directory per ``kind``, as ``<sf tag>-<stamp>``; the stamp hashes the
+    code digest and the name, size and mtime of every input file, so a
+    change to either builds a fresh index. ``build`` writes into a
+    fresh ``<path>.tmp<pid>`` (a copy-then-mutate build copies there too)
+    that is renamed into place only once it returns: a build that raises
+    or dies leaves nothing at the path."""
+    h = hashlib.sha256(_code_digest())
+    for e in sorted(os.scandir(sf_dir), key=lambda e: e.name):
+        st = e.stat()
+        h.update(f"{e.name}\0{st.st_size}\0{st.st_mtime_ns}\0".encode())
+    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
+    path = os.path.join(tempfile.gettempdir(), f"lucene_kmp_ray_index_{kind}",
+                        f"{tag}-{h.hexdigest()[:16]}")
+    manifest = os.path.join(path, "manifest.json")
+    if os.path.exists(manifest):
+        return path
+    tmp = f"{path}.tmp{os.getpid()}"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    try:
+        build(tmp)
+        os.rename(tmp, path)
+    except BaseException as e:
+        shutil.rmtree(tmp, ignore_errors=True)
+        # a failed rename onto a complete index: another process won
+        if not (isinstance(e, OSError) and os.path.exists(manifest)):
+            raise
+    return path
+
+
+def _analyzed_topk(sf_dir: str, kind: str, analyzer,
+                   word: str = GERMAN_QUERY_WORD):
+    """Top-10 for ``word`` over the corpus indexed with ``analyzer``; the
+    query word goes through the same analyzer (QueryBuilder symmetry)."""
+    from lucene_kmp_ray.index.builder import build_index
+    idx = cached_index(kind, sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir), d, segment_size=SEGMENT_SIZE,
+        analyzer=analyzer))
+    (term,) = analyzer(word)
+    return _search_topk(idx, TermQuery(term))
 
 
 def _english_topk(sf_dir: str):
     """Top-10 for the English-analyzed index (query analyzed the same way:
     'queries' → 'queri' — QueryBuilder symmetry)."""
-    import os
-
     from lucene_kmp_ray.analysis.standard import EnglishAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_en/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=EnglishAnalyzer())
-    analyzer = EnglishAnalyzer()
-    (term,) = analyzer("queries")
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "en", EnglishAnalyzer(), "queries")
 
 
 def _english_query_term() -> str:
@@ -83,21 +136,8 @@ def _kstem_topk(sf_dir: str):
     vocabulary (every kept token is a KStem dictionary head word or
     non-alpha; asserted in tests/test_kstem.py), so the mirror indexes
     the unstemmed kept tokens."""
-    import os
-
     from lucene_kmp_ray.analysis.kstem import KStemAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_kstem/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=KStemAnalyzer())
-    (term,) = KStemAnalyzer()("spark")  # head word -> itself
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "kstem", KStemAnalyzer(), "spark")
 
 
 # KStem conformance vectors: reference live test vector + shipped
@@ -167,25 +207,9 @@ def _german_topk(sf_dir: str):
     """Top-10 for the German-analyzed index (GermanAnalyzer chain: stop →
     normalization → light stem; query analyzed the same way). Oracle:
     oracle.bm25_german_topk — the whole chain is SQL-expressible."""
-    import os
-
     from lucene_kmp_ray.analysis.german import GermanAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_de/{tag}"
-    analyzer = GermanAnalyzer()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer("merge")  # 'merg' — stemming conflates merge/merges
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
-
-
-GERMAN_QUERY_WORD = "merge"
+    # 'merg' — stemming conflates merge/merges
+    return _analyzed_topk(sf_dir, "de", GermanAnalyzer())
 
 
 def _french_topk(sf_dir: str):
@@ -194,22 +218,8 @@ def _french_topk(sf_dir: str):
     Oracle: oracle.bm25_french_topk — the staged-SQL stemmer mirror
     (duplicate-letter collapse unrolled per letter since RE2 lacks
     backreferences; equivalence swept in tests/test_french_sql.py)."""
-    import os
-
     from lucene_kmp_ray.analysis.french import FrenchAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_fr/{tag}"
-    analyzer = FrenchAnalyzer()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer("merge")
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "fr", FrenchAnalyzer())
 
 
 def _romance_topk(sf_dir: str, lang: str):
@@ -217,33 +227,18 @@ def _romance_topk(sf_dir: str, lang: str):
     ItalianAnalyzer / PortugueseAnalyzer chains: [elision →] stop → UniNE
     light stem; query analyzed the same way). Oracle:
     oracle.bm25_romance_topk — each chain is SQL-expressible."""
-    import os
+    return _analyzed_topk(sf_dir, lang, _romance_cls(lang)())
 
+
+def _romance_cls(lang: str):
     from lucene_kmp_ray.analysis import romance
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    cls = {"spanish": romance.SpanishAnalyzer,
-           "italian": romance.ItalianAnalyzer,
-           "portuguese": romance.PortugueseAnalyzer}[lang]
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_{lang}/{tag}"
-    analyzer = cls()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return {"spanish": romance.SpanishAnalyzer,
+            "italian": romance.ItalianAnalyzer,
+            "portuguese": romance.PortugueseAnalyzer}[lang]
 
 
 def _romance_query_term(lang: str) -> str:
-    from lucene_kmp_ray.analysis import romance
-    cls = {"spanish": romance.SpanishAnalyzer,
-           "italian": romance.ItalianAnalyzer,
-           "portuguese": romance.PortugueseAnalyzer}[lang]
-    return cls()(GERMAN_QUERY_WORD)[0]
+    return _romance_cls(lang)()(GERMAN_QUERY_WORD)[0]
 
 
 def _nordic_cls(lang: str):
@@ -258,21 +253,7 @@ def _nordic_topk(sf_dir: str, lang: str):
     NorwegianAnalyzer / SwedishAnalyzer: stop → Snowball 2.x stem; query
     analyzed the same way). Oracle: oracle.bm25_nordic_topk — the SQL
     stemmer cascade is GENERATED from the same suffix tables."""
-    import os
-
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_{lang}/{tag}"
-    analyzer = _nordic_cls(lang)()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, lang, _nordic_cls(lang)())
 
 
 def _nordic_query_term(lang: str) -> str:
@@ -293,21 +274,7 @@ def _mideast_topk(sf_dir: str, lang: str):
     light stemmers; chain order per the reference analyzers). Oracle:
     oracle.bm25_mideast_topk — translate/replace-chain + CASE cascades
     GENERATED from the same tables."""
-    import os
-
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_{lang}/{tag}"
-    analyzer = _mideast_cls(lang)()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, lang, _mideast_cls(lang)())
 
 
 def _mideast_query_term(lang: str) -> str:
@@ -325,21 +292,7 @@ def _indic_topk(sf_dir: str, lang: str):
     language normalizer → stop → tier stem). Oracle:
     oracle.bm25_indic_topk — the normalizer fold runs as a
     recursive-CTE scan GENERATED from the same transition rules."""
-    import os
-
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_{lang}/{tag}"
-    analyzer = _indic_cls(lang)()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, lang, _indic_cls(lang)())
 
 
 def _indic_query_term(lang: str) -> str:
@@ -355,22 +308,8 @@ def _indonesian_topk(sf_dir: str):
     """Top-10 for an IndonesianAnalyzer index (stop → Tala stemmer).
     Oracle: oracle.bm25_indonesian_topk — the stemmer state machine is
     GENERATED as staged CASE columns from the same rules."""
-    import os
-
     from lucene_kmp_ray.analysis.indonesian import IndonesianAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_indonesian/{tag}"
-    analyzer = IndonesianAnalyzer()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "indonesian", IndonesianAnalyzer())
 
 
 def _nepali_query_term() -> str:
@@ -383,22 +322,8 @@ def _nepali_topk(sf_dir: str):
     stop → snowball Nepali stem). Oracle: oracle.bm25_nepali_topk — the
     category-2/3 loop runs as a recursive CTE GENERATED from the same
     tables."""
-    import os
-
     from lucene_kmp_ray.analysis.nepali import NepaliAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_nepali/{tag}"
-    analyzer = NepaliAnalyzer()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "nepali", NepaliAnalyzer())
 
 
 def _romanian_query_term() -> str:
@@ -411,22 +336,8 @@ def _romanian_topk(sf_dir: str):
     snowball Romanian stem, reference-kmp semantics). Oracle:
     oracle.bm25_romanian_topk — recursive-CTE prelude + staged CASEs
     GENERATED from the same tables."""
-    import os
-
     from lucene_kmp_ray.analysis.romanian import RomanianAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_romanian/{tag}"
-    analyzer = RomanianAnalyzer()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "romanian", RomanianAnalyzer())
 
 
 def _sc_cls(lang: str):
@@ -446,21 +357,7 @@ def _sc_topk(sf_dir: str, lang: str):
     sets; Serbian stems then normalizes Cyrillic→bald Latin, Catalan
     elides articles then folds accents). Oracle:
     oracle.bm25_serbo_catalan_topk (same tables)."""
-    import os
-
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_{lang}/{tag}"
-    analyzer = _sc_cls(lang)()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, lang, _sc_cls(lang)())
 
 
 def _hungarian_query_term() -> str:
@@ -472,22 +369,8 @@ def _hungarian_topk(sf_dir: str):
     """Top-10 for a HungarianAnalyzer index (stop → UniNE light stem).
     Oracle: oracle.bm25_hungarian_topk — the staged CASE cascades share
     the rules."""
-    import os
-
     from lucene_kmp_ray.analysis.hungarian import HungarianAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_hungarian/{tag}"
-    analyzer = HungarianAnalyzer()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "hungarian", HungarianAnalyzer())
 
 
 def _eastern_cls(lang: str):
@@ -502,21 +385,7 @@ def _eastern_topk(sf_dir: str, lang: str):
     light stem; Dolamic-Savoy / Savoy-BUIR / Kreslin-light algorithms).
     Oracle: oracle.bm25_eastern_topk — the SQL cascades are GENERATED
     from the same suffix tables."""
-    import os
-
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_{lang}/{tag}"
-    analyzer = _eastern_cls(lang)()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, lang, _eastern_cls(lang)())
 
 
 def _eastern_query_term(lang: str) -> str:
@@ -533,22 +402,8 @@ def _dutch_topk(sf_dir: str):
     snowball Dutch stem with Y/I prelude marking). Oracle:
     oracle.bm25_dutch_topk — the SQL stemmer (recursive-CTE prelude +
     staged CASE suffix steps) is GENERATED from the same rules."""
-    import os
-
     from lucene_kmp_ray.analysis.dutch import DutchAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_dutch/{tag}"
-    analyzer = DutchAnalyzer()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "dutch", DutchAnalyzer())
 
 
 def _russian_query_term() -> str:
@@ -561,22 +416,8 @@ def _russian_topk(sf_dir: str):
     Cyrillic suffix rules no-op on the Latin corpus but the full chain —
     ё-fold, RV/R2 marking, stop list — runs end to end). Oracle:
     oracle.bm25_russian_topk with the GENERATED SQL stemmer cascade."""
-    import os
-
     from lucene_kmp_ray.analysis.russian import RussianAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_russian/{tag}"
-    analyzer = RussianAnalyzer()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "russian", RussianAnalyzer())
 
 
 # analyzer registry for the round-3 language additions — one generic
@@ -644,21 +485,7 @@ def _lang_topk(sf_dir: str, lang: str):
     """Top-10 for a registered language-analyzer index (full chain —
     normalizers, stop list, stemmer — runs end to end over the Latin
     corpus). Oracle: the GENERATED oracle.bm25_<lang>_topk mirror."""
-    import os
-
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_{lang}/{tag}"
-    analyzer = _lang_cls(lang)()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=analyzer)
-    (term,) = analyzer(GERMAN_QUERY_WORD)
-    return search_distributed(idx, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, lang, _lang_cls(lang)())
 
 
 def _german_query_term() -> str:
@@ -681,11 +508,8 @@ def _ensure_geo_index(sf_dir: str) -> str:
     coordinates derived deterministically from doc_id, stored via
     meta_cols. x/y are float32 like XYEncodingUtils' encoding domain."""
     from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_geo5/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
+    def build(idx: str) -> None:
         def add_coords(b: pa.Table) -> pa.Table:
             d = b["doc_id"].to_numpy()
             lat = (d * 37 % 18000) / 100.0 - 90.0
@@ -732,7 +556,7 @@ def _ensure_geo_index(sf_dir: str) -> str:
         build_index(ds, idx, segment_size=SEGMENT_SIZE,
                     meta_cols=("lat", "lon", "x", "y", "rlo", "rhi", "slo", "shi",
                                "lang", "vals", "tags"))
-    return idx
+    return cached_index("geo", sf_dir, build)
 
 
 def _sorted_numeric_max(sf_dir: str):
@@ -1340,17 +1164,8 @@ def _classic_analyzer_topk(sf_dir: str):
     Latin corpus reduces classic tokens to the standard chain, swept in
     tests/test_classic_analyzer.py). Oracle: the standard preamble."""
     from lucene_kmp_ray.analysis.classic import ClassicAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
-
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_classic_an/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=ClassicAnalyzer(stop_words=frozenset()))
-    return search_distributed(idx, {"q": TermQuery(TERM_A)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "classic_an",
+                          ClassicAnalyzer(stop_words=frozenset()), TERM_A)
 
 
 def _perfield_title_topk(sf_dir: str):
@@ -1360,19 +1175,13 @@ def _perfield_title_topk(sf_dir: str):
     oracle.bm25_perfield_title_topk."""
     from lucene_kmp_ray.analysis.standard import EnglishAnalyzer
     from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_perfield/{tag}"
     analyzer = EnglishAnalyzer()
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    fields=INDEX_FIELDS,
-                    analyzer={"text": None, "title": analyzer})
+    idx = cached_index("perfield", sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir), d, segment_size=SEGMENT_SIZE,
+        fields=INDEX_FIELDS, analyzer={"text": None, "title": analyzer}))
     (term,) = analyzer("queries")
-    return search_distributed(idx, {"q": TermQuery(term, "title")}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _search_topk(idx, TermQuery(term, "title"))
 
 
 def _misc_filter_counts(sf_dir: str):
@@ -1484,17 +1293,13 @@ def _parallel_reader_title_topk(sf_dir: str):
     from lucene_kmp_ray.index.builder import build_index
     from lucene_kmp_ray.index.parallel import ParallelReader
     from lucene_kmp_ray.similarity.bm25 import BM25Similarity
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    root = f"/tmp/lucene_kmp_ray_index_parallel/{tag}"
-    dirs = {"text": f"{root}/text_idx", "title": f"{root}/title_idx"}
-    for field, d in dirs.items():
-        if not os.path.exists(os.path.join(d, "manifest.json")):
-            build_index(corpus_dataset(sf_dir), d,
-                        segment_size=SEGMENT_SIZE, fields=(field,))
-    s = Searcher(ParallelReader.open([dirs["text"], dirs["title"]]),
-                 BM25Similarity(dtype="float64"))
+    dirs = [cached_index(f"parallel_{field}", sf_dir,
+                         lambda d, f=field: build_index(
+                             corpus_dataset(sf_dir), d,
+                             segment_size=SEGMENT_SIZE, fields=(f,)))
+            for field in ("text", "title")]
+    s = Searcher(ParallelReader.open(dirs), BM25Similarity(dtype="float64"))
     td = s.search(TermQuery(TERM_A, "title"), k=10)
     return pd.DataFrame({
         "doc_id": [h.doc_id for h in td.score_docs],
@@ -1921,7 +1726,6 @@ def _native_cjk_topk(sf_dir: str, lang: str, vectors, term: str):
     import pyarrow as pa
 
     from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
 
     k = len(vectors)
     phrases = [p for p, _ in vectors]
@@ -1936,16 +1740,11 @@ def _native_cjk_topk(sf_dir: str, lang: str, vectors, term: str):
         idx = batch.schema.get_field_index("text")
         return batch.set_column(idx, "text", pa.array(texts, pa.string()))
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx_dir = f"/tmp/lucene_kmp_ray_index_native_{lang}/{tag}"
-    if not os.path.exists(os.path.join(idx_dir, "manifest.json")):
-        ds = corpus_dataset(sf_dir).map_batches(synth_text,
-                                                batch_format="pyarrow")
-        build_index(ds, idx_dir, segment_size=SEGMENT_SIZE,
-                    analyzer=_lang_cls(lang)())
-    return search_distributed(idx_dir, {"q": TermQuery(term)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    idx = cached_index(f"native_{lang}", sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir).map_batches(synth_text,
+                                           batch_format="pyarrow"),
+        d, segment_size=SEGMENT_SIZE, analyzer=_lang_cls(lang)()))
+    return _search_topk(idx, TermQuery(term))
 
 
 def _ja_token_counts(sf_dir: str):
@@ -2368,28 +2167,23 @@ def _ip_range_relations_all(sf_dir: str):
     byte order == numeric IP order is exactly the InetAddressPoint
     encoding claim. One row per (relation, matching doc)."""
     import pandas as pd
-    import ray.data as rd
 
     from lucene_kmp_ray.index.builder import build_index
     from lucene_kmp_ray.search import RangeFieldQuery
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
     from lucene_kmp_ray.util.ippoint import encode_v4_ints, range_hex
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_iprange/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        def add_ranges(b: pa.Table) -> pa.Table:
-            d = b["doc_id"].to_numpy()
-            lo, hi = _doc_ip_range_ints(d)
-            return b.append_column(
-                "ip_lo", pa.array(encode_v4_ints(lo), pa.string())) \
-                .append_column(
-                "ip_hi", pa.array(encode_v4_ints(hi), pa.string()))
+    def add_ranges(b: pa.Table) -> pa.Table:
+        d = b["doc_id"].to_numpy()
+        lo, hi = _doc_ip_range_ints(d)
+        return b.append_column(
+            "ip_lo", pa.array(encode_v4_ints(lo), pa.string())) \
+            .append_column(
+            "ip_hi", pa.array(encode_v4_ints(hi), pa.string()))
 
-        ds = corpus_dataset(sf_dir).map_batches(add_ranges,
-                                                batch_format="pyarrow")
-        build_index(ds, idx, segment_size=SEGMENT_SIZE,
-                    meta_cols=("ip_lo", "ip_hi"))
+    idx = cached_index("iprange", sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir).map_batches(add_ranges,
+                                           batch_format="pyarrow"),
+        d, segment_size=SEGMENT_SIZE, meta_cols=("ip_lo", "ip_hi")))
     lo_hex, hi_hex = range_hex(*IP_RANGE_QUERY)
     frames = []
     for rel in ("intersects", "within", "contains", "crosses"):
@@ -2427,6 +2221,24 @@ def _doc_diamonds(d: np.ndarray):
     return lats, lons
 
 
+def _shape_index(sf_dir: str) -> str:
+    """The diamond-shape index of the three shape entries: per-doc rings
+    as list<double> doc-values columns."""
+    from lucene_kmp_ray.index.builder import build_index
+
+    def add_rings(b: pa.Table) -> pa.Table:
+        lats, lons = _doc_diamonds(b["doc_id"].to_numpy())
+        return b.append_column(
+            "ring_lats", pa.array(lats.tolist(), pa.list_(pa.float64()))) \
+            .append_column(
+            "ring_lons", pa.array(lons.tolist(), pa.list_(pa.float64())))
+
+    return cached_index("shape", sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir).map_batches(add_rings,
+                                           batch_format="pyarrow"),
+        d, segment_size=SEGMENT_SIZE, meta_cols=("ring_lats", "ring_lons")))
+
+
 def _shape_box_relations_all(sf_dir: str):
     """Shape-valued docs vs a box, every ShapeField.QueryRelation: the
     generic flat-ring kernel (searcher._shape_box_docs) over list<double>
@@ -2435,27 +2247,9 @@ def _shape_box_relations_all(sf_dir: str):
     per axis). One row per (relation, matching doc)."""
     import pandas as pd
 
-    from lucene_kmp_ray.index.builder import build_index
     from lucene_kmp_ray.search import ShapeBoxQuery
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_shape/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        def add_rings(b: pa.Table) -> pa.Table:
-            d = b["doc_id"].to_numpy()
-            lats, lons = _doc_diamonds(d)
-            return b.append_column(
-                "ring_lats", pa.array(lats.tolist(),
-                                      pa.list_(pa.float64()))) \
-                .append_column(
-                "ring_lons", pa.array(lons.tolist(),
-                                      pa.list_(pa.float64())))
-
-        ds = corpus_dataset(sf_dir).map_batches(add_rings,
-                                                batch_format="pyarrow")
-        build_index(ds, idx, segment_size=SEGMENT_SIZE,
-                    meta_cols=("ring_lats", "ring_lons"))
+    idx = _shape_index(sf_dir)
     frames = []
     for rel in ("intersects", "within", "contains", "disjoint"):
         q = ShapeBoxQuery("ring_lats", "ring_lons", relation=rel,
@@ -2485,14 +2279,12 @@ def _shape_circle_relations_all(sf_dir: str):
     the doc-values path, Circle2D.kt relations): the generic ring
     kernel with vertex/center/clamped-edge-distance predicates
     (searcher._shape_circle_docs); the oracle reduces circle-vs-
-    diamond to exact closed forms. Reuses the shape index."""
+    diamond to exact closed forms."""
     import pandas as pd
 
     from lucene_kmp_ray.search import ShapeCircleQuery
 
-    _shape_box_relations_all(sf_dir)  # ensure the shape index exists
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_shape/{tag}"
+    idx = _shape_index(sf_dir)
     c = SHAPE_QCIRCLE
     frames = []
     for rel in ("intersects", "within", "contains", "disjoint"):
@@ -2510,14 +2302,12 @@ def _shape_polygon_relations_all(sf_dir: str):
     the doc-values path): the generic ring-ring kernel
     (searcher._shape_polygon_docs); for two L1 balls each relation
     reduces to |c_doc − c_query|_1 vs the radii — the oracle's exact
-    arithmetic. Reuses _shape_box_relations_all's index."""
+    arithmetic."""
     import pandas as pd
 
     from lucene_kmp_ray.search import ShapePolygonQuery
 
-    _shape_box_relations_all(sf_dir)  # ensure the shape index exists
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_shape/{tag}"
+    idx = _shape_index(sf_dir)
     cy, cx, w = (SHAPE_QPOLY["clat"], SHAPE_QPOLY["clon"],
                  SHAPE_QPOLY["w"])
     ring = ((cy - w, cx), (cy, cx + w), (cy + w, cx), (cy, cx - w))
@@ -2535,21 +2325,10 @@ def _synonym_topk(sf_dir: str):
     """BM25 top-10 for the INJECTED synonym token over a SynonymAnalyzer
     index — exercises posIncr=0 same-position injection end-to-end.
     Oracle: oracle.synonym_quick_topk (adjusted-stats mirror)."""
-    import os
-
     from lucene_kmp_ray.analysis.filters import SynonymAnalyzer
-    from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
 
     src, syn = SYNONYM_RULE
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_syn/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    analyzer=SynonymAnalyzer({src: (syn,)}))
-    return search_distributed(idx, {"q": TermQuery(syn)}, k=10,
-                              dtype="float64").to_pandas() \
-        [["doc_id", "url", "score"]]
+    return _analyzed_topk(sf_dir, "syn", SynonymAnalyzer({src: (syn,)}), syn)
 
 
 def _extract_invariant(sf_dir: str):
@@ -2570,23 +2349,20 @@ INDEX_FIELDS = ("text", "title")  # fielded documents (Document.kt:20)
 
 
 def _ensure_index(sf_dir: str) -> str:
-    """Build (resume-aware, cached) the inverted index for one sf dir.
-    Indexes BOTH fields: body text + the html <title>-derived title."""
-    if sf_dir in _INDEX_CACHE:
-        return _INDEX_CACHE[sf_dir]
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    index_dir = f"/tmp/lucene_kmp_ray_index/{tag}"
-    if not os.path.exists(os.path.join(index_dir, "manifest.json")):
-        from lucene_kmp_ray.index.builder import build_index_sharded
-        from lucene_kmp_ray.sources.corpus import corpus_shards
-        shards, make_docs = corpus_shards(sf_dir, segment_size=SEGMENT_SIZE,
-                                          fields=INDEX_FIELDS,
-                                          with_vectors=True)
-        build_index_sharded(shards, make_docs, index_dir,
-                            lineage_source=sf_dir, fields=INDEX_FIELDS,
-                            vector_col="embedding")
-    _INDEX_CACHE[sf_dir] = index_dir
-    return index_dir
+    """The cached inverted index of one sf dir, built through the
+    pre-sharded path. Indexes BOTH fields: body text + the html
+    <title>-derived title."""
+    return cached_index("main", sf_dir, lambda d: _build_sharded(sf_dir, d))
+
+
+def _build_sharded(sf_dir: str, index_dir: str, **kw) -> None:
+    """Both fields and the embeddings, through the pre-sharded build."""
+    from lucene_kmp_ray.index.builder import build_index_sharded
+    from lucene_kmp_ray.sources.corpus import corpus_shards
+    shards, make_docs = corpus_shards(sf_dir, segment_size=SEGMENT_SIZE,
+                                      fields=INDEX_FIELDS, with_vectors=True)
+    build_index_sharded(shards, make_docs, index_dir, lineage_source=sf_dir,
+                        fields=INDEX_FIELDS, vector_col="embedding", **kw)
 
 
 def _check_index_stats(sf_dir: str):
@@ -2610,25 +2386,19 @@ def _check_index_stats(sf_dir: str):
 
 
 def _term_stats_grouped(sf_dir: str):
-    """Text-field (term, df, ttf) built through the FULL-SHUFFLE path
-    (index/grouped.py build_index_grouped: explode to postings rows →
-    groupby(seg, term) with head-term salt splitting — the groupby-term
-    shuffle of SURVEY §2.3). Oracle: the same SQL as term_stats — the
-    two build paths must agree exactly, now driver-checked rather than
-    pytest-only."""
+    """Text-field (term, df, ttf) of an index built through the Dataset
+    path (``build_index`` over ``corpus_dataset``: segment-keyed
+    groupby, one inversion per segment group). Oracle: the same SQL as
+    term_stats, whose index comes from the pre-sharded path
+    (``build_index_sharded``), so the row duels the two build paths
+    (the name predates the removal of the groupby-term build)."""
     import ray.data as rd
 
-    from lucene_kmp_ray.index.builder import global_term_stats
-    from lucene_kmp_ray.index.grouped import build_index_grouped
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
+    from lucene_kmp_ray.index.builder import build_index, global_term_stats
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    index_dir = f"/tmp/lucene_kmp_ray_index_grouped/{tag}"
-    if not os.path.exists(os.path.join(index_dir, "manifest.json")):
-        build_index_grouped(corpus_dataset(sf_dir), index_dir,
-                            segment_size=SEGMENT_SIZE,
-                            lineage_source=sf_dir)
-
+    index_dir = cached_index("dataset", sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir), d, segment_size=SEGMENT_SIZE,
+        lineage_source=sf_dir))
     return rd.from_arrow(_text_term_stats(global_term_stats(index_dir)))
 
 
@@ -2857,6 +2627,12 @@ def _knn_hnsw_recall(sf_dir: str):
     return pd.DataFrame({"recall_ge_090": [1 if recall >= 0.9 else 0]})
 
 
+def _hnsw_index(sf_dir: str) -> str:
+    """The main index's build with per-segment HNSW sidecars."""
+    return cached_index("hnsw", sf_dir, lambda d: _build_sharded(
+        sf_dir, d, hnsw={"m": 16, "ef_construction": 100}))
+
+
 def _knn_hnsw_topk(sf_dir: str):
     """Graph-tier KNN (HnswGraphBuilder.kt / HnswGraphSearcher.kt role):
     the same query as knn_vector_top10 but over an index whose segments
@@ -2868,21 +2644,10 @@ def _knn_hnsw_topk(sf_dir: str):
     brute top-10 and the entry carries the brute-force oracle
     (knn_vector_topk); the knn_hnsw_recall gate still guards the
     approximation independently (tests/test_hnsw.py)."""
-    from lucene_kmp_ray.index.builder import build_index_sharded
     from lucene_kmp_ray.search import KnnFloatVectorQuery
-    from lucene_kmp_ray.sources.corpus import corpus_shards
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_hnsw/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        shards, make_docs = corpus_shards(sf_dir, segment_size=SEGMENT_SIZE,
-                                          fields=INDEX_FIELDS,
-                                          with_vectors=True)
-        build_index_sharded(shards, make_docs, idx, lineage_source=sf_dir,
-                            fields=INDEX_FIELDS, vector_col="embedding",
-                            hnsw={"m": 16, "ef_construction": 100})
     q = KnnFloatVectorQuery(_query_vector(sf_dir), k=10, ef_search=128)
-    df = search_distributed(idx, {"q": q}, k=10,
+    df = search_distributed(_hnsw_index(sf_dir), {"q": q}, k=10,
                             dtype="float64").to_pandas()
     df = df.rename(columns={"score": "score_r"})
     df["score_r"] = np.round(df["score_r"], 6)
@@ -2941,13 +2706,10 @@ def _term_vectors_sample(sf_dir: str, mod: int = 97):
 
     from lucene_kmp_ray.index.builder import build_index
     from lucene_kmp_ray.index.reader import IndexReader
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_tv/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    fields=INDEX_FIELDS, store_term_vectors=True)
+    idx = cached_index("tv", sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir), d, segment_size=SEGMENT_SIZE,
+        fields=INDEX_FIELDS, store_term_vectors=True))
     import pyarrow.parquet as _pq
     ids = _pq.read_table(f"{sf_dir}/documents.parquet",
                          columns=["doc_id"])["doc_id"].to_numpy()
@@ -3021,12 +2783,9 @@ def _knn_seeded_topk(sf_dir: str):
     equivalence is additionally pytest-locked (tests/test_hnsw.py)."""
     from lucene_kmp_ray.search import SeededKnnVectorQuery, TermQuery
 
-    _knn_hnsw_topk(sf_dir)  # ensure the HNSW index exists (cached)
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_hnsw/{tag}"
     q = SeededKnnVectorQuery(_query_vector(sf_dir), k=10,
                              seed=TermQuery(TERM_A), ef_search=128)
-    df = search_distributed(idx, {"q": q}, k=10,
+    df = search_distributed(_hnsw_index(sf_dir), {"q": q}, k=10,
                             dtype="float64").to_pandas()
     df = df.rename(columns={"score": "score_r"})
     df["score_r"] = np.round(df["score_r"], 6)
@@ -3044,24 +2803,15 @@ def _quantized_env(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from lucene_kmp_ray.index.builder import build_index_sharded
-    from lucene_kmp_ray.sources.corpus import corpus_shards
     from lucene_kmp_ray.util.quantize import (ScalarQuantizer,
                                               global_vector_bounds)
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_q/{tag}"
     lo, hi = global_vector_bounds(
         rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                         columns=["embedding"]))
     sq = ScalarQuantizer(lo, hi, 7)
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        shards, make_docs = corpus_shards(sf_dir, segment_size=SEGMENT_SIZE,
-                                          fields=INDEX_FIELDS,
-                                          with_vectors=True)
-        build_index_sharded(shards, make_docs, idx, lineage_source=sf_dir,
-                            fields=INDEX_FIELDS, vector_col="embedding",
-                            quantize={"lo": lo, "hi": hi, "bits": 7})
+    idx = cached_index("q", sf_dir, lambda d: _build_sharded(
+        sf_dir, d, quantize={"lo": lo, "hi": hi, "bits": 7}))
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
                       columns=["vec_id", "embedding"]).sort_by("vec_id")
     qmat = np.asarray(t["embedding"][0].as_py(), dtype=np.float64)
@@ -3173,28 +2923,13 @@ def _dv_update_search_all(sf_dir: str):
     updateNumericDocValue, index/dvupdates.py): docs with doc_id %% 97
     == 0 get length set to 100000 by url WITHOUT reindexing; a range
     query over the updated field must see exactly those docs."""
-    import shutil
-
-    import duckdb
-
     from lucene_kmp_ray.index.dvupdates import update_numeric_doc_values
     from lucene_kmp_ray.search import RangeFilterQuery
 
-    src_idx = _ensure_index(sf_dir)
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    upd_idx = f"/tmp/lucene_kmp_ray_index_dvu/{tag}"
-    if not os.path.exists(os.path.join(upd_idx, "manifest.json")):
-        shutil.copytree(src_idx, upd_idx, dirs_exist_ok=True)
-        con = duckdb.connect()
-        urls = [r[0] for r in con.sql(
-            f"SELECT 'https://' || source || '.example.com/doc/' || "
-            f"CAST(doc_id AS VARCHAR) FROM "
-            f"'{sf_dir}/documents.parquet' WHERE doc_id % 97 = 0"
-        ).fetchall()]
-        update_numeric_doc_values(upd_idx, "length",
-                                  {u: 100_000 for u in urls})
+    idx = _mutated_copy("dvu", sf_dir, lambda d: update_numeric_doc_values(
+        d, "length", {u: 100_000 for u in _doc_urls(sf_dir, 97)}))
     return _all_sorted(search_all_matches(
-        upd_idx, RangeFilterQuery("length", 100_000, None)))
+        idx, RangeFilterQuery("length", 100_000, None)))
 
 
 def _tags_range_all(sf_dir: str):
@@ -3387,11 +3122,9 @@ def _sorted_index_scan(sf_dir: str):
     from lucene_kmp_ray.search.ray_search import (SortField,
                                                   search_sorted_by_fields)
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_sorted/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx, segment_size=SEGMENT_SIZE,
-                    index_sort=(("url", True),))
+    idx = cached_index("sorted", sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir), d, segment_size=SEGMENT_SIZE,
+        index_sort=(("url", True),)))
     return search_sorted_by_fields(
         idx, TermQuery(TERM_A), (SortField("url", descending=True),), k=20)
 
@@ -3409,16 +3142,14 @@ def _index_sort_range_all(sf_dir: str):
     from lucene_kmp_ray.index.builder import build_index
     from lucene_kmp_ray.search import IndexSortRangeQuery
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_nsorted/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        def add_n_chars(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "n_chars", pc.cast(pc.utf8_length(b["text"]), pa.int64()))
-        ds = corpus_dataset(sf_dir).map_batches(add_n_chars,
-                                                batch_format="pyarrow")
-        build_index(ds, idx, segment_size=SEGMENT_SIZE,
-                    index_sort=(("n_chars", False),))
+    def add_n_chars(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "n_chars", pc.cast(pc.utf8_length(b["text"]), pa.int64()))
+
+    idx = cached_index("nsorted", sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir).map_batches(add_n_chars,
+                                           batch_format="pyarrow"),
+        d, segment_size=SEGMENT_SIZE, index_sort=(("n_chars", False),)))
     return _all_sorted(search_all_matches(
         idx, IndexSortRangeQuery("n_chars", lower=200, upper=400)))
 
@@ -3438,28 +3169,38 @@ def _delete_by_url_search(sf_dir: str):
     docs with doc_id %% 10 == 0 are deleted by URL; matches must exclude
     them while BM25 stats still count them (Lucene semantics: deleted docs
     affect stats until merge reclaim)."""
-    import shutil
-
-    import duckdb
-
     from lucene_kmp_ray.index.deletes import delete_by_url
 
-    src_idx = _ensure_index(sf_dir)
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    del_idx = f"/tmp/lucene_kmp_ray_index_del/{tag}"
-    if not os.path.exists(os.path.join(del_idx, "manifest.json")):
-        shutil.copytree(src_idx, del_idx, dirs_exist_ok=True)
-        con = duckdb.connect()
-        urls = [r[0] for r in con.sql(
-            f"SELECT 'https://' || source || '.example.com/doc/' || "
-            f"CAST(doc_id AS VARCHAR) FROM "
-            f"'{sf_dir}/documents.parquet' WHERE doc_id % 10 = 0"
-        ).fetchall()]
-        delete_by_url(del_idx, urls)
-    return _all_sorted(search_all_matches(del_idx, TermQuery(TERM_A)))
+    idx = _mutated_copy("del", sf_dir, lambda d: delete_by_url(
+        d, _doc_urls(sf_dir, 10)))
+    return _all_sorted(search_all_matches(idx, TermQuery(TERM_A)))
 
 
-def _soft_urls(sf_dir: str, mod: int) -> list[str]:
+def _mutated_copy(kind: str, sf_dir: str,
+                  mutate: Callable[[str], Any]) -> str:
+    """A cached copy of the main index changed by ``mutate(dir)``: the
+    copy and the change both run inside ``cached_index``'s build, so a
+    crash between them leaves nothing that a later call reuses."""
+    src = _ensure_index(sf_dir)
+
+    def build(d: str) -> None:
+        shutil.copytree(src, d)
+        mutate(d)
+    return cached_index(kind, sf_dir, build)
+
+
+def _merge_all(index_dir: str, **kw) -> None:
+    """One merge of every segment of the committed manifest."""
+    import json
+
+    from lucene_kmp_ray.index.merge import run_merges
+    with open(os.path.join(index_dir, "manifest.json")) as f:
+        segs = [m["seg"] for m in json.load(f)["segments"]]
+    run_merges(index_dir, merges=[segs], **kw)
+
+
+def _doc_urls(sf_dir: str, mod: int) -> list[str]:
+    """The urls of the docs with doc_id % mod == 0."""
     import duckdb
     con = duckdb.connect()
     return [r[0] for r in con.sql(
@@ -3476,17 +3217,11 @@ def _soft_delete_search(sf_dir: str, mod: int = 9):
     dv-generation write per touched segment, never a rewrite); readers
     opened with the field hide them while BM25 stats still count them —
     the exact stats contract of hard tombstones before reclaim."""
-    import shutil
-
     from lucene_kmp_ray.index.softdeletes import (DEFAULT_SOFT_FIELD,
                                                   soft_delete_by_url)
 
-    src_idx = _ensure_index(sf_dir)
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_softdel/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        shutil.copytree(src_idx, idx, dirs_exist_ok=True)
-        soft_delete_by_url(idx, _soft_urls(sf_dir, mod))
+    idx = _mutated_copy("softdel", sf_dir, lambda d: soft_delete_by_url(
+        d, _doc_urls(sf_dir, mod)))
     return _all_sorted(search_all_matches(
         idx, TermQuery(TERM_A), soft_deletes_field=DEFAULT_SOFT_FIELD))
 
@@ -3497,28 +3232,18 @@ def _soft_retention_merge_search(sf_dir: str, mod: int = 9):
     RECLAIM (leave the stats corpus), retained ones carry their marker
     into the merged segment (still hidden from the wrapped reader, still
     counted in stats). Scores must reflect the post-reclaim statistics."""
-    import shutil
-
-    from lucene_kmp_ray.index.merge import run_merges
     from lucene_kmp_ray.index.softdeletes import (DEFAULT_SOFT_FIELD,
                                                   soft_delete_by_url)
 
-    src_idx = _ensure_index(sf_dir)
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_softret/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        shutil.copytree(src_idx, idx, dirs_exist_ok=True)
-        soft_delete_by_url(idx, _soft_urls(sf_dir, mod))
-        import json as _json
-        with open(os.path.join(idx, "manifest.json")) as f:
-            segs = [m["seg"] for m in _json.load(f)["segments"]]
+    def retention(docs_table):
+        return (docs_table["doc_id"].to_numpy() % (2 * mod)) == 0
 
-        def retention(docs_table):
-            return (docs_table["doc_id"].to_numpy() % (2 * mod)) == 0
-
-        run_merges(idx, merges=[segs],
-                   soft_deletes_field=DEFAULT_SOFT_FIELD,
+    def mutate(d: str) -> None:
+        soft_delete_by_url(d, _doc_urls(sf_dir, mod))
+        _merge_all(d, soft_deletes_field=DEFAULT_SOFT_FIELD,
                    retention=retention)
+
+    idx = _mutated_copy("softret", sf_dir, mutate)
     return _all_sorted(search_all_matches(
         idx, TermQuery(TERM_A), soft_deletes_field=DEFAULT_SOFT_FIELD))
 
@@ -3530,19 +3255,7 @@ def _merged_index_search(sf_dir: str):
     one segment and re-run the headline TermQuery — the ranking must be
     bit-identical to the unmerged index, so the oracle is the SAME SQL
     as bm25_term_spark."""
-    import shutil
-
-    from lucene_kmp_ray.index.merge import run_merges
-
-    src_idx = _ensure_index(sf_dir)
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_merged/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        shutil.copytree(src_idx, idx, dirs_exist_ok=True)
-        import json as _json
-        with open(os.path.join(idx, "manifest.json")) as f:
-            segs = [m["seg"] for m in _json.load(f)["segments"]]
-        run_merges(idx, merges=[segs])
+    idx = _mutated_copy("merged", sf_dir, _merge_all)
     df = search_distributed(idx, {"q": TermQuery(TERM_A)}, k=10,
                             dtype="float64").to_pandas()
     return df[["doc_id", "url", "score"]]
@@ -3557,36 +3270,17 @@ def _snapshot_search_all(sf_dir: str):
     (search_all_matches(commit=...)) must still see the original
     pre-merge, pre-delete view; oracle = the plain full-corpus term
     match set."""
-    import shutil
-
     from lucene_kmp_ray.index.commits import SnapshotDeletionPolicy
     from lucene_kmp_ray.index.deletes import delete_by_url
-    from lucene_kmp_ray.index.merge import run_merges
 
-    src_idx = _ensure_index(sf_dir)
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_snap/{tag}"
-    marker = os.path.join(idx, "_SNAP_READY")
-    if not os.path.exists(marker):
-        shutil.rmtree(idx, ignore_errors=True)
-        shutil.copytree(src_idx, idx)
+    def mutate(d: str) -> None:
         sdp = SnapshotDeletionPolicy()
-        gen1 = sdp.snapshot(idx)
+        gen1 = sdp.snapshot(d)
         assert gen1 == 1
-        import json as _json
-        with open(os.path.join(idx, "manifest.json")) as f:
-            segs = [m["seg"] for m in _json.load(f)["segments"]]
-        run_merges(idx, merges=[segs], deletion_policy=sdp)
-        import duckdb
-        con = duckdb.connect()
-        urls = [r[0] for r in con.sql(
-            f"SELECT 'https://' || source || '.example.com/doc/' || "
-            f"CAST(doc_id AS VARCHAR) FROM "
-            f"'{sf_dir}/documents.parquet' WHERE doc_id % 10 = 0"
-        ).fetchall()]
-        delete_by_url(idx, urls)
-        with open(marker, "w") as f:
-            f.write("1")
+        _merge_all(d, deletion_policy=sdp)
+        delete_by_url(d, _doc_urls(sf_dir, 10))
+
+    idx = _mutated_copy("snap", sf_dir, mutate)
     return _all_sorted(search_all_matches(idx, TermQuery(TERM_A),
                                           commit=1))
 
@@ -3785,23 +3479,18 @@ def _multireader_topk(sf_dir: str):
 
     from lucene_kmp_ray.index.builder import build_index
     from lucene_kmp_ray.index.reader import MultiReader
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
     from lucene_kmp_ray.similarity.bm25 import BM25Similarity
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    dirs = []
-    for half in (0, 1):
-        idx = f"/tmp/lucene_kmp_ray_index_mr{half}/{tag}"
-        dirs.append(idx)
-        if os.path.exists(os.path.join(idx, "manifest.json")):
-            continue
+    def build_half(idx: str, half: int) -> None:
+        def keep(b: pa.Table) -> pa.Table:
+            return b.filter(pc.equal(pc.bit_wise_and(b["doc_id"], 1), half))
 
-        def keep(b: pa.Table, h=half) -> pa.Table:
-            return b.filter(pc.equal(pc.bit_wise_and(b["doc_id"], 1), h))
+        build_index(corpus_dataset(sf_dir).map_batches(
+            keep, batch_format="pyarrow"), idx, segment_size=SEGMENT_SIZE)
 
-        ds = corpus_dataset(sf_dir).map_batches(keep,
-                                                batch_format="pyarrow")
-        build_index(ds, idx, segment_size=SEGMENT_SIZE)
+    dirs = [cached_index(f"mr{half}", sf_dir,
+                         lambda d, h=half: build_half(d, h))
+            for half in (0, 1)]
     s = Searcher(MultiReader.open(dirs), BM25Similarity(dtype="float64"))
     td = s.search(TermQuery(TERM_A), k=10)
     return pd.DataFrame({
@@ -3811,8 +3500,11 @@ def _multireader_topk(sf_dir: str):
 
 
 def _topk(sf_dir: str, query, k: int = 10):
+    return _search_topk(_ensure_index(sf_dir), query, k)
+
+
+def _search_topk(index_dir: str, query, k: int = 10):
     import pandas as pd
-    index_dir = _ensure_index(sf_dir)
     df = search_distributed(index_dir, {"q": query}, k=k,
                             dtype="float64").to_pandas()
     if df.empty:  # zero matches → stable empty schema
@@ -4208,13 +3900,9 @@ def _bloom_term_counts(sf_dir: str):
 
     from lucene_kmp_ray.index.builder import build_index
     from lucene_kmp_ray.index.reader import IndexReader
-    from lucene_kmp_ray.sources.corpus import corpus_dataset
 
-    tag = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    idx = f"/tmp/lucene_kmp_ray_index_bloom/{tag}"
-    if not os.path.exists(os.path.join(idx, "manifest.json")):
-        build_index(corpus_dataset(sf_dir), idx,
-                    segment_size=SEGMENT_SIZE, bloom=True)
+    idx = cached_index("bloom", sf_dir, lambda d: build_index(
+        corpus_dataset(sf_dir), d, segment_size=SEGMENT_SIZE, bloom=True))
     r = IndexReader(idx)
     rows = []
     for term in BLOOM_PROBE_TERMS:
@@ -4267,9 +3955,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # independently checked; the displaced r1-era entries move
         # below and stay covered by scripts/check_oracle.py) =====
         # --- index build stats / norms (SURVEY §2.2, §2.6) ---
-        # r5 window: the full-shuffle build path (same oracle as
-        # term_stats — the two paths must agree) and CheckIndex; the
-        # r1-green term_stats / doc_norms rotate to later slots
+        # r5 window: the Dataset build path (same oracle as term_stats,
+        # whose index is pre-sharded — the two paths must agree) and
+        # CheckIndex; the r1-green term_stats / doc_norms rotate to
+        # later slots
         "term_stats_grouped": _term_stats_grouped,
         "check_index_stats": _check_index_stats,
         # --- query operators (SURVEY §2.5) ---

@@ -14,8 +14,8 @@ an Arrow table of documents. Layout per segment directory:
   within-doc delta-encoded positions, and the per-block skip + impact
   metadata (last docID, max freq, min norm byte — the block-max WAND
   upper-bound inputs, ``Lucene101PostingsWriter.kt:96-107``). The flush
-  (``encode_term_table_arrays``), the grouped build (index/grouped.py)
-  and the merge (index/merge.py) write the records through one C
+  (``encode_term_table_arrays``) and the merge (index/merge.py) write
+  the records through one C
   writer (``cfor.write_postings`` / ``cfor.merge_postings``), the
   ``FieldsConsumer`` role; no logical terms table is built.
 - ``docs.parquet`` — per-doc metadata, row N == local docID N:
@@ -428,8 +428,8 @@ def write_segment(index_dir: str, postings: tuple, docs_table: pa.Table,
     per-partition two-phase commit (SegmentInfos.kt:35-45 analog).
     ``postings`` is ``(dictionary, postings.doc bytes, postings.pos
     bytes)``, written by the one postings writer: the flush's
-    ``segment_postings``, the grouped build's assemble step and the
-    merge's ``_merge_records`` all hand over this triple.
+    ``segment_postings`` and the merge's ``_merge_records`` both hand
+    over this triple.
     ``vectors_table`` is the optional per-doc vector sidecar (row N ==
     local docID N — the KnnVectorsFormat role, codecs/lucene99);
     ``graph_table`` the optional HNSW neighbor-list sidecar over it;

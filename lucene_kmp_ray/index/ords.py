@@ -27,9 +27,9 @@ dictionary's byte-wise search (``util.cfor.SortedTerms``), and
 OrdinalMap.build forms the union with ``format.sorted_codes`` (one
 Arrow dictionary-encode + sort, the merge's idiom), so no Python string
 is made per term. Scale note: the union runs on the caller — the
-vocabulary is the memory-bounded side (≪ postings); the 100-TB path for
-a *global* vocabulary job is the distributed ``groupby(term)`` in
-index/grouped.py, not this reader-side join.
+vocabulary is the memory-bounded side (≪ postings); a *global*
+vocabulary with its df/ttf comes from the segment dictionaries
+(``builder.global_term_stats``), not from this reader-side join.
 """
 
 from __future__ import annotations

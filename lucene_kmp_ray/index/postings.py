@@ -34,9 +34,8 @@ through one lookup path. That old-layout read is ``split_postings``'
 only engine caller.
 
 ``write_postings`` stores the three parts as they are. One C record
-writer makes them: the flush (``format.encode_term_table_arrays``) and
-the grouped build (index/grouped.py) hand the inverted entry arrays to
-``cfor.write_postings``, and the record-to-record merge (index/merge.py,
+writer makes them: the flush (``format.encode_term_table_arrays``)
+hands the inverted entry arrays to ``cfor.write_postings``, and the record-to-record merge (index/merge.py,
 ``cfor.merge_postings``) writes each merged record through the same
 writer. No writer builds a logical terms table.
 """

@@ -33,10 +33,6 @@ def main() -> int:
     ap.add_argument("--segment-size", type=int, default=5_000)
     ap.add_argument("--expand", type=int, default=1,
                     help="deterministic corpus replication factor")
-    ap.add_argument("--path", choices=["sharded", "grouped"],
-                    default="sharded",
-                    help="sharded = in-task inversion (default); grouped = "
-                         "groupby-term shuffle with head-term salting")
     ap.add_argument("--merge", action="store_true",
                     help="run one round of tiered merges after the build")
     ap.add_argument("--check", action="store_true",
@@ -55,19 +51,13 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
 
     from lucene_kmp_ray.index.builder import build_index_sharded
-    from lucene_kmp_ray.index.grouped import build_index_grouped
-    from lucene_kmp_ray.sources.corpus import corpus_dataset, corpus_shards
+    from lucene_kmp_ray.sources.corpus import corpus_shards
 
     t0 = time.monotonic()
-    if args.path == "sharded":
-        shards, make_docs = corpus_shards(args.sf_dir, args.segment_size,
-                                          expand=args.expand)
-        man = build_index_sharded(shards, make_docs, args.out,
-                                  lineage_source=args.sf_dir)
-    else:
-        ds = corpus_dataset(args.sf_dir, expand=args.expand)
-        man = build_index_grouped(ds, args.out, args.segment_size,
-                                  lineage_source=args.sf_dir)
+    shards, make_docs = corpus_shards(args.sf_dir, args.segment_size,
+                                      expand=args.expand)
+    man = build_index_sharded(shards, make_docs, args.out,
+                              lineage_source=args.sf_dir)
     t_build = time.monotonic() - t0
 
     n_merges = 0
@@ -94,7 +84,6 @@ def main() -> int:
         "merges": n_merges,
         "check_ok": check_ok,
         "index_dir": args.out,
-        "path": args.path,
     }
     print(json.dumps(out))
     ray.shutdown()
