@@ -31,10 +31,11 @@ from lucene_kmp_ray.search import (BooleanQuery, DisjunctionMaxQuery,
                                    PrefixQuery, RangeFilterQuery, Searcher,
                                    SynonymQuery, TermInSetQuery, TermQuery,
                                    TermRangeQuery, WildcardQuery)
-from lucene_kmp_ray.search.ray_search import (phrase_freqs_distributed,
+from lucene_kmp_ray.search.ray_search import (SortField,
+                                              phrase_freqs_distributed,
                                               search_all_matches,
                                               search_distributed,
-                                              search_sorted_by_field)
+                                              search_sorted_by_fields)
 from lucene_kmp_ray.sources.corpus import corpus_dataset
 from lucene_kmp_ray.util.smallfloat import LENGTH_TABLE_INT
 
@@ -167,35 +168,72 @@ KSTEM_VECTORS = [
 ]
 
 
-def _kstem_token_counts(sf_dir: str):
-    """Global (term, count) over the KStem chain applied to a synthesized
-    per-doc English phrase (phrase = KSTEM_VECTORS[doc_id % k]). Oracle:
-    oracle.kstem_token_counts."""
-    import pyarrow as pa
+def _token_counts(sf_dir: str, make_keys, cols=("term",)):
+    """Global counts of key tuples over the corpus doc ids, sorted by
+    ``cols``: each pool actor calls ``make_keys()`` once (lexicons and
+    lattices load there, not per batch) and counts the ``cols`` tuples
+    it maps every ``doc_id`` to; a groupby sums the counts. The pool is
+    sized by ``pool_size``, which leaves CPUs to the read and the
+    aggregate: a pool that takes every CPU stalls them."""
+    import collections
+
     import ray
 
-    k = len(KSTEM_VECTORS)
-    phrases = [p for p, _ in KSTEM_VECTORS]
+    from lucene_kmp_ray.util.pool import pool_size
 
     class Derive:
         def __init__(self):
-            from lucene_kmp_ray.analysis.kstem import KStemAnalyzer
-            self.a = KStemAnalyzer()  # lexicon loads once per actor
+            self.keys = make_keys()
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
             counts: collections.Counter = collections.Counter()
             for doc_id in batch.column("doc_id").to_pylist():
-                counts.update(self.a(phrases[doc_id % k]))
-            return pa.table({"term": list(counts.keys()),
+                counts.update(self.keys(doc_id))
+            return pa.table({**{c: [key[i] for key in counts]
+                                for i, c in enumerate(cols)},
                              "cnt": list(counts.values())})
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
+    agg = ds.map_batches(Derive, batch_format="pyarrow",
+                         concurrency=pool_size()) \
+        .groupby(list(cols)).sum("cnt")
     df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    return df.sort_values(list(cols)).reset_index(drop=True)
+
+
+def _phrase_token_counts(sf_dir: str, vectors, make_analyzer):
+    """Global (term, count) of ``make_analyzer()``'s tokens over the
+    per-doc phrase ``vectors[doc_id % len(vectors)][0]``."""
+    phrases = [p for p, _ in vectors]
+
+    def make_keys():
+        a = make_analyzer()
+        return lambda d: [(t,) for t in a(phrases[d % len(phrases)])]
+    return _token_counts(sf_dir, make_keys)
+
+
+def _cfg_token_counts(sf_dir: str, vectors, make_analyzers,
+                      col: str = "cfg"):
+    """Global (``col``, term, count): each doc's vector ``(cfg, phrase,
+    _) = vectors[doc_id % len(vectors)]`` runs through
+    ``make_analyzers()[cfg]``."""
+    def make_keys():
+        an = make_analyzers()
+
+        def keys(d):
+            cfg, phrase, _ = vectors[d % len(vectors)]
+            return [(cfg, str(t)) for t in an[cfg](phrase)]
+        return keys
+    return _token_counts(sf_dir, make_keys, (col, "term"))
+
+
+def _kstem_token_counts(sf_dir: str):
+    """Global (term, count) over the KStem chain applied to a synthesized
+    per-doc English phrase (phrase = KSTEM_VECTORS[doc_id % k]). Oracle:
+    oracle.kstem_token_counts."""
+    from lucene_kmp_ray.analysis.kstem import KStemAnalyzer
+    return _phrase_token_counts(sf_dir, KSTEM_VECTORS, KStemAnalyzer)
 
 
 def _french_query_term() -> str:
@@ -563,8 +601,6 @@ def _sorted_numeric_max(sf_dir: str):
     """SortedNumericSortField (SortedNumericSelector.kt MAX): matches of
     text:spark sorted by the MAX of the multi-valued int field ``vals``
     descending, docs with no values last, docID tiebreak."""
-    from lucene_kmp_ray.search.ray_search import (SortField,
-                                                  search_sorted_by_fields)
     return search_sorted_by_fields(
         _ensure_geo_index(sf_dir), TermQuery(TERM_A),
         (SortField("vals", descending=True, missing_last=True,
@@ -576,8 +612,6 @@ def _sorted_set_middle(sf_dir: str):
     text:spark sorted by the middle-min ordinal of the multi-valued
     string field ``tags`` ascending (per-doc sorted value SET —
     duplicates collapse), missing last, docID tiebreak."""
-    from lucene_kmp_ray.search.ray_search import (SortField,
-                                                  search_sorted_by_fields)
     return search_sorted_by_fields(
         _ensure_geo_index(sf_dir), TermQuery(TERM_A),
         (SortField("tags", descending=False, missing_last=True,
@@ -733,31 +767,9 @@ def _horn_token_counts(sf_dir: str, lang: str):
     """Global (term, count) over a Horn chain (normalize -> stop ->
     lexicon/light stem) applied to synthesized per-doc phrases. Oracle:
     oracle.horn_token_counts (reference stemmer vectors)."""
-    import pyarrow as pa
-    import ray
-
-    vectors = AM_VECTORS if lang == "amharic" else OM_VECTORS
-    k = len(vectors)
-    phrases = [p for p, _ in vectors]
-
-    class Derive:
-        def __init__(self):
-            self.a = _lang_cls(lang)()  # lexicons load once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                counts.update(self.a(phrases[doc_id % k]))
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    return _phrase_token_counts(
+        sf_dir, AM_VECTORS if lang == "amharic" else OM_VECTORS,
+        _lang_cls(lang))
 
 
 # (inflected phrase, expected lemma tokens) — standard Hebrew
@@ -776,32 +788,8 @@ def _he_token_counts(sf_dir: str):
     """Global (term, count) over the HebMorph chain (niqqud strip ->
     dictionary lemmatization with legal-prefix stripping and mask
     checks). Oracle: oracle.he_token_counts (morphology-fact VALUES)."""
-    import pyarrow as pa
-    import ray
-
     from lucene_kmp_ray.analysis.hebrew import HebrewAnalyzer
-
-    k = len(HE_VECTORS)
-    phrases = [p for p, _ in HE_VECTORS]
-
-    class Derive:
-        def __init__(self):
-            self.a = HebrewAnalyzer()  # hspell dict loads once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                counts.update(self.a(phrases[doc_id % k]))
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    return _phrase_token_counts(sf_dir, HE_VECTORS, HebrewAnalyzer)
 
 
 # (inflected phrase, expected lemma tokens) — published PoliMorf
@@ -841,31 +829,8 @@ def _uk_token_counts(sf_dir: str):
     -> tokenize -> stop -> curated-morfologik lemma fan-out) applied to a
     synthesized per-doc phrase (phrase = UK_VECTORS[doc_id % k]). Oracle:
     oracle.uk_token_counts — the reference's published vectors."""
-    import pyarrow as pa
-    import ray
-
-    k = len(UK_VECTORS)
-    phrases = [p for p, _ in UK_VECTORS]
-
-    class Derive:
-        def __init__(self):
-            from lucene_kmp_ray.analysis.ukrainian import UkrainianAnalyzer
-            self.a = UkrainianAnalyzer()  # stop set loads once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                counts.update(self.a(phrases[doc_id % k]))
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    from lucene_kmp_ray.analysis.ukrainian import UkrainianAnalyzer
+    return _phrase_token_counts(sf_dir, UK_VECTORS, UkrainianAnalyzer)
 
 
 # The reference's own Bible-analyzer vectors, verbatim from the 17
@@ -935,37 +900,11 @@ def _bible_token_counts(sf_dir: str):
     BIBLE_VECTORS[doc_id % k]). Oracle: oracle.bible_token_counts — the
     reference's own TestBible*Analyzer.kt vectors, an independent ground
     truth for the canonicalization/keyword/stem compositions."""
-    import pyarrow as pa
-    import ray
-
-    k = len(BIBLE_VECTORS)
-
-    class Derive:
-        def __init__(self):
-            from lucene_kmp_ray.analysis.bible import BIBLE_ANALYZERS
-            langs = {lang for lang, _, _ in BIBLE_VECTORS}
-            # every chain instantiated once per actor (lattices/lexica
-            # load in __init__, not per batch)
-            self.an = {lang: BIBLE_ANALYZERS[lang]() for lang in langs}
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                lang, phrase, _ = BIBLE_VECTORS[doc_id % k]
-                for t in self.an[lang](phrase):
-                    counts[(lang, t)] += 1
-            keys = list(counts.keys())
-            return pa.table({"lang": [lg for lg, _ in keys],
-                             "term": [t for _, t in keys],
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby(["lang", "term"]).sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["lang", "term"]).reset_index(drop=True)
+    from lucene_kmp_ray.analysis.bible import BIBLE_ANALYZERS
+    langs = {lang for lang, _, _ in BIBLE_VECTORS}
+    return _cfg_token_counts(
+        sf_dir, BIBLE_VECTORS,
+        lambda: {lang: BIBLE_ANALYZERS[lang]() for lang in langs}, "lang")
 
 
 # The reference's compound-decomposition vectors, verbatim from
@@ -995,56 +934,32 @@ def _compound_token_counts(sf_dir: str):
     grammar) applied to a synthesized per-doc phrase. Oracle:
     oracle.compound_token_counts — the reference's own
     TestCompoundWordTokenFilter.kt vectors."""
-    import pyarrow as pa
-    import ray
-
-    k = len(COMPOUND_VECTORS)
-
-    class Derive:
-        def __init__(self):
-            from lucene_kmp_ray.analysis.compound import (
-                DEFAULT_MAX_SUBWORD_SIZE, DEFAULT_MIN_SUBWORD_SIZE,
-                DEFAULT_MIN_WORD_SIZE, DictionaryCompoundAnalyzer,
-                HyphenationCompoundAnalyzer, HyphenationTree)
-            hyph = HyphenationTree.danish()  # grammar parsed once/actor
-            se = ["Bil", "Dörr", "Motor", "Tak", "Borr", "Slag",
-                  "Hammar", "Pelar", "Glas", "Ögon", "Fodral", "Bas",
-                  "Fiol", "Makare", "Gesäll", "Sko", "Vind", "Rute",
-                  "Torkare", "Blad"]
-            self.an = {
-                "hyph_da": HyphenationCompoundAnalyzer(
-                    hyph, ["læse", "hest"], DEFAULT_MIN_WORD_SIZE,
-                    DEFAULT_MIN_SUBWORD_SIZE, DEFAULT_MAX_SUBWORD_SIZE,
-                    False),
-                "hyph_longest": HyphenationCompoundAnalyzer(
-                    hyph, ["basketball", "basket", "ball", "kurv"],
-                    DEFAULT_MIN_WORD_SIZE, DEFAULT_MIN_SUBWORD_SIZE,
-                    40, True),
-                "hyph_only_2_4": HyphenationCompoundAnalyzer(
-                    hyph, None, DEFAULT_MIN_WORD_SIZE, 2, 4),
-                "hyph_only_4_6": HyphenationCompoundAnalyzer(
-                    hyph, None, DEFAULT_MIN_WORD_SIZE, 4, 6),
-                "dict_se": DictionaryCompoundAnalyzer(se),
-            }
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                cfg, phrase, _ = COMPOUND_VECTORS[doc_id % k]
-                for t in self.an[cfg](phrase):
-                    counts[(cfg, t)] += 1
-            keys = list(counts.keys())
-            return pa.table({"cfg": [c for c, _ in keys],
-                             "term": [t for _, t in keys],
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby(["cfg", "term"]).sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["cfg", "term"]).reset_index(drop=True)
+    def analyzers():
+        from lucene_kmp_ray.analysis.compound import (
+            DEFAULT_MAX_SUBWORD_SIZE, DEFAULT_MIN_SUBWORD_SIZE,
+            DEFAULT_MIN_WORD_SIZE, DictionaryCompoundAnalyzer,
+            HyphenationCompoundAnalyzer, HyphenationTree)
+        hyph = HyphenationTree.danish()  # grammar parsed once/actor
+        se = ["Bil", "Dörr", "Motor", "Tak", "Borr", "Slag",
+              "Hammar", "Pelar", "Glas", "Ögon", "Fodral", "Bas",
+              "Fiol", "Makare", "Gesäll", "Sko", "Vind", "Rute",
+              "Torkare", "Blad"]
+        return {
+            "hyph_da": HyphenationCompoundAnalyzer(
+                hyph, ["læse", "hest"], DEFAULT_MIN_WORD_SIZE,
+                DEFAULT_MIN_SUBWORD_SIZE, DEFAULT_MAX_SUBWORD_SIZE,
+                False),
+            "hyph_longest": HyphenationCompoundAnalyzer(
+                hyph, ["basketball", "basket", "ball", "kurv"],
+                DEFAULT_MIN_WORD_SIZE, DEFAULT_MIN_SUBWORD_SIZE,
+                40, True),
+            "hyph_only_2_4": HyphenationCompoundAnalyzer(
+                hyph, None, DEFAULT_MIN_WORD_SIZE, 2, 4),
+            "hyph_only_4_6": HyphenationCompoundAnalyzer(
+                hyph, None, DEFAULT_MIN_WORD_SIZE, 4, 6),
+            "dict_se": DictionaryCompoundAnalyzer(se),
+        }
+    return _cfg_token_counts(sf_dir, COMPOUND_VECTORS, analyzers)
 
 
 def _pl_token_counts(sf_dir: str):
@@ -1052,32 +967,8 @@ def _pl_token_counts(sf_dir: str):
     lookup -> lemma(s), pass-through when absent) applied to a
     synthesized per-doc Polish phrase. Oracle: oracle.pl_token_counts
     (published PoliMorf pairs)."""
-    import pyarrow as pa
-    import ray
-
     from lucene_kmp_ray.analysis.polish import MorfologikAnalyzer
-
-    k = len(PL_VECTORS)
-    phrases = [p for p, _ in PL_VECTORS]
-
-    class Derive:
-        def __init__(self):
-            self.a = MorfologikAnalyzer()  # FSA loads once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                counts.update(self.a(phrases[doc_id % k]))
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    return _phrase_token_counts(sf_dir, PL_VECTORS, MorfologikAnalyzer)
 
 
 # (word, normalized, folded) — the reference's published Scandinavian
@@ -1552,32 +1443,8 @@ def _zh_token_counts(sf_dir: str):
     path on the real coredict → porter → punctuation stop) applied to a
     synthesized per-doc Chinese phrase. Oracle: oracle.zh_token_counts
     (reference-vector expectations)."""
-    import pyarrow as pa
-    import ray
-
     from lucene_kmp_ray.analysis.chinese import SmartChineseAnalyzer
-
-    k = len(ZH_VECTORS)
-    phrases = [p for p, _ in ZH_VECTORS]
-
-    class Derive:
-        def __init__(self):
-            self.a = SmartChineseAnalyzer()  # dict loads once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                counts.update(self.a(phrases[doc_id % k]))
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    return _phrase_token_counts(sf_dir, ZH_VECTORS, SmartChineseAnalyzer)
 
 
 # (numeral phrase, normalized value) — TestKoreanNumberFilter.kt vectors
@@ -1591,35 +1458,14 @@ KO_NUMBER_VECTORS = [
 def _ko_number_counts(sf_dir: str):
     """Global (term, count) over the nori tokenizer + Korean number
     filter. Oracle: VALUES from the reference's own vectors."""
-    import pyarrow as pa
-    import ray
-
     from lucene_kmp_ray.analysis.korean import (KoreanTokenizer,
                                                 ko_number_filter)
 
-    k = len(KO_NUMBER_VECTORS)
-    phrases = [p for p, _ in KO_NUMBER_VECTORS]
-
-    class Derive:
-        def __init__(self):
-            self.t = KoreanTokenizer()
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                toks = ko_number_filter(
-                    self.t.tokenize(phrases[doc_id % k]))
-                counts.update(x.surface for x in toks)
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    def analyzer():
+        t = KoreanTokenizer()
+        return lambda text: [x.surface for x in
+                             ko_number_filter(t.tokenize(text))]
+    return _phrase_token_counts(sf_dir, KO_NUMBER_VECTORS, analyzer)
 
 
 # Korean vectors: first two straight from the reference's tests
@@ -1638,32 +1484,8 @@ def _ko_token_counts(sf_dir: str):
     penalty + dictionary decompounding → POS stop → reading form →
     lowercase) applied to a synthesized per-doc Korean phrase. Oracle:
     oracle.ko_token_counts (reference-vector expectations)."""
-    import pyarrow as pa
-    import ray
-
     from lucene_kmp_ray.analysis.korean import KoreanAnalyzer
-
-    k = len(KO_VECTORS)
-    phrases = [p for p, _ in KO_VECTORS]
-
-    class Derive:
-        def __init__(self):
-            self.a = KoreanAnalyzer()
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                counts.update(self.a(phrases[doc_id % k]))
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    return _phrase_token_counts(sf_dir, KO_VECTORS, KoreanAnalyzer)
 
 
 # (numeral phrase, normalized value) — the reference's own
@@ -1682,39 +1504,17 @@ def _ja_number_counts(sf_dir: str):
     (kansuji/fullwidth-digit runs -> plain decimals). Oracle:
     oracle.horn_token_counts-shaped VALUES from the reference's own
     TestJapaneseNumberFilter vectors."""
-    import pyarrow as pa
-    import ray
-
     from lucene_kmp_ray.analysis.japanese import (JapaneseTokenizer,
                                                   ja_number_filter)
 
-    k = len(JA_NUMBER_VECTORS)
-    phrases = [p for p, _ in JA_NUMBER_VECTORS]
-
-    class Derive:
-        def __init__(self):
-            # discardPunctuation=false, as in the reference's number-
-            # filter test analyzer: decimal points / thousand separators
-            # must reach the filter
-            self.t = JapaneseTokenizer(mode="search",
-                                       discard_punctuation=False)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                toks = ja_number_filter(
-                    self.t.tokenize(phrases[doc_id % k]))
-                counts.update(x.surface for x in toks)
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    def analyzer():
+        # discardPunctuation=false, as in the reference's number-filter
+        # test analyzer: decimal points / thousand separators must reach
+        # the filter
+        t = JapaneseTokenizer(mode="search", discard_punctuation=False)
+        return lambda text: [x.surface for x in
+                             ja_number_filter(t.tokenize(text))]
+    return _phrase_token_counts(sf_dir, JA_NUMBER_VECTORS, analyzer)
 
 
 def _native_cjk_topk(sf_dir: str, lang: str, vectors, term: str):
@@ -1754,32 +1554,8 @@ def _ja_token_counts(sf_dir: str):
     Japanese phrase (phrase = JA_VECTORS[doc_id % k]). Oracle:
     oracle.ja_token_counts — expected tokens straight from the reference's
     test vectors, independent of this engine."""
-    import pyarrow as pa
-    import ray
-
     from lucene_kmp_ray.analysis.japanese import JapaneseAnalyzer
-
-    k = len(JA_VECTORS)
-    phrases = [p for p, _ in JA_VECTORS]
-
-    class Derive:
-        def __init__(self):
-            self.a = JapaneseAnalyzer()  # dictionary loads once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                counts.update(self.a(phrases[doc_id % k]))
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    return _phrase_token_counts(sf_dir, JA_VECTORS, JapaneseAnalyzer)
 
 
 def _ja_completion_counts(sf_dir: str):
@@ -1792,33 +1568,11 @@ def _ja_completion_counts(sf_dir: str):
     oracle.horn_token_counts-shaped VALUES straight from the reference's
     TestJapaneseCompletionFilter.kt testCompletionIndex vectors —
     independent ground truth for the romanization expansion."""
-    import pyarrow as pa
-    import ray
-
     from lucene_kmp_ray.analysis.completion import (
         JapaneseCompletionAnalyzer)
-
-    k = len(JA_COMPLETION_VECTORS)
-    phrases = [p for p, _ in JA_COMPLETION_VECTORS]
-
-    class Derive:
-        def __init__(self):
-            self.a = JapaneseCompletionAnalyzer(mode="index")
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                counts.update(self.a(phrases[doc_id % k]))
-            return pa.table({"term": list(counts.keys()),
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby("term").sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["term"]).reset_index(drop=True)
+    return _phrase_token_counts(
+        sf_dir, JA_COMPLETION_VECTORS,
+        lambda: JapaneseCompletionAnalyzer(mode="index"))
 
 
 def _khmer_token_counts(sf_dir: str):
@@ -2734,7 +2488,6 @@ def _rescore_sort_topk(sf_dir: str):
     import pandas as pd
 
     from lucene_kmp_ray.index.reader import IndexReader
-    from lucene_kmp_ray.search.ray_search import SortField
     from lucene_kmp_ray.similarity.bm25 import BM25Similarity
 
     s = Searcher(IndexReader(_ensure_index(sf_dir)),
@@ -2994,8 +2747,6 @@ def _sorted_page2(sf_dir: str):
     length-descending ranking — page 1's last row becomes the strict
     cursor; the rank column restarts at 1 per page (each page is its
     own TopFieldDocs)."""
-    from lucene_kmp_ray.search.ray_search import (SortField,
-                                                  search_sorted_by_fields)
     idx = _ensure_index(sf_dir)
     sfields = (SortField("length", descending=True),)
     p1 = search_sorted_by_fields(idx, TermQuery(TERM_A), sfields, k=20)
@@ -3105,8 +2856,6 @@ def _rrf_hybrid_topk(sf_dir: str):
 def _sorted_by_url(sf_dir: str):
     """STRING SortField: matches ordered by url descending (SortField.kt
     STRING type; bytewise UTF-8 order == DuckDB's binary collation)."""
-    from lucene_kmp_ray.search.ray_search import (SortField,
-                                                  search_sorted_by_fields)
     return search_sorted_by_fields(
         _ensure_index(sf_dir), TermQuery(TERM_A),
         (SortField("url", descending=True),), k=20)
@@ -3119,8 +2868,6 @@ def _sorted_index_scan(sf_dir: str):
     its first 20 matches in index order instead of all matches. Oracle:
     the same full-sort SQL as sorted_by_url_top20 (results must agree)."""
     from lucene_kmp_ray.index.builder import build_index
-    from lucene_kmp_ray.search.ray_search import (SortField,
-                                                  search_sorted_by_fields)
 
     idx = cached_index("sorted", sf_dir, lambda d: build_index(
         corpus_dataset(sf_dir), d, segment_size=SEGMENT_SIZE,
@@ -3157,8 +2904,6 @@ def _index_sort_range_all(sf_dir: str):
 def _sorted_multi(sf_dir: str):
     """Multi-key sort: (length asc, url desc), doc_id tiebreak — the
     compound Sort of TopFieldCollector."""
-    from lucene_kmp_ray.search.ray_search import (SortField,
-                                                  search_sorted_by_fields)
     return search_sorted_by_fields(
         _ensure_index(sf_dir), TermQuery(TERM_A),
         (SortField("length"), SortField("url", descending=True)), k=20)
@@ -3461,11 +3206,7 @@ def _all_sorted(ds):
         return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
                              "url": pd.Series([], dtype="string"),
                              "score": pd.Series([], dtype="float64")})
-    df = df.sort_values("doc_id", kind="mergesort").reset_index(drop=True)
-    # concat over empty per-segment batches upcasts int64 → float64
-    if df["doc_id"].dtype != "int64":
-        df["doc_id"] = df["doc_id"].astype("int64")
-    return df
+    return df.sort_values("doc_id", kind="mergesort").reset_index(drop=True)
 
 
 def _multireader_topk(sf_dir: str):
@@ -3676,62 +3417,35 @@ def _synonym_map_counts(sf_dir: str):
     applied to a synthesized per-doc phrase. Oracle:
     oracle.synonym_map_counts — the reference's own parser-test
     vectors."""
-    import pyarrow as pa
-    import ray
+    def analyzers():
+        import pyarrow.compute as pc
 
-    k = len(SYNMAP_VECTORS)
+        from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
+        from lucene_kmp_ray.analysis.synmap import (
+            SolrSynonymParser, SynonymFilterAnalyzer, WordnetSynonymParser)
 
-    class Derive:
-        def __init__(self):
-            import pyarrow.compute as pc
+        class LowerWS:
+            def __call__(self, text):
+                return [t.lower() for t in WhitespaceAnalyzer()(text)]
 
-            from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
-            from lucene_kmp_ray.analysis.synmap import (
-                SolrSynonymParser, SynonymFilterAnalyzer,
-                WordnetSynonymParser)
+            def analyze_flat(self, texts):
+                dl, flat, doc, pos = \
+                    WhitespaceAnalyzer().analyze_flat(texts)
+                return dl, pc.utf8_lower(flat), doc, pos
 
-            class LowerWS:
-                def __call__(self, text):
-                    return [t.lower() for t in WhitespaceAnalyzer()(text)]
-
-                def analyze_flat(self, texts):
-                    dl, flat, doc, pos = \
-                        WhitespaceAnalyzer().analyze_flat(texts)
-                    return dl, pc.utf8_lower(flat), doc, pos
-
-            solr = SolrSynonymParser(True, True, LowerWS()).parse(
-                "i-pod, ipod, ipoooood\nfoo => foo bar\nfoo => baz\n"
-                "this test, that testing").build()
-            pair = SolrSynonymParser(True, True, LowerWS()).parse(
-                "spider man, spiderman").build()
-            wn = WordnetSynonymParser(
-                True, True, WhitespaceAnalyzer()).parse(
-                _WORDNET_FILE).build()
-            self.an = {
-                "solr": SynonymFilterAnalyzer(solr, base=LowerWS()),
-                "solr_pair": SynonymFilterAnalyzer(pair, base=LowerWS()),
-                "wordnet": SynonymFilterAnalyzer(
-                    wn, base=WhitespaceAnalyzer()),
-            }
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                cfg, phrase, _ = SYNMAP_VECTORS[doc_id % k]
-                for t in self.an[cfg](phrase):
-                    counts[(cfg, t)] += 1
-            keys = list(counts.keys())
-            return pa.table({"cfg": [c for c, _ in keys],
-                             "term": [t for _, t in keys],
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby(["cfg", "term"]).sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["cfg", "term"]).reset_index(drop=True)
+        solr = SolrSynonymParser(True, True, LowerWS()).parse(
+            "i-pod, ipod, ipoooood\nfoo => foo bar\nfoo => baz\n"
+            "this test, that testing").build()
+        pair = SolrSynonymParser(True, True, LowerWS()).parse(
+            "spider man, spiderman").build()
+        wn = WordnetSynonymParser(
+            True, True, WhitespaceAnalyzer()).parse(_WORDNET_FILE).build()
+        return {
+            "solr": SynonymFilterAnalyzer(solr, base=LowerWS()),
+            "solr_pair": SynonymFilterAnalyzer(pair, base=LowerWS()),
+            "wordnet": SynonymFilterAnalyzer(wn, base=WhitespaceAnalyzer()),
+        }
+    return _cfg_token_counts(sf_dir, SYNMAP_VECTORS, analyzers)
 
 
 # CustomAnalyzer chains (analysis/custom.py, the reference's
@@ -3759,57 +3473,33 @@ def _custom_analyzer_counts(sf_dir: str):
     reference's custom/CustomAnalyzer.kt) applied to a synthesized
     per-doc phrase. Oracle: oracle.custom_analyzer_counts — the
     reference's own TestCustomAnalyzer.kt vectors."""
-    import pyarrow as pa
-    import ray
+    def analyzers():
+        from lucene_kmp_ray.analysis.custom import CustomAnalyzer
 
-    k = len(CUSTOM_ANALYZER_VECTORS)
+        def b():
+            return CustomAnalyzer.builder()
 
-    class Derive:
-        def __init__(self):
-            from lucene_kmp_ray.analysis.custom import CustomAnalyzer
-
-            def b():
-                return CustomAnalyzer.builder()
-
-            self.an = {
-                "fold_ws": b().with_tokenizer("whitespace")
-                .add_token_filter("asciifolding", preserveOriginal="true")
-                .add_token_filter("lowercase").build(),
-                "html_classic": b().add_char_filter("htmlstrip")
-                .with_tokenizer("classic")
-                .add_token_filter("asciifolding", preserveOriginal="true")
-                .add_token_filter("lowercase").build(),
-                "stop_ic": b().with_tokenizer("whitespace")
-                .add_token_filter("stop", ignoreCase="true",
-                                  words="foo,bar").build(),
-                "kw_porter": b().with_tokenizer("whitespace")
-                .add_token_filter("lowercase")
-                .add_token_filter("keywordrepeat")
-                .add_token_filter("porterstem")
-                .add_token_filter("removeduplicates").build(),
-                "mapping_ws": b().add_char_filter(
-                    "mapping", mapping={"ph": "f", "qu": "kw"})
-                .with_tokenizer("whitespace").build(),
-            }
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import collections
-            counts: collections.Counter = collections.Counter()
-            for doc_id in batch.column("doc_id").to_pylist():
-                cfg, phrase, _ = CUSTOM_ANALYZER_VECTORS[doc_id % k]
-                for t in self.an[cfg](phrase):
-                    counts[(cfg, t)] += 1
-            keys = list(counts.keys())
-            return pa.table({"cfg": [c for c, _ in keys],
-                             "term": [str(t) for _, t in keys],
-                             "cnt": list(counts.values())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    agg = ds.map_batches(Derive, batch_format="pyarrow", concurrency=2) \
-        .groupby(["cfg", "term"]).sum("cnt")
-    df = agg.to_pandas().rename(columns={"sum(cnt)": "cnt"})
-    return df.sort_values(["cfg", "term"]).reset_index(drop=True)
+        return {
+            "fold_ws": b().with_tokenizer("whitespace")
+            .add_token_filter("asciifolding", preserveOriginal="true")
+            .add_token_filter("lowercase").build(),
+            "html_classic": b().add_char_filter("htmlstrip")
+            .with_tokenizer("classic")
+            .add_token_filter("asciifolding", preserveOriginal="true")
+            .add_token_filter("lowercase").build(),
+            "stop_ic": b().with_tokenizer("whitespace")
+            .add_token_filter("stop", ignoreCase="true",
+                              words="foo,bar").build(),
+            "kw_porter": b().with_tokenizer("whitespace")
+            .add_token_filter("lowercase")
+            .add_token_filter("keywordrepeat")
+            .add_token_filter("porterstem")
+            .add_token_filter("removeduplicates").build(),
+            "mapping_ws": b().add_char_filter(
+                "mapping", mapping={"ph": "f", "qu": "kw"})
+            .with_tokenizer("whitespace").build(),
+        }
+    return _cfg_token_counts(sf_dir, CUSTOM_ANALYZER_VECTORS, analyzers)
 
 
 def _bool_rewrite_topk(sf_dir: str):
@@ -4170,8 +3860,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dismax_top10": _dismax,
         "term_stats_fields": _term_stats_fields,
         "bm25_title_top10": lambda sf: _topk(sf, TermQuery(TERM_A, "title")),
-        "sorted_by_length": lambda sf: search_sorted_by_field(
-            _ensure_index(sf), TermQuery(TERM_A), "length", k=20),
+        "sorted_by_length": lambda sf: search_sorted_by_fields(
+            _ensure_index(sf), TermQuery(TERM_A),
+            (SortField("length", descending=True),), k=20),
         "sorted_page2_top20": _sorted_page2,
         "sorted_by_url_top20": lambda sf: _sorted_by_url(sf),
         "sorted_multi_key_top20": lambda sf: _sorted_multi(sf),

@@ -1,11 +1,18 @@
 """Distributed query execution over Ray Data.
 
 SURVEY §3.2 "→ Ray Data shape": a dataset of (segment × query-batch) work
-items streams through an actor pool; each actor caches the SegmentReaders it
-has opened (the SearcherManager / leaf-slice role, IndexSearcher.kt:227-228)
-and emits per-(query, segment) top-k rows; a groupby(query_id).map_groups
-reduce reproduces ``TopDocs.merge`` ordering exactly: (score desc, segment
-asc, local doc asc), ``TopDocs.kt:166-207``.
+items streams through an actor pool. Every surface here runs one
+per-segment step, ``SegmentSearch``: an actor that opens its
+SegmentReaders once (the SearcherManager / leaf-slice role,
+IndexSearcher.kt:227-228), builds each query's Weight once and scores
+segments through ``searcher.collect``, the loop ``Searcher.search`` and
+``search_after`` use. ``search_distributed`` emits per-(query, segment)
+top-k rows and reduces them with a groupby(query_id).map_groups;
+``search_all_matches`` and ``phrase_freqs_distributed`` emit every match;
+``SearcherPool`` keeps the same class alive as ``ray.remote`` slice
+actors (at least one, even over an index with no segments). Every
+reduce ranks by ``searcher.merge_order``, ``TopDocs.merge``'s (score
+desc, segment asc, local doc asc), ``TopDocs.kt:166-207``.
 
 Partitioning story at scale: segments shard across the cluster (one work
 item per segment — 10^12 docs / 1M-doc segments = 10^6 items), queries are
@@ -24,8 +31,8 @@ import pandas as pd
 from ..index.reader import IndexReader
 from ..util.pool import pool_size as _pool_size
 from ..similarity.bm25 import BM25Similarity
-from .query import Query
-from .searcher import Searcher, Weight, _topk_idx
+from .query import PhraseQuery, Query
+from .searcher import Searcher, Weight, collect, merge_order
 
 
 def make_similarity(name, dtype: str):
@@ -98,48 +105,110 @@ def _seg_work_items(segs, per_block: int = 8):
     return rd.from_arrow(tables)
 
 
-class SegmentSearchActor:
-    """Actor-pool stage: holds open SegmentReaders + resolved query scorers.
+_HIT_COLS = ("query_id", "seg", "doc", "score", "doc_id", "url")
 
-    ``__init__`` runs once per actor (stats resolution + reader open);
-    ``__call__`` scores one batch of (seg,) work items against all queries.
-    """
 
-    def __init__(self, index_dir: str, queries_ref, k: int, dtype: str,
-                 similarity: str = "bm25",
-                 soft_deletes_field: str | None = None):
+class SegmentSearch:
+    """The per-segment search step of every distributed surface
+    (``IndexSearcher.searchLeaf`` over one leaf slice). It opens one
+    ``IndexReader`` over ``segments`` (every segment when None) at
+    ``commit``, through the soft-deletes wrapper when
+    ``soft_deletes_field`` is set, and scores through
+    ``searcher.collect``: each segment keeps its top ``k`` hits, every
+    match when ``k`` is None (and then at most its first
+    ``per_seg_limit`` in local-id order).
+
+    As a Ray Data ``map_batches`` callable it builds each query of
+    ``queries`` (an object ref of ``{query_id: Query}``) into a Weight
+    once, and returns one frame of ``columns`` per batch of ``seg`` work
+    items; ``freq`` is ``score`` as int64 (the raw-tf phrase count).
+    Wrapped once in ``ray.remote`` it is ``SearcherPool``'s slice
+    actor: ``search`` answers a query batch over the whole slice and
+    ``open`` re-opens the latest commit on a new slice."""
+
+    def __init__(self, index_dir: str, queries=None, k: int | None = None,
+                 dtype: str = "float32", similarity="bm25",
+                 segments: list[int] | None = None,
+                 commit: int | None = None,
+                 soft_deletes_field: str | None = None,
+                 columns: tuple[str, ...] = _HIT_COLS,
+                 meta_cols: tuple[str, ...] = (),
+                 per_seg_limit: int | None = None):
         import ray
-        self.k = k
-        self.reader = IndexReader(index_dir,
-                                  soft_deletes_field=soft_deletes_field)
-        self.searcher = Searcher(self.reader,
-                                 make_similarity(similarity, dtype))
-        # KNN queries resolve to their global top-k ONCE per actor, and
-        # each query's Weight (its scorers) is built once for all batches
-        self.weights: dict[str, Weight] = {
+        self.index_dir, self.commit = index_dir, commit
+        self.soft_deletes_field = soft_deletes_field
+        self.sim = make_similarity(similarity, dtype)
+        self.k, self.columns, self.meta_cols = k, columns, meta_cols
+        self.per_seg_limit = per_seg_limit
+        self.open(segments)
+        # KNN queries arrive resolved; each Weight serves every batch
+        self.weights = {} if queries is None else {
             qid: Weight(self.searcher, self.searcher.rewrite(q))
-            for qid, q in ray.get(queries_ref).items()}
-        self.by_seg = {sr.seg: (i, sr)
-                       for i, sr in enumerate(self.reader.segment_readers)}
+            for qid, q in ray.get(queries).items()}
+
+    def open(self, segments: list[int] | None) -> None:
+        self.reader = IndexReader(self.index_dir, segments=segments,
+                                  commit=self.commit,
+                                  soft_deletes_field=self.soft_deletes_field)
+        self.searcher = Searcher(self.reader, self.sim)
+        self.by_seg = {sr.seg: sr for sr in self.reader.segment_readers}
+
+    def _hits(self, weight: Weight, readers, k: int | None) -> dict:
+        """Column arrays of the segments' hits, segment by segment."""
+        import pyarrow as pa
+        parts, _, _ = collect(weight, readers, k)
+        cols = {c: [] for c in ("seg", "doc", "score", "doc_id", "url",
+                                *self.meta_cols)}
+        for sr, (scores, _, docs) in zip(readers, parts):
+            docs = docs[:self.per_seg_limit]
+            cols["seg"].append(np.full(len(docs), sr.seg, np.int64))
+            cols["doc"].append(docs)
+            cols["score"].append(
+                np.asarray(scores[:len(docs)], dtype=np.float64))
+            for c in ("doc_id", "url", *self.meta_cols):
+                cols[c].append(sr.doc_meta[c].take(docs))
+        out = {c: np.concatenate([np.empty(0, np.int64), *cols[c]])
+               for c in ("seg", "doc")}
+        out["score"] = np.concatenate([np.empty(0), *cols["score"]])
+        out["doc_id"] = np.array(
+            [v for a in cols["doc_id"] for v in a.to_pylist()], np.int64)
+        out["url"] = np.array(
+            [v for a in cols["url"] for v in a.to_pylist()], object)
+        for c in self.meta_cols:
+            out[c] = _meta_series(pa.chunked_array(
+                [ch for a in cols[c] for ch in a.chunks],
+                type=cols[c][0].type))
+        return out
 
     def __call__(self, batch) -> pd.DataFrame:
-        out = {"query_id": [], "seg": [], "doc": [], "score": [],
-               "doc_id": [], "url": []}
-        for seg in batch["seg"].to_pylist():
-            si, sr = self.by_seg[seg]
-            for qid, weight in self.weights.items():
-                docs, scores = weight.score_segment(sr)
-                sel = _topk_idx(scores, docs, self.k)
-                docs, scores = docs[sel], scores[sel]
-                dm = sr.doc_meta
-                out["query_id"].extend([qid] * len(docs))
-                out["seg"].extend([seg] * len(docs))
-                out["doc"].extend(docs.tolist())
-                out["score"].extend(np.asarray(scores, dtype=np.float64).tolist())
-                out["doc_id"].extend(
-                    dm["doc_id"].take(docs).to_pylist())  # type: ignore[arg-type]
-                out["url"].extend(dm["url"].take(docs).to_pylist())
-        return pd.DataFrame(out)
+        readers = [self.by_seg[s] for s in batch["seg"].to_pylist()]
+        frames = []
+        for qid, weight in self.weights.items():
+            hits = self._hits(weight, readers, self.k)
+            hits["query_id"] = np.full(len(hits["doc"]), qid, object)
+            hits["freq"] = hits["score"].astype(np.int64)
+            frames.append(pd.DataFrame({c: hits[c] for c in self.columns}))
+        return pd.concat(frames or [pd.DataFrame(columns=self.columns)],
+                         ignore_index=True)
+
+    def search(self, queries: dict, k: int) -> dict:
+        """``{query_id: hit columns}`` over this reader's segments."""
+        return {qid: self._hits(Weight(self.searcher,
+                                       self.searcher.rewrite(q)),
+                                self.reader.segment_readers, k)
+                for qid, q in queries.items()}
+
+
+def _segment_search(index_dir: str, segs: list[int], queries: dict,
+                    concurrency: int | None, **opts):
+    """``segs`` as work items through a ``SegmentSearch`` actor pool;
+    ``queries`` broadcast once with ``ray.put``."""
+    import ray
+    return _seg_work_items(segs).map_batches(
+        SegmentSearch, fn_constructor_args=(index_dir, ray.put(queries)),
+        fn_constructor_kwargs=opts, batch_format="pyarrow", batch_size=8,
+        concurrency=_pool_size(concurrency,
+                               work_items=(len(segs) + 7) // 8))
 
 
 def search_distributed(index_dir: str, queries: dict[str, Query], k: int = 10,
@@ -150,10 +219,6 @@ def search_distributed(index_dir: str, queries: dict[str, Query], k: int = 10,
     with columns (query_id, doc_id, url, score, rank).
     ``soft_deletes_field`` opens every per-actor reader through the
     soft-deletes wrapper (index/softdeletes.py)."""
-    import pyarrow as pa
-    import ray
-    import ray.data as rd
-
     reader = IndexReader(index_dir)
     segs = [m["seg"] for m in reader.manifest["segments"]]
     # KNN queries resolve ONCE here (one pass over the vector sidecars)
@@ -161,21 +226,13 @@ def search_distributed(index_dir: str, queries: dict[str, Query], k: int = 10,
     # segment's vectors during its own rewrite (O(actors × total vectors))
     pre = Searcher(reader)
     queries = {qid: pre.rewrite(q) for qid, q in queries.items()}
-    queries_ref = ray.put(queries)  # broadcast once, read per actor
-
-    ds = _seg_work_items(segs)
-    per_seg = ds.map_batches(
-        SegmentSearchActor,
-        fn_constructor_args=(index_dir, queries_ref, k, dtype, similarity,
-                             soft_deletes_field),
-        batch_format="pyarrow", batch_size=8,
-        concurrency=_pool_size(concurrency,
-                               work_items=(len(segs) + 7) // 8))
+    per_seg = _segment_search(index_dir, segs, queries, concurrency, k=k,
+                              dtype=dtype, similarity=similarity,
+                              soft_deletes_field=soft_deletes_field)
 
     def merge_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "seg", "doc"],
-                          ascending=[False, True, True],
-                          kind="mergesort").head(k)
+        g = g.iloc[merge_order(g["score"].to_numpy(), g["seg"].to_numpy(),
+                               g["doc"].to_numpy())[:k]]
         g = g.reset_index(drop=True)
         g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
         return g[["query_id", "rank", "doc_id", "url", "score"]]
@@ -184,66 +241,16 @@ def search_distributed(index_dir: str, queries: dict[str, Query], k: int = 10,
                                                   batch_format="pandas")
 
 
-class SegmentMatchActor:
-    """Emit ALL matches (doc_id, url, score[, meta cols]) of one query per
-    segment — the no-limit collector path (TotalHitCountCollector /
-    exhaustive). ``meta_cols`` adds doc-meta columns (e.g. ``length``) for
-    downstream field sorts (the SortField fetch, SURVEY §2.7)."""
-
-    def __init__(self, index_dir: str, query_ref, dtype: str,
-                 meta_cols: tuple[str, ...] = (),
-                 per_seg_limit: int | None = None,
-                 soft_deletes_field: str | None = None,
-                 commit: int | None = None):
-        import ray
-        self.reader = IndexReader(index_dir,
-                                  soft_deletes_field=soft_deletes_field,
-                                  commit=commit)
-        self.searcher = Searcher(self.reader, BM25Similarity(dtype=dtype))
-        self.weight = Weight(self.searcher,
-                             self.searcher.rewrite(ray.get(query_ref)))
-        self.by_seg = {sr.seg: sr for sr in self.reader.segment_readers}
-        self.meta_cols = meta_cols
-        self.per_seg_limit = per_seg_limit
-
-    def __call__(self, batch) -> pd.DataFrame:
-        frames = []
-        for seg in batch["seg"].to_pylist():
-            sr = self.by_seg[seg]
-            docs, scores = self.weight.score_segment(sr)
-            if self.per_seg_limit is not None:
-                # early termination on an index-sorted segment: local ids
-                # ascend in index-sort order, so the first k matches are
-                # the segment's top-k (TopFieldCollector early exit,
-                # Sorter.kt / SortField.canEarlyTerminate role)
-                docs = docs[:self.per_seg_limit]
-                scores = scores[:self.per_seg_limit]
-            dm = sr.doc_meta
-            cols = {
-                "doc_id": dm["doc_id"].take(docs).to_pylist(),
-                "url": dm["url"].take(docs).to_pylist(),
-                "score": np.asarray(scores, dtype=np.float64)}
-            for c in self.meta_cols:
-                cols[c] = _meta_series(dm[c].take(docs))
-            frames.append(pd.DataFrame(cols))
-        if frames:
-            return pd.concat(frames)
-        empty = {"doc_id": pd.Series([], dtype="int64"),
-                 "url": pd.Series([], dtype="string"),
-                 "score": pd.Series([], dtype="float64")}
-        for c in self.meta_cols:
-            empty[c] = pd.Series([], dtype=_meta_empty_dtype(
-                self.by_seg[next(iter(self.by_seg))].doc_meta[c].type))
-        return pd.DataFrame(empty)
-
-
 def search_all_matches(index_dir: str, query: Query, dtype: str = "float64",
                        concurrency: int | None = None,
                        meta_cols: tuple[str, ...] = (),
                        per_seg_limit: int | None = None,
                        soft_deletes_field: str | None = None,
                        commit: int | None = None):
-    """All matching docs of ``query`` as a Dataset (doc_id, url, score).
+    """All matching docs of ``query`` as a Dataset (doc_id, url, score) —
+    the no-limit collector path (TotalHitCountCollector / exhaustive).
+    ``meta_cols`` adds doc-meta columns (e.g. ``length``) for downstream
+    field sorts (the SortField fetch, SURVEY §2.7).
     ``per_seg_limit`` truncates each segment to its first N matches in
     local-id order — only correct when the index sort makes that order
     the requested sort order (see search_sorted_by_fields).
@@ -251,23 +258,14 @@ def search_all_matches(index_dir: str, query: Query, dtype: str = "float64",
     soft-deletes wrapper (index/softdeletes.py). ``commit`` opens every
     reader at that commit generation (point-in-time search over a
     snapshot-retained commit, index/commits.py SnapshotDeletionPolicy)."""
-    import pyarrow as pa
-    import ray
-    import ray.data as rd
-
     reader = IndexReader(index_dir, commit=commit)
     segs = [m["seg"] for m in reader.manifest["segments"]]
     query = Searcher(reader).rewrite(query)  # resolve KNN once, broadcast
-    ds = _seg_work_items(segs)
-    return ds.map_batches(SegmentMatchActor,
-                          fn_constructor_args=(index_dir, ray.put(query),
-                                               dtype, meta_cols,
-                                               per_seg_limit,
-                                               soft_deletes_field,
-                                               commit),
-                          batch_format="pyarrow", batch_size=8,
-                          concurrency=_pool_size(
-                              concurrency, work_items=(len(segs) + 7) // 8))
+    return _segment_search(index_dir, segs, {"q": query}, concurrency,
+                           dtype=dtype, commit=commit,
+                           soft_deletes_field=soft_deletes_field,
+                           columns=("doc_id", "url", "score", *meta_cols),
+                           meta_cols=meta_cols, per_seg_limit=per_seg_limit)
 
 
 def _meta_series(arr) -> pd.Series:
@@ -281,15 +279,6 @@ def _meta_series(arr) -> pd.Series:
     if pa.types.is_floating(t):
         return pd.Series(arr.to_pylist(), dtype="float64")
     return pd.Series(arr.to_pylist(), dtype="object")
-
-
-def _meta_empty_dtype(t) -> str:
-    import pyarrow as pa
-    if pa.types.is_integer(t):
-        return "Int64"
-    if pa.types.is_floating(t):
-        return "float64"
-    return "object"
 
 
 @dataclass(frozen=True)
@@ -467,68 +456,31 @@ def search_sorted_by_fields(index_dir: str, query: Query,
     return out[["rank", "doc_id", "url", *meta_cols]]
 
 
-def search_sorted_by_field(index_dir: str, query: Query, field: str,
-                           descending: bool = True, k: int = 20,
-                           concurrency: int | None = None):
-    """Single-key convenience wrapper (legacy surface)."""
-    return search_sorted_by_fields(
-        index_dir, query, (SortField(field, descending),), k=k,
-        concurrency=concurrency)
-
-
 def phrase_freqs_distributed(index_dir: str, terms: list[str],
                              concurrency: int | None = None):
     """(doc_id, freq) of exact-phrase matches — the positional-join operator
-    run segment-parallel (ExactPhraseMatcher, SURVEY §2.5)."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from .searcher import _exact_phrase
-
-    reader = IndexReader(index_dir)
-    segs = [m["seg"] for m in reader.manifest["segments"]]
-
-    class PhraseActor:
-        def __init__(self):
-            self.reader = IndexReader(index_dir)
-            self.by_seg = {sr.seg: sr for sr in self.reader.segment_readers}
-
-        def __call__(self, batch) -> pd.DataFrame:
-            frames = []
-            for seg in batch["seg"].to_pylist():
-                sr = self.by_seg[seg]
-                docs, freqs = _exact_phrase(sr, terms)
-                tomb = sr.tombstones
-                if tomb is not None and len(docs):
-                    import numpy as _np
-                    live = ~_np.isin(docs, tomb)
-                    docs, freqs = docs[live], freqs[live]
-                dm = sr.doc_meta
-                frames.append(pd.DataFrame({
-                    "doc_id": dm["doc_id"].take(docs).to_pylist(),
-                    "freq": freqs.astype(np.int64)}))
-            return pd.concat(frames) if frames else pd.DataFrame(
-                {"doc_id": pd.Series([], dtype="int64"),
-                 "freq": pd.Series([], dtype="int64")})
-
-    ds = _seg_work_items(segs)
-    return ds.map_batches(PhraseActor, batch_format="pyarrow", batch_size=8,
-                          concurrency=_pool_size(
-                              concurrency, work_items=(len(segs) + 7) // 8))
-
+    run segment-parallel (ExactPhraseMatcher, SURVEY §2.5): a PhraseQuery
+    scored by RawTFSimilarity in float64, where score == freq exactly."""
+    segs = [m["seg"] for m in IndexReader(index_dir).manifest["segments"]]
+    return _segment_search(index_dir, segs,
+                           {"q": PhraseQuery(tuple(terms))}, concurrency,
+                           dtype="float64", similarity="rawtf",
+                           columns=("doc_id", "freq"))
 
 
 class SearcherPool:
     """Persistent serving pool — the SearcherManager role for REPEATED
-    query batches (``search/SearcherManager.kt:37``): N long-lived Ray
-    actors each own a SLICE of the segments (the ≤250k-doc/≤5-segment
-    leaf-slice assignment of IndexSearcher.kt:227-228, here segment ids
-    striped round-robin), open their readers once, and answer query
-    batches forever. ``search_distributed`` spins an actor pool per call
-    (fine for batch jobs; ~3s of setup at 100 segments), while this pool
-    amortizes setup across calls — the serving shape.
+    query batches (``search/SearcherManager.kt:37``): N long-lived
+    ``SegmentSearch`` actors each own a SLICE of the segments (the
+    ≤250k-doc/≤5-segment leaf-slice assignment of IndexSearcher.kt:227-228,
+    here segment ids striped round-robin), open their readers once, and
+    answer query batches forever. ``search_distributed`` spins an actor
+    pool per call (fine for batch jobs; ~3s of setup at 100 segments),
+    while this pool amortizes setup across calls — the serving shape.
 
-    Driver-side merge is the tiny TopDocs.merge (k × slices rows).
+    The pool holds at least one actor (an index with no segments yet
+    gets one with an empty slice), and at most one per segment. The
+    driver-side merge is the tiny TopDocs.merge (k × slices rows).
     ``refresh()`` re-opens readers against the latest commit
     (SearcherManager.maybeRefresh analog).
     """
@@ -541,58 +493,12 @@ class SearcherPool:
         segs = [m["seg"] for m in reader.manifest["segments"]]
         self._reader = reader
         n = num_actors or _pool_size(None, work_items=max(1, len(segs)))
-
-        @_ray.remote
-        class SliceActor:
-            def __init__(self, index_dir: str, my_segs: list[int],
-                         dtype: str, similarity: str):
-                self.index_dir = index_dir
-                self.reader = IndexReader(index_dir, segments=my_segs)
-                self.searcher = Searcher(self.reader,
-                                         make_similarity(similarity, dtype))
-                self.seg_index = {sr.seg: i for i, sr in
-                                  enumerate(self.reader.segment_readers)}
-
-            def set_slice(self, my_segs: list[int]) -> bool:
-                """Re-open against the latest commit, keeping THIS actor's
-                slice assignment (the pool recomputes stripes driver-side
-                after a commit change — re-opening all segments here would
-                make every actor search everything and the merged top-k
-                duplicate each hit)."""
-                sim = self.searcher.sim
-                self.reader = IndexReader(self.index_dir, segments=my_segs)
-                self.searcher = Searcher(self.reader, sim)
-                self.seg_index = {sr.seg: i for i, sr in
-                                  enumerate(self.reader.segment_readers)}
-                return True
-
-            def search_batch(self, queries: dict, k: int) -> dict:
-                out = {}
-                for qid, q in queries.items():
-                    weight = Weight(self.searcher, self.searcher.rewrite(q))
-                    rows = []
-                    total = 0
-                    for sr in self.reader.segment_readers:
-                        docs, scores = weight.score_segment(sr)
-                        total += len(docs)
-                        sel = _topk_idx(scores, docs, k)
-                        dm = sr.doc_meta
-                        for i in sel:
-                            rows.append((float(scores[i]), sr.seg,
-                                         int(docs[i]),
-                                         dm["doc_id"][int(docs[i])].as_py(),
-                                         dm["url"][int(docs[i])].as_py()))
-                    out[qid] = (total, rows)
-                return out
-
-        self._actors = []
-        self._dir = index_dir
-        self._n = n
-        for i in range(n):
-            my = segs[i::n]  # round-robin stripe
-            if my:
-                self._actors.append(SliceActor.remote(
-                    index_dir, my, dtype, similarity))
+        n = max(1, min(n, len(segs)))
+        actor = _ray.remote(SegmentSearch)
+        self._actors = [actor.remote(index_dir, dtype=dtype,
+                                     similarity=similarity,
+                                     segments=segs[i::n])
+                        for i in range(n)]
 
     def refresh(self) -> bool:
         """SearcherManager.maybeRefresh analog: if the committed manifest
@@ -607,7 +513,7 @@ class SearcherPool:
         self._reader = fresh
         segs = [m["seg"] for m in fresh.manifest["segments"]]
         n = len(self._actors)
-        _ray.get([a.set_slice.remote(segs[i::n])
+        _ray.get([a.open.remote(segs[i::n])
                   for i, a in enumerate(self._actors)])
         return True
 
@@ -621,24 +527,20 @@ class SearcherPool:
 
         pre = Searcher(self._reader)
         queries = {qid: pre.rewrite(q) for qid, q in queries.items()}
-        parts = _ray.get([a.search_batch.remote(queries, k)
+        parts = _ray.get([a.search.remote(queries, k)
                           for a in self._actors])
-        frames = []
+        out = {c: [] for c in ("query_id", "rank", "doc_id", "url",
+                               "score")}
         for qid in queries:
-            total = sum(p[qid][0] for p in parts)
-            rows = [r for p in parts for r in p[qid][1]]
-            rows.sort(key=lambda r: (-r[0], r[1], r[2]))
-            rows = rows[:k]
-            frames.append(pd.DataFrame({
-                "query_id": [qid] * len(rows),
-                "rank": np.arange(1, len(rows) + 1, dtype=np.int64),
-                "doc_id": [r[3] for r in rows],
-                "url": [r[4] for r in rows],
-                "score": [r[0] for r in rows],
-            }))
-        return pd.concat(frames, ignore_index=True) if frames else \
-            pd.DataFrame({"query_id": [], "rank": [], "doc_id": [],
-                          "url": [], "score": []})
+            hits = {c: np.concatenate([p[qid][c] for p in parts])
+                    for c in ("score", "seg", "doc", "doc_id", "url")}
+            top = merge_order(hits["score"], hits["seg"], hits["doc"])[:k]
+            out["query_id"].append(np.full(len(top), qid, object))
+            out["rank"].append(np.arange(1, len(top) + 1, dtype=np.int64))
+            for c in ("doc_id", "url", "score"):
+                out[c].append(hits[c][top])
+        return pd.DataFrame({c: np.concatenate(v) if v else []
+                             for c, v in out.items()})
 
     def shutdown(self):
         import ray as _ray

@@ -986,26 +986,8 @@ class Searcher:
         page N+1 re-runs the query with page N's last hit, never
         materializing more than k hits anywhere (the scalable alternative
         to a growing offset)."""
-        if after is None:
-            return self.search(query, k)
-        query = self.rewrite(query)
-        a_key = (-after.score, after.seg, after.doc)
-        total = 0
-        parts = []
-        weight = Weight(self, query)
-        for si, sr in enumerate(self.reader.segment_readers):
-            docs, scores = weight.score_segment(sr)
-            total += len(docs)
-            # keep only hits strictly after the cursor
-            sc = scores.astype(np.float64)
-            keep = (-sc > a_key[0]) | \
-                ((-sc == a_key[0]) & (si > a_key[1])) | \
-                ((-sc == a_key[0]) & (si == a_key[1]) & (docs > a_key[2]))
-            docs, scores = docs[keep], scores[keep]
-            if len(docs) > k:
-                sel = _topk_idx(scores, docs, k)
-                docs, scores = docs[sel], scores[sel]
-            parts.append((scores, np.full(len(docs), si), docs))
+        parts, total, _ = collect(Weight(self, self.rewrite(query)),
+                                  self.reader.segment_readers, k, after)
         return self._merge(parts, k, total, "EQUAL_TO")
 
     # ----- top-k --------------------------------------------------------
@@ -1026,21 +1008,10 @@ class Searcher:
             return self._search_or_pruned(
                 [sub.term for _, sub in query.clauses], k, deadline,
                 query.clauses[0][1].field)
-        timed_out = False
-        total = 0
-        parts = []  # (scores, seg, docs)
-        weight = Weight(self, query)
-        for si, sr in enumerate(self.reader.segment_readers):
-            if deadline is not None and _time.monotonic() > deadline:
-                timed_out = True
-                break
-            docs, scores = weight.score_segment(sr)
-            total += len(docs)
-            if len(docs) > k:  # per-leaf top-k before the merge
-                sel = _topk_idx(scores, docs, k)
-                docs, scores = docs[sel], scores[sel]
-            parts.append((scores, np.full(len(docs), si), docs))
-        rel = "GREATER_THAN_OR_EQUAL_TO" if timed_out else "EQUAL_TO"
+        parts, total, complete = collect(Weight(self, query),
+                                         self.reader.segment_readers, k,
+                                         deadline=deadline)
+        rel = "EQUAL_TO" if complete else "GREATER_THAN_OR_EQUAL_TO"
         return self._merge(parts, k, total, rel)
 
     def count(self, query: Query) -> int:
@@ -1200,8 +1171,7 @@ class Searcher:
         else:
             scores = np.empty(0, self.sim.dtype)
             segs = docs = np.empty(0, np.int64)
-        key = scores.astype(np.float64)
-        order = np.lexsort((docs, segs, key if ascending else -key))[:k]
+        order = merge_order(scores, segs, docs, ascending)[:k]
         hits = [ScoreDoc(float(scores[i]), int(segs[i]), int(docs[i]))
                 for i in order]
         self._resolve(hits)
@@ -2689,6 +2659,46 @@ def _by_segment(found: list, k: int | None) -> dict:
         at = at[np.argsort(doc_a[at], kind="stable")]
         resolved[int(s)] = (doc_a[at], sim_a[at].astype(np.float64))
     return resolved
+
+
+def collect(weight: Weight, readers, k: int | None = None,
+            after: ScoreDoc | None = None, deadline: float | None = None):
+    """The per-segment search loop (``IndexSearcher.searchLeaf`` per
+    leaf, IndexSearcher.kt:653-690): each of ``readers`` scores through
+    ``weight``, hits not strictly after the cursor ``after`` (whose
+    ``seg`` indexes ``readers``) drop, and each segment keeps its top
+    ``k`` by (score desc, doc asc), every match when ``k`` is None.
+    Returns ``(parts, total, complete)``: one ``(scores, seg, docs)``
+    part per segment scored, ``seg`` the reader's index repeated; the
+    number of matches, cursor or not; and False when the
+    ``time.monotonic()`` ``deadline`` passed before the last segment
+    (TimeLimitingBulkScorer role; the segments left are skipped)."""
+    import time
+    total = 0
+    parts = []
+    for si, sr in enumerate(readers):
+        if deadline is not None and time.monotonic() > deadline:
+            return parts, total, False
+        docs, scores = weight.score_segment(sr)
+        total += len(docs)
+        if after is not None:
+            sc = scores.astype(np.float64)
+            keep = (sc < after.score) | ((sc == after.score) & (
+                (si > after.seg) | ((si == after.seg) & (docs > after.doc))))
+            docs, scores = docs[keep], scores[keep]
+        if k is not None and len(docs) > k:
+            sel = _topk_idx(scores, docs, k)
+            docs, scores = docs[sel], scores[sel]
+        parts.append((scores, np.full(len(docs), si), docs))
+    return parts, total, True
+
+
+def merge_order(scores, segs, docs, ascending: bool = False) -> np.ndarray:
+    """Positions of hits in ``TopDocs.merge`` order (score desc, seg asc,
+    doc asc; TopDocs.kt:166-207), scores compared in float64;
+    ``ascending`` ranks the smallest score (a distance) first."""
+    key = np.asarray(scores, dtype=np.float64)
+    return np.lexsort((docs, segs, key if ascending else -key))
 
 
 def _topk_idx(scores: np.ndarray, docs: np.ndarray, k: int) -> np.ndarray:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from lucene_kmp_ray.index.reader import IndexReader
-from lucene_kmp_ray.search import BooleanQuery, Occur, Searcher, TermQuery
-from lucene_kmp_ray.search.ray_search import (phrase_freqs_distributed,
+from lucene_kmp_ray.search import (BooleanQuery, Occur, PhraseQuery,
+                                   PrefixQuery, Searcher, TermQuery)
+from lucene_kmp_ray.search.ray_search import (SortField,
+                                              phrase_freqs_distributed,
                                               search_all_matches,
                                               search_distributed,
-                                              search_sorted_by_field)
+                                              search_sorted_by_fields)
 from lucene_kmp_ray.similarity.bm25 import BM25Similarity
 
 
@@ -59,8 +61,9 @@ def test_phrase_freqs_distributed(built_index, ray_session, corpus_texts):
 def test_sorted_by_field_distributed(built_index, ray_session, corpus_texts):
     from lucene_kmp_ray.analysis import tokenize
     toks = [tokenize(t) for t in corpus_texts]
-    df = search_sorted_by_field(built_index, TermQuery("spark"), "length",
-                                k=15)
+    df = search_sorted_by_fields(built_index, TermQuery("spark"),
+                                 (SortField("length", descending=True),),
+                                 k=15)
     match = [(len(t), -i) for i, t in enumerate(toks) if "spark" in t]
     exp = [-d for _, d in sorted(match, reverse=True)[:15]]
     assert df["doc_id"].tolist() == exp
@@ -295,3 +298,133 @@ def test_commit_pinned_distributed_search(built_index, local64, ray_session,
     deleted_matching = {int(u.rsplit("/", 1)[1]) for u in urls} \
         & set(snap["doc_id"])
     assert deleted_matching.isdisjoint(set(cur["doc_id"]))
+
+
+PARITY_QUERIES = {
+    "term": TermQuery("spark"),
+    "and": BooleanQuery.build((Occur.MUST, TermQuery("spark")),
+                              (Occur.MUST, TermQuery("join"))),
+    "or": BooleanQuery.build((Occur.SHOULD, TermQuery("window")),
+                             (Occur.SHOULD, TermQuery("scan")),
+                             (Occur.SHOULD, TermQuery("batch"))),
+    "phrase": PhraseQuery(("batch", "batch")),
+    "prefix": PrefixQuery("sc"),  # constant score: order is all tie-break
+}
+
+
+@pytest.fixture(scope="module")
+def tombstoned_index(built_index, ray_session, tmp_path_factory):
+    """A copy of the 5-segment index with "spark" docs of segment 2
+    deleted (tombstones in that segment only)."""
+    import shutil
+
+    from lucene_kmp_ray.index.deletes import delete_by_url
+
+    idx = str(tmp_path_factory.mktemp("parity") / "idx")
+    shutil.copytree(built_index, idx)
+    sr = IndexReader(idx).segment_readers[2]
+    docs, _ = sr.postings("spark")
+    urls = sr.doc_meta["url"].take(docs[::4]).to_pylist()
+    assert delete_by_url(idx, urls) == len(urls) > 0
+    return idx
+
+
+def test_search_surfaces_agree(tombstoned_index, ray_session):
+    """Every top-k surface gives the same (doc_id, score) list and total:
+    Searcher.search, search_after paged to the same depth,
+    search_distributed, SearcherPool.search and the top of
+    search_all_matches, over 5 segments with tombstones in one."""
+    from lucene_kmp_ray.search.ray_search import SearcherPool
+
+    idx, k = tombstoned_index, 10
+    reader = IndexReader(idx)
+    assert len(reader.segment_readers) >= 3
+    assert [sr.tombstones is not None for sr in reader.segment_readers] \
+        == [False, False, True, False, False]
+    local = Searcher(reader, BM25Similarity(dtype="float64"))
+    dist = search_distributed(idx, PARITY_QUERIES, k=k,
+                              dtype="float64").to_pandas()
+    pool = SearcherPool(idx, num_actors=2, dtype="float64")
+    try:
+        pooled = pool.search(PARITY_QUERIES, k=k)
+    finally:
+        pool.shutdown()
+    for qid, q in PARITY_QUERIES.items():
+        td = local.search(q, k=k)
+        want = [(h.doc_id, h.score) for h in td.score_docs]
+        assert len(want) == k, qid
+
+        paged, after = [], None
+        for size in (3, 3, 3, 1):
+            page = local.search_after(after, q, k=size)
+            assert page.total_hits == td.total_hits, qid
+            paged += page.score_docs
+            after = page.score_docs[-1]
+        assert [(h.doc_id, h.score) for h in paged] == want, qid
+
+        for name, df in (("distributed", dist), ("pool", pooled)):
+            got = df[df["query_id"] == qid].sort_values("rank")
+            assert got["rank"].tolist() == list(range(1, k + 1)), name
+            assert list(zip(got["doc_id"], got["score"])) == want, \
+                (qid, name)
+
+        # doc_id ascends with (segment, local doc) in this index, so
+        # (score desc, doc_id asc) is the merge order
+        every = search_all_matches(idx, q).to_pandas()
+        assert len(every) == td.total_hits, qid
+        top = every.sort_values(["score", "doc_id"],
+                                ascending=[False, True]).head(k)
+        assert list(zip(top["doc_id"], top["score"])) == want, qid
+
+
+def test_phrase_freqs_match_exact_phrase(tombstoned_index, ray_session):
+    """phrase_freqs_distributed == the per-segment exact-phrase freqs
+    with deleted docs removed."""
+    from lucene_kmp_ray.search.searcher import _exact_phrase
+
+    terms = ["batch", "batch"]
+    want = {}
+    for sr in IndexReader(tombstoned_index).segment_readers:
+        docs, freqs = _exact_phrase(sr, terms)
+        if sr.tombstones is not None:
+            live = ~np.isin(docs, sr.tombstones)
+            docs, freqs = docs[live], freqs[live]
+        want.update(zip(sr.doc_meta["doc_id"].take(docs).to_pylist(),
+                        freqs.tolist()))
+    df = phrase_freqs_distributed(tombstoned_index, terms).to_pandas()
+    assert df["freq"].dtype == np.int64
+    assert dict(zip(df["doc_id"], df["freq"])) == want
+    assert len(df) == len(want) > 0
+
+
+def test_searcher_pool_opened_on_empty_index(ray_session, built_index,
+                                             tmp_path):
+    """A pool opened before any segment is committed holds one actor
+    with an empty slice; refresh() hands it the segments committed
+    later, and shutdown() leaves no actor that answers."""
+    import shutil
+
+    import ray
+
+    from lucene_kmp_ray.index.builder import commit_index
+    from lucene_kmp_ray.search.ray_search import SearcherPool
+
+    idx = str(tmp_path / "idx")
+    (tmp_path / "idx").mkdir()
+    commit_index(idx, [])
+    pool = SearcherPool(idx, num_actors=2)
+    actors = list(pool._actors)
+    try:
+        assert len(actors) == 1
+        assert pool.search({"q": TermQuery("spark")}, k=3).empty
+        shutil.copytree(built_index, idx, dirs_exist_ok=True)
+        assert pool.refresh() is True
+        got = pool.search({"q": TermQuery("spark")}, k=3)
+        want = Searcher(IndexReader(idx)).search(TermQuery("spark"), k=3)
+        assert got["doc_id"].tolist() == [h.doc_id for h in want.score_docs]
+        assert got["rank"].tolist() == [1, 2, 3]
+    finally:
+        pool.shutdown()
+    for a in actors:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(a.search.remote({}, 1), timeout=60)
