@@ -49,6 +49,16 @@ scores in the similarity's dtype in clause order, a doc's SHOULD scores in
 float64 in clause order, cast, then added), so scores are bit-identical
 (tests/test_bulk_scorer.py).
 
+``explain``, ``matches`` and ``count`` read a query as ``search`` does.
+``explain`` and ``matches`` find the doc once (``_locate``: a deleted
+doc matches no query) and take each node's value and membership from the
+node's ``Weight.score_segment``, the call ``search`` scores with: an
+explanation's value is the hit's score bit for bit in float32 and
+float64, and a boolean node's clause values combine to it in the order
+above (tests/test_explain_weight.py). ``count`` answers a TermQuery from
+the df and MatchAllDocsQuery from the doc count in each segment without
+tombstones, and walks the matches in the others.
+
 ``prune=True`` enables block-max pruning for term queries (WAND family,
 WANDScorer.kt / ImpactsDISI.kt / MaxScoreBulkScorer.kt): after
 ``total_hits_threshold`` (1000, IndexSearcher.kt:1024) hits the collector's
@@ -295,12 +305,6 @@ class Searcher:
                                        [ttf for _, ttf in present])
 
     # ----- per-segment match+score: returns (docs asc, scores) ---------
-    def _score_segment(self, sr: SegmentReader, query: Query):
-        """Match+score one segment through a one-off ``Weight`` (a search
-        over many segments builds one Weight and calls its
-        ``score_segment``)."""
-        return Weight(self, query).score_segment(sr)
-
     def _score(self, sr: SegmentReader, query: Query,
                boost: float = 1.0, scoring: bool = True):
         """Dispatch one (sub-)query to its handler (deletes not applied)."""
@@ -700,7 +704,7 @@ class Searcher:
             raise ValueError(f"invalid latitude {lat}")
         if not -180.0 <= lon <= 180.0:  # GeoUtils.checkLongitude
             raise ValueError(f"invalid longitude {lon}")
-        q = self.rewrite(query) if query is not None else None
+        w = Weight(self, self.rewrite(query)) if query is not None else None
         total = 0
         parts = []  # (dist, seg, docs)
         for si, sr in enumerate(self.reader.segment_readers):
@@ -708,8 +712,8 @@ class Searcher:
                 continue
             la = sr.doc_meta[lat_field].to_numpy().astype(np.float64)
             lo = sr.doc_meta[lon_field].to_numpy().astype(np.float64)
-            if q is not None:  # distance SORT over the query's matches
-                docs, _ = self._score_segment(sr, q)
+            if w is not None:  # distance SORT over the query's matches
+                docs, _ = w.score_segment(sr)
                 docs = docs.astype(np.int64)
                 total += len(docs)
             else:
@@ -722,7 +726,7 @@ class Searcher:
             if not len(docs):
                 continue
             dist = _haversin_meters(la[docs], lo[docs], np.float64(lat), lon)
-            if q is not None:
+            if w is not None:
                 dist[~np.isfinite(dist)] = np.inf  # missing → last
             if len(docs) > n:  # per-leaf top-n before the merge
                 sel = np.lexsort((docs, dist))[:n]
@@ -821,6 +825,8 @@ class Searcher:
                 return MatchNoDocsQuery("zero query vector")
             q = q / qn
             seed_q = getattr(query, "seed", None)
+            seed_w = Weight(self, self.rewrite(seed_q)) \
+                if seed_q is not None else None
             flt = self.rewrite(query.filter) if query.filter is not None \
                 else None
             ef = query.ef_search or max(2 * query.k, 64)
@@ -867,12 +873,11 @@ class Searcher:
                     # shrinking the candidate set, then re-score the few
                     # survivors in float64 for exact-path score parity
                     eps = None
-                    if seed_q is not None:
+                    if seed_w is not None:
                         # SeededKnnVectorQuery.kt: the seed's per-leaf
                         # top-k (by seed score, tie doc asc) become the
                         # layer-0 entry points; vector-less seeds drop
-                        sdocs, sscores = self._score_segment(
-                            sr, self.rewrite(seed_q))
+                        sdocs, sscores = seed_w.score_segment(sr)
                         if len(sdocs):
                             topn = np.lexsort((sdocs, -sscores))
                             topn = topn[:min(query.k, len(topn))]
@@ -1016,25 +1021,26 @@ class Searcher:
 
     def count(self, query: Query) -> int:
         """Exact hit count (IndexSearcher.count / TotalHitCountCollector),
-        with the reference's sub-linear shortcuts (IndexSearcher.kt:282 /
-        Weight#count): a pure TermQuery answers from the global df and
-        MatchAllDocsQuery from docCount — WITHOUT decoding postings — when
-        no segment carries deletions (tombstones force the exact walk,
-        exactly like liveDocs do in Lucene)."""
+        with the reference's sub-linear shortcuts applied per segment, as
+        ``Weight#count`` is per leaf (IndexSearcher.kt:282): in a segment
+        without deletions a pure TermQuery answers from the dictionary's
+        df and MatchAllDocsQuery from the doc count, WITHOUT decoding
+        postings. A segment with tombstones walks the query's matches
+        (liveDocs force the walk in Lucene too)."""
         query = self.rewrite(query)
-        no_deletes = all(sr.tombstones is None
-                         for sr in self.reader.segment_readers)
-        if no_deletes and isinstance(query, TermQuery):
-            return self.reader.term_stats([query.term],
-                                          query.field)[query.term][0]
-        if no_deletes and isinstance(query, MatchAllDocsQuery):
-            return self.reader.doc_count
         total = 0
         for sr in self.reader.segment_readers:
-            docs = self._match_docs(sr, query)
             tomb = sr.tombstones
-            total += len(docs) if tomb is None else \
-                int((~_isin_sorted(docs, tomb)).sum())
+            live = tomb is None or not len(tomb)
+            if live and isinstance(query, TermQuery):
+                i = sr.term_ord(query.term, query.field)
+                total += 0 if i is None else int(sr.postings_file.df[i])
+            elif live and isinstance(query, MatchAllDocsQuery):
+                total += sr.doc_count
+            else:
+                docs = self._match_docs(sr, query)
+                total += len(docs) if live else \
+                    int((~_isin_sorted(docs, tomb)).sum())
         return total
 
     def _search_term_pruned(self, query: TermQuery, k: int,
@@ -1253,177 +1259,145 @@ class Searcher:
         return TopDocs(first_pass.total_hits, first_pass.relation,
                        [hits[i] for i in order])
 
-    # ----- Matches API (Weight.matches / TermMatchesIterator) -----------
+    # ----- one doc through the search Weight: explain / matches --------
+    def _locate(self, doc_id: int):
+        """``(segment reader, local doc)`` of the live doc ``doc_id``, or
+        None when no segment holds it live (``ReaderUtil.subIndex`` plus
+        the liveDocs check): a deleted doc matches no query."""
+        for sr in self.reader.segment_readers:
+            # exact scan, not searchsorted: index-sorted segments order
+            # docs by the sort key, not by doc_id
+            hit = np.flatnonzero(sr.doc_meta["doc_id"].to_numpy() == doc_id)
+            tomb = sr.tombstones
+            if tomb is not None and len(hit):
+                hit = hit[~_isin_sorted(hit, tomb)]
+            if len(hit):
+                return sr, int(hit[0])
+        return None
+
+    def _score_at(self, q: Query, sr: SegmentReader, local: int):
+        """The doc's score from ``Weight(q)`` — what ``search`` scores
+        ``q`` with — or None when that Weight does not match it."""
+        docs, scores = Weight(self, q).score_segment(sr)
+        i = int(np.searchsorted(docs, local))
+        return float(scores[i]) if i < len(docs) and docs[i] == local \
+            else None
+
     def matches(self, query: Query, doc_id: int):
         """``Weight.matches`` analog (``search/Matches.kt`` /
         ``TermMatchesIterator.kt``): the per-field matched POSITIONS of
         one doc — ``{field: [(start_pos, end_pos, label), ...]}`` sorted
         by (start, end) — or ``None`` when the query does not match the
-        doc. A matching query with no positional terms (ranges,
-        MatchAll, sloppy phrases) reports ``{}`` —
-        ``MatchesUtils.MATCH_WITH_NO_TERMS``. BooleanQuery follows
-        ``BooleanWeight.matches`` (BooleanWeight.kt:100-130): a matching
-        prohibited clause → None, a missing required clause → None,
-        SHOULD matches count toward minimumNumberShouldMatch (at least
-        one must match when no clause is required, as in ``search``), and
-        required + matching-SHOULD sub-matches union. Term positions
+        doc. Membership comes from the search Weight (``_score_at``) of
+        each node. Term, Synonym / TermInSet and exact Phrase nodes
+        report positions (through Boost / ConstantScore wrappers); a
+        BooleanQuery the union over its matching clauses that are not
+        MUST_NOT (BooleanWeight.kt:100-130); any other match reports
+        ``{}`` — ``MatchesUtils.MATCH_WITH_NO_TERMS``. Term positions
         decode only the touched posting entries
         (``positions_for_entries`` — the positional skip-read)."""
-        q = self.rewrite(query)
-        for sr in self.reader.segment_readers:
-            ids = sr.doc_meta["doc_id"].to_numpy()
-            hit = np.flatnonzero(ids == doc_id)
-            if len(hit):
-                local = int(hit[0])
-                tomb = sr.tombstones
-                if tomb is not None and \
-                        _isin_sorted(np.array([local]), tomb)[0]:
-                    return None
-                return self._matches_leaf(sr, q, local)
-        return None
+        at = self._locate(doc_id)
+        return None if at is None else self._matches(self.rewrite(query),
+                                                     *at)
 
-    def _term_positions(self, sr: SegmentReader, term: str, field: str,
-                        local: int):
-        p = sr.postings(term, field=field)
-        if p is None:
+    def _matches(self, q: Query, sr: SegmentReader, local: int):
+        if self._score_at(q, sr, local) is None:
             return None
-        docs, _ = p
-        i = int(np.searchsorted(docs, local))
-        if i >= len(docs) or docs[i] != local:
-            return None
-        _, flat = sr.positions_for_entries(term, np.array([i], np.int64),
-                                           field)
-        return flat
-
-    def _matches_leaf(self, sr: SegmentReader, q: Query, local: int):
         while isinstance(q, (BoostQuery, ConstantScoreQuery)):
             q = q.query
-        if isinstance(q, TermQuery):
-            pos = self._term_positions(sr, q.term, q.field, local)
-            if pos is None:
-                return None
-            return {q.field: [(int(p), int(p), q.term) for p in pos]}
-        if isinstance(q, (SynonymQuery, TermInSetQuery)):
-            # DisjunctionMatchesIterator over the term set
-            terms = q.synonym_terms if isinstance(q, SynonymQuery) \
-                else q.term_set
-            out = []
-            for t in dict.fromkeys(terms):
-                pos = self._term_positions(sr, t, q.field, local)
-                if pos is not None:
-                    out.extend((int(p), int(p), t) for p in pos)
-            if not out:
-                return None
-            return {q.field: sorted(out)}
-        if isinstance(q, PhraseQuery) and q.slop == 0 \
-                and len(q.phrase_terms):
-            plists = []
-            for j, t in enumerate(q.phrase_terms):
-                pos = self._term_positions(sr, t, q.field, local)
-                if pos is None:
-                    return None
-                plists.append(np.asarray(pos, np.int64) - j)
-            starts = plists[0]
-            for pl in plists[1:]:
-                starts = np.intersect1d(starts, pl)
-            if not len(starts):
-                return None
-            label = " ".join(q.phrase_terms)
-            w = len(q.phrase_terms) - 1
-            return {q.field: [(int(s), int(s) + w, label) for s in starts]}
         if isinstance(q, BooleanQuery):
-            subs = [self._matches_leaf(sr, self.rewrite(sub), local)
-                    for _, sub in q.clauses]
-            if not _boolean_match(q, [m is not None for m in subs]):
-                return None
             merged: dict[str, list] = {}
-            for (occ, _), m in zip(q.clauses, subs):
-                if m is not None and occ != Occur.MUST_NOT:
-                    for f, lst in m.items():
-                        merged.setdefault(f, []).extend(lst)
+            for occ, sub in q.clauses:
+                m = None if occ == Occur.MUST_NOT else \
+                    self._matches(sub, sr, local)
+                for f, lst in (m or {}).items():
+                    merged.setdefault(f, []).extend(lst)
             return {f: sorted(lst) for f, lst in merged.items()}
-        # generic: membership only — MATCH_WITH_NO_TERMS (Weight.kt:62)
-        return {} if self._has_doc(sr, q, local) else None
+        if isinstance(q, (TermQuery, SynonymQuery, TermInSetQuery)):
+            # DisjunctionMatchesIterator over the term set
+            terms = q.term_set if isinstance(q, TermInSetQuery) \
+                else q.terms()
+            out = [(int(p), int(p), t) for t in dict.fromkeys(terms)
+                   for p in self._term_positions(sr, t, q.field, local)]
+            return {q.field: sorted(out)}
+        if isinstance(q, PhraseQuery) and q.slop == 0:
+            starts = functools.reduce(np.intersect1d, (
+                self._term_positions(sr, t, q.field, local) - j
+                for j, t in enumerate(q.phrase_terms)))
+            w, label = len(q.phrase_terms) - 1, " ".join(q.phrase_terms)
+            return {q.field: [(int(st), int(st) + w, label)
+                              for st in starts]}
+        return {}
 
-    def _has_doc(self, sr: SegmentReader, q: Query, local: int) -> bool:
-        return bool(_isin_sorted(np.array([local]),
-                                 self._match_docs(sr, q))[0])
+    def _term_positions(self, sr: SegmentReader, term: str, field: str,
+                        local: int) -> np.ndarray:
+        """Positions of ``term`` in local doc ``local`` (empty when the
+        doc does not hold it)."""
+        p = sr.postings(term, field=field)
+        if p is None:
+            return np.empty(0, np.int64)
+        i = int(np.searchsorted(p[0], local))
+        if i == len(p[0]) or p[0][i] != local:
+            return np.empty(0, np.int64)
+        _, flat = sr.positions_for_entries(term, np.array([i], np.int64),
+                                           field)
+        return np.asarray(flat, np.int64)
 
     def explain(self, query: Query, doc_id: int) -> dict:
         """Explanation tree for one doc (``Weight.explain`` /
         ``BM25Similarity.explain`` shape): nested {value, description,
-        details}. The query rewrites as in ``search``; TermQuery gets the
-        BM25 breakdown, BooleanQuery sums its scoring clauses under
-        ``BooleanWeight.explain``'s gating, any other query reports its
-        score."""
-        query = self.rewrite(query)
-        for sr in self.reader.segment_readers:
-            dm = sr.doc_meta
-            ids = dm["doc_id"].to_numpy()
-            # exact scan, not searchsorted: index-sorted segments order
-            # docs by the sort key, not by doc_id
-            hit = np.flatnonzero(ids == doc_id)
-            if len(hit):
-                return self._explain_leaf(sr, query, int(hit[0]))
-        return {"value": 0.0, "description": f"doc {doc_id} not found",
+        details}. The query rewrites as in ``search``, and each node's
+        value is the doc's score from the node's search Weight
+        (``_score_at``), so the top value is the hit's score exactly. A
+        TermQuery node adds the BM25 idf / freq / dl / avgdl leaves; a
+        BooleanQuery node lists the explanations of its matching MUST and
+        SHOULD clauses, whose values combine as ``bulk_score`` sums
+        them (MUST in the dtype, then the float64 sum of SHOULD, cast);
+        other nodes have no details. A deleted, absent or unmatched doc
+        explains as value 0 with no details."""
+        at = self._locate(doc_id)
+        ex = None if at is None else self._explain(self.rewrite(query), *at)
+        return ex or {"value": 0.0, "description": f"doc {doc_id}: no match",
+                      "details": []}
+
+    def _explain(self, q: Query, sr: SegmentReader, local: int):
+        value = self._score_at(q, sr, local)
+        if value is None:
+            return None
+        if isinstance(q, BooleanQuery):
+            details = [self._explain(sub, sr, local)
+                       for occ, sub in q.clauses
+                       if occ in (Occur.MUST, Occur.SHOULD)]
+            return {"value": value, "description": "sum of:",
+                    "details": [d for d in details if d is not None]}
+        if isinstance(q, TermQuery):
+            return {"value": value, **self._term_details(q, sr, local)}
+        return {"value": value, "description": f"score({q!r})",
                 "details": []}
 
-    def _explain_leaf(self, sr: SegmentReader, query: Query,
-                      local_doc: int) -> dict:
-        if isinstance(query, BooleanQuery):
-            hits = [self._has_doc(sr, sub, local_doc)
-                    for _, sub in query.clauses]
-            if not _boolean_match(query, hits):
-                return {"value": 0.0, "description": "no match",
-                        "details": []}
-            details = [self._explain_leaf(sr, sub, local_doc)
-                       for (occ, sub), hit in zip(query.clauses, hits)
-                       if hit and occ in (Occur.MUST, Occur.SHOULD)]
-            return {"value": float(sum(d["value"] for d in details)),
-                    "description": "sum of:", "details": details}
-        if not isinstance(query, TermQuery):
-            docs, scores = self._score_segment(sr, query)
-            i = np.searchsorted(docs, local_doc)
-            v = float(scores[i]) if i < len(docs) and docs[i] == local_doc \
-                else 0.0
-            return {"value": v, "description": f"score({query!r})",
-                    "details": []}
-        term = query.term
-        stats = self.reader.term_stats([term], query.field)
-        df, term_ttf = stats[term]
-        p = sr.postings(term, field=query.field)
-        if p is None or df == 0:
-            return {"value": 0.0,
-                    "description": f"no matching term '{term}'", "details": []}
-        docs, freqs = p
-        i = np.searchsorted(docs, local_doc)
-        if i >= len(docs) or docs[i] != local_doc:
-            return {"value": 0.0,
-                    "description": f"term '{term}' not in doc", "details": []}
-        freq = int(freqs[i])
-        norm = int(sr.norms_for(query.field)[local_doc])
-        n, sttf = self.reader.field_stats(query.field)
-        sim = self._sim(query.field)
-        idf = sim.idf(df, n)
+    def _term_details(self, q: TermQuery, sr: SegmentReader,
+                      local: int) -> dict:
+        """Description and BM25 leaves of a TermQuery the doc matches."""
+        docs, freqs = sr.postings(q.term, field=q.field)
+        freq = int(freqs[np.searchsorted(docs, local)])
+        norm = int(sr.norms_for(q.field)[local])
+        df = self.reader.term_stats([q.term], q.field)[q.term][0]
+        n, sttf = self.reader.field_stats(q.field)
+        sim = self._sim(q.field)
         # avgdl is a BM25-family stat; other similarities (Classic, LM)
         # have no notion of it — Explanation shows sumTotalTermFreq/N
         avgdl = sim.avgdl(sttf, n) if hasattr(sim, "avgdl") \
             else sttf / n
-        scorer = sim.scorer(1.0, n, sttf, [df], [term_ttf])
-        score = float(scorer.score(np.array([freq]),
-                                   np.array([norm], np.uint8))[0])
         from ..util.smallfloat import LENGTH_TABLE_INT
-        dl = int(LENGTH_TABLE_INT[norm])
         return {
-            "value": score,
-            "description": (f"weight({query.field}:{term}) "
+            "description": (f"weight({q.field}:{q.term}) "
                             f"[{type(self.sim).__name__}]"),
             "details": [
-                {"value": idf,
+                {"value": sim.idf(df, n),
                  "description": f"idf, ln(1+(N-n+0.5)/(n+0.5)) with n={df}, "
                                 f"N={n}", "details": []},
                 {"value": freq, "description": "freq", "details": []},
-                {"value": dl,
+                {"value": int(LENGTH_TABLE_INT[norm]),
                  "description": f"dl, length of field (SmallFloat norm byte "
                                 f"{norm})", "details": []},
                 {"value": avgdl, "description": "avgdl", "details": []},
@@ -2582,26 +2556,6 @@ def _sloppy_phrase(sr: SegmentReader, terms: list[str], slop: int,
             out_freqs.append(f)
     return (np.asarray(out_docs, dtype=np.int64),
             np.asarray(out_freqs, dtype=np.float64))
-
-
-def _boolean_match(q: BooleanQuery, hits: list[bool]) -> bool:
-    """BooleanWeight's match rule (BooleanWeight.kt:100-130) over each
-    clause's hit flag: no MUST_NOT clause hits, every MUST and FILTER
-    clause hits, and at least minimum_should_match SHOULD clauses hit —
-    at least one when no clause is required (as ``_score_boolean``)."""
-    required, should_hits = False, 0
-    for (occ, _), hit in zip(q.clauses, hits):
-        if occ == Occur.SHOULD:
-            should_hits += hit
-        elif occ == Occur.MUST_NOT:
-            if hit:
-                return False
-        elif not hit:
-            return False
-        else:
-            required = True
-    msm = q.minimum_should_match
-    return should_hits >= (msm if required else max(1, msm))
 
 
 def _is_term_disjunction(q: Query) -> bool:

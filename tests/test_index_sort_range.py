@@ -59,12 +59,13 @@ def test_binary_search_run_is_contiguous_and_sorted(indexes, kind, desc):
     # one contiguous local-docID run whose column values are in range
     from lucene_kmp_ray.index.reader import IndexReader
     from lucene_kmp_ray.search import IndexSortRangeQuery, Searcher
+    from lucene_kmp_ray.search.searcher import Weight
     r = IndexReader(indexes[kind])
     s = Searcher(r)
     q = IndexSortRangeQuery("n_chars", 200, 400)
     for sr in r.segment_readers:
         assert (sr.meta.get("index_sort") or [])[0] == ["n_chars", desc]
-        docs, _ = s._score_segment(sr, q)
+        docs, _ = Weight(s, q).score_segment(sr)
         if len(docs):
             assert (np.diff(docs) == 1).all()  # contiguous run
         col = sr.doc_meta["n_chars"].to_numpy()
