@@ -29,9 +29,8 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from .postings import _binary_parts
+from .postings import _binary_parts, field_ranges
 
 BLOOM_FILE = "bloom.npz"
 _SEED = 104729  # StringHelper.murmurhash3_x64_128's fixed seed
@@ -132,16 +131,12 @@ def murmur128_bulk(keys, seed: int = _SEED) -> np.ndarray:
     return out
 
 
-def terms_by_field(terms_table) -> list[tuple[str, "pa.ChunkedArray"]]:
-    """``(field, Arrow term column)`` per field of a (field, term)
-    table, in table order; a table without a ``field`` column is all
-    ``text``."""
+def terms_by_field(terms_table) -> list[tuple[str, "pa.Array"]]:
+    """``(field, Arrow term slice)`` per field of a (field, term)-sorted
+    dictionary, in table order."""
     term = terms_table["term"]
-    if "field" not in terms_table.column_names:
-        return [("text", term)] if len(term) else []
-    fcol = terms_table["field"].cast(pa.string())
-    return [(f, term.filter(pc.equal(fcol, f)))
-            for f in pc.unique(fcol).to_pylist()]
+    return [(f, term.slice(lo, hi - lo))
+            for f, (lo, hi) in field_ranges(terms_table).items()]
 
 
 def _bulk_same_len(buf: np.ndarray, length: int, seed: int):

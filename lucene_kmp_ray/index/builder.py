@@ -262,25 +262,22 @@ def global_term_stats(index_dir: str) -> pa.Table:
     """``(field, term, df, ttf)`` summed over every segment of the
     committed manifest, sorted by (field, term): the whole global stats
     table, for tools that want all of it (a reader resolves single terms
-    with ``IndexReader.term_stats``). Legacy segments without a field
-    column read as field='text'."""
-    import pyarrow.parquet as pq
+    with ``IndexReader.term_stats``)."""
+    from .postings import read_dictionary
     with open(os.path.join(index_dir, INDEX_MANIFEST)) as f:
         segs = [m["dir"] for m in json.load(f)["segments"]]
     parts = []
     for d in segs:
-        path = os.path.join(index_dir, d, "terms.parquet")
-        cols = {f.name for f in pq.read_schema(path)}
-        t = pq.read_table(path, columns=[c for c in ("field", "term", "df",
-                                                     "ttf") if c in cols])
-        # df/ttf are int32 in the flat-postings dictionary, int64 before it
-        t = t.cast(pa.schema([f.with_type(pa.int64())
-                              if f.name in ("df", "ttf") else f
-                              for f in t.schema]))
-        if "field" not in cols:
-            t = t.add_column(0, "field",
-                             pa.array(["text"] * t.num_rows, pa.string()))
-        parts.append(t.select(["field", "term", "df", "ttf"]))
+        t = read_dictionary(os.path.join(index_dir, d)).select(
+            ["field", "term", "df", "ttf"])
+        # df/ttf are int32 when every value of a segment fits, else int64
+        parts.append(t.cast(pa.schema([f.with_type(pa.int64())
+                                       if f.name in ("df", "ttf") else f
+                                       for f in t.schema])))
+    if not parts:  # an index committed before its first segment
+        return pa.schema([("field", pa.string()), ("term", pa.string()),
+                          ("df", pa.int64()), ("ttf", pa.int64())]
+                         ).empty_table()
     agg = pa.concat_tables(parts).group_by(["field", "term"]) \
         .aggregate([("df", "sum"), ("ttf", "sum")])
     # select-by-name before the positional rename: pyarrow versions differ

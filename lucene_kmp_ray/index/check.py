@@ -7,21 +7,27 @@ stats). Segments are verified by parallel Ray tasks (one per segment — the
 scan is embarrassingly parallel and IO-bound); the driver then checks the
 global manifest against the segments.
 
+A segment's postings decode once (all of ``postings.doc`` in one
+``SegmentPostings.docs_freqs`` call, all of ``postings.pos`` in one
+``decode_streams_at``) and each invariant is one array operation over the
+entries, segmented per term; a violated invariant is one error giving its
+count of terms and, as the only string made, its first term.
+
 Checks per segment:
-- postings pointers: ``doc_ptr``/``pos_ptr`` ascend from 0 and stay inside
-  their files; each ``postings.doc`` record is exactly its docs stream,
-  its freqs stream (present iff ``ttf > df``) and, for a multi-block
-  term, its skip/impact metadata; each ``postings.pos`` record is exactly
-  its ``ttf``-value positions stream (so the last records end at the file
-  sizes);
-- terms strictly ascending (BytesRef order == code-point order);
-- decoded docIDs strictly ascending, in ``[0, doc_count)``; ``df`` matches;
-- ``ttf`` == Σ freqs; freqs ≥ 1; positions per entry strictly ascending,
-  non-negative;
-- skip/impact metadata consistent: ``block_last_doc``/``block_max_freq``/
-  ``block_min_norm`` re-derivable from the decoded postings;
+- postings pointers: ``doc_ptr``/``pos_ptr`` ascend from 0; each
+  ``postings.doc`` record is exactly its docs stream, its freqs stream
+  (present iff ``ttf > df``) and, for a multi-block term, its skip/impact
+  metadata; each ``postings.pos`` record is its ``ttf`` positions;
+- (field, term) keys strictly ascending (BytesRef order); docIDs strictly
+  ascending per term, in ``[0, doc_count)``; freqs ≥ 1, ``ttf`` == Σ
+  freqs; positions per entry strictly ascending, non-negative;
+- only STORED metadata is compared: each multi-block term's
+  ``block_last_doc``/``block_max_freq``/``block_min_norm`` == their
+  re-derivation over 128-doc blocks against the field's norms (a
+  single-block term stores none; readers derive it from the same decode);
 - ``norm`` byte == SmallFloat.intToByte4(length) for every doc;
-- segment manifest stats == re-derived sums.
+- per field, Σ length / Σ df / Σ ttf == the segment manifest, and each
+  doc's ``max_tf`` / ``unique_terms`` == its maximum freq / entry count.
 
 Global checks: manifest doc_count == Σ segment doc counts; per field, the
 manifest's ``sum_doc_freq`` / ``sum_total_term_freq`` == Σ df / Σ ttf over
@@ -39,160 +45,156 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..util import forutil as fu
-from ..util.cfor import SortedTerms
+from ..util import cfor, forutil as fu
 from ..util.smallfloat import int_to_byte4_np
-from .format import DOCS_FILE, decode_postings
-from .postings import (DOC_FILE, POS_FILE, TERMS_FILE, read_terms_table,
-                       stream_nbytes)
+from .format import DOCS_FILE
+from .postings import (BLOCK_COLS, DOC_FILE, POS_FILE, SegmentPostings,
+                       field_ranges, read_dictionary, stream_nbytes)
 from .reader import INDEX_MANIFEST
 
 
 def check_segment(index_dir: str, seg_dir: str) -> dict:
     """Verify one segment directory; returns {seg, ok, errors, stats}."""
-    errors: list[str] = []
     d = os.path.join(index_dir, seg_dir)
     with open(os.path.join(d, "manifest.json")) as f:
         man = json.load(f)
     docs_t = pq.read_table(os.path.join(d, DOCS_FILE))
     n_docs = docs_t.num_rows
-    errors += check_postings_files(d)
+    errors = check_postings_files(d)
     if errors:  # the pointers cannot be followed safely
         return {"seg": man["seg"], "ok": False, "errors": errors,
                 "doc_count": n_docs, "unique_terms": man.get("unique_terms")}
-    terms_t = read_terms_table(d)
+    sp = SegmentPostings(d)
     if n_docs != man["doc_count"]:
         errors.append(f"doc_count {n_docs} != manifest {man['doc_count']}")
 
     # per-field norms: field f's columns are length[_f] / norm[_f]
-    field_names = sorted({c[5:] if c.startswith("norm_") else "text"
-                          for c in docs_t.column_names
-                          if c == "norm" or c.startswith("norm_")})
     norms_by_field: dict[str, np.ndarray] = {}
-    for f in field_names:
-        lcol, ncol = ("length", "norm") if f == "text" else \
-            (f"length_{f}", f"norm_{f}")
-        fl = docs_t[lcol].to_numpy().astype(np.int64)
-        fn = docs_t[ncol].to_numpy().astype(np.uint8)
-        norms_by_field[f] = fn
+    man_fields = man.get("fields") or {"text": man}
+    for c in docs_t.column_names:
+        if c != "norm" and not c.startswith("norm_"):
+            continue
+        f = c[5:] or "text"
+        fl = docs_t["length" + c[4:]].to_numpy().astype(np.int64)
+        norms_by_field[f] = fn = docs_t[c].to_numpy().astype(np.uint8)
         bad = np.flatnonzero(fn != int_to_byte4_np(fl))
         if len(bad):
             errors.append(f"field {f}: {len(bad)} norm bytes disagree with "
                           f"SmallFloat(length), first at doc {bad[0]}")
-    lengths = docs_t["length"].to_numpy().astype(np.int64)
+        # the top-level stats are the text field's
+        want = {man_fields.get(f, {}).get("sum_total_term_freq")} | (
+            {man["sum_total_term_freq"]} if f == "text" else set())
+        if want != {int(fl.sum())}:
+            errors.append(f"Σ length != sum_total_term_freq ({f})")
 
-    # terms decode one at a time, for error messages only
-    terms = SortedTerms(terms_t["term"])
-    tfields = terms_t["field"].to_pylist() \
-        if "field" in terms_t.column_names else ["text"] * len(terms)
-    if not _keys_ascending(terms_t):
+    if not _keys_ascending(sp.dictionary):
         errors.append("(field, term) keys not strictly ascending")
-
-    per_field_sums: dict[str, list[int]] = {}  # field -> [df, ttf, nterms]
-    # re-derive FieldInvertState.maxTermFrequency / uniqueTermCount
-    exp_maxtf: dict[str, np.ndarray] = {f: np.zeros(n_docs, np.int64)
-                                        for f in field_names}
-    exp_uniq: dict[str, np.ndarray] = {f: np.zeros(n_docs, np.int64)
-                                       for f in field_names}
-    dfs = terms_t["df"].to_numpy()
-    ttfs = terms_t["ttf"].to_numpy()
-    for i in range(terms_t.num_rows):
-        df_i, ttf_i = int(dfs[i]), int(ttfs[i])
-        try:
-            docs, freqs, flat = decode_postings(
-                df_i, ttf_i, terms_t["docs_enc"][i].as_py(),
-                terms_t["freqs_enc"][i].as_py(),
-                terms_t["pos_enc"][i].as_py())
-        except Exception as e:  # corrupt encoding
-            errors.append(f"term {terms[i]!r}: decode failed: {e}")
-            continue
-        if len(docs) != df_i:
-            errors.append(f"term {terms[i]!r}: df {df_i} != {len(docs)}")
-        if len(docs) and (np.any(np.diff(docs) <= 0) or docs[0] < 0
-                          or docs[-1] >= n_docs):
-            errors.append(f"term {terms[i]!r}: docIDs not ascending in range")
-        if int(freqs.sum()) != ttf_i:
-            errors.append(f"term {terms[i]!r}: ttf {ttf_i} != {freqs.sum()}")
-        if len(freqs) and freqs.min() < 1:
-            errors.append(f"term {terms[i]!r}: freq < 1")
-        # positions ascending within each entry
-        ends = np.cumsum(freqs)
-        starts = ends - freqs
-        if len(flat) and np.any(flat < 0):
-            errors.append(f"term {terms[i]!r}: negative position")
-        inner = np.ones(len(flat), dtype=bool)
-        inner[starts[starts < len(flat)]] = False
-        if len(flat) > 1 and np.any(np.diff(flat)[inner[1:]] <= 0):
-            errors.append(f"term {terms[i]!r}: positions not ascending")
-        # impacts / skip metadata re-derivation (against the FIELD's norms)
-        fnorms = norms_by_field.get(tfields[i], norms_by_field.get("text"))
-        idx = np.arange(0, len(docs), fu.BLOCK_SIZE)
-        if len(docs):
-            exp_last = docs[np.minimum(idx + fu.BLOCK_SIZE - 1,
-                                       len(docs) - 1)]
-            exp_maxf = np.maximum.reduceat(freqs, idx)
-            exp_minn = np.minimum.reduceat(fnorms[docs].astype(np.int64), idx)
-            if not (np.array_equal(exp_last,
-                                   np.asarray(terms_t["block_last_doc"][i]
-                                              .as_py())) and
-                    np.array_equal(exp_maxf,
-                                   np.asarray(terms_t["block_max_freq"][i]
-                                              .as_py())) and
-                    np.array_equal(exp_minn,
-                                   np.asarray(terms_t["block_min_norm"][i]
-                                              .as_py()))):
-                errors.append(f"term {terms[i]!r}: skip/impact metadata "
-                              "disagrees with postings")
-        acc = per_field_sums.setdefault(tfields[i], [0, 0, 0])
-        acc[0] += df_i
-        acc[1] += ttf_i
-        acc[2] += 1
-        if tfields[i] in exp_maxtf:
-            np.maximum.at(exp_maxtf[tfields[i]], docs, freqs)
-            np.add.at(exp_uniq[tfields[i]], docs, 1)
-
-    man_fields = man.get("fields") or {"text": {
-        "sum_doc_freq": man["sum_doc_freq"],
-        "sum_total_term_freq": man["sum_total_term_freq"],
-        "unique_terms": man.get("unique_terms", 0)}}
-    for f, (sum_df, sum_ttf, n_terms) in per_field_sums.items():
-        mf = man_fields.get(f, {})
-        if sum_df != mf.get("sum_doc_freq"):
-            errors.append(f"field {f}: sum_doc_freq "
-                          f"{mf.get('sum_doc_freq')} != {sum_df}")
-        if sum_ttf != mf.get("sum_total_term_freq"):
-            errors.append(f"field {f}: sum_total_term_freq "
-                          f"{mf.get('sum_total_term_freq')} != {sum_ttf}")
-    if int(lengths.sum()) != man["sum_total_term_freq"]:
-        errors.append("Σ length != sum_total_term_freq (text)")
-    for f in field_names:
-        sfx = "" if f == "text" else f"_{f}"
-        mcol, ucol = f"max_tf{sfx}", f"unique_terms{sfx}"
-        if mcol in docs_t.column_names:
-            if not np.array_equal(docs_t[mcol].to_numpy().astype(np.int64),
-                                  exp_maxtf[f]):
-                errors.append(f"field {f}: max_tf disagrees with postings")
-            if not np.array_equal(docs_t[ucol].to_numpy().astype(np.int64),
-                                  exp_uniq[f]):
-                errors.append(
-                    f"field {f}: unique_terms disagrees with postings")
+    errors += _check_postings(sp, man_fields, docs_t, norms_by_field)
     _check_quantized_sidecar(d, man, n_docs, errors)
     _check_term_vectors_sidecar(d, docs_t, errors)
-    _check_bloom_sidecar(d, terms_t, errors)
+    _check_bloom_sidecar(d, sp.dictionary, errors)
     return {"seg": man["seg"], "ok": not errors, "errors": errors,
-            "doc_count": n_docs, "unique_terms": terms_t.num_rows}
+            "doc_count": n_docs, "unique_terms": len(sp)}
+
+
+def _check_postings(sp: SegmentPostings, man_fields: dict, docs_t,
+                    norms_by_field: dict) -> list[str]:
+    """The postings invariants over the segment's whole decode
+    (``check_postings_files`` has held each record to its streams)."""
+    n, n_docs = len(sp), docs_t.num_rows
+    df, ttf = sp.df.astype(np.int64), sp.ttf.astype(np.int64)
+    try:
+        docs, freqs, voffs = sp.docs_freqs(np.arange(n))
+        posd = cfor.decode_streams_at(np.frombuffer(
+            sp.pos.read(0, sp.pos.size), np.uint8), sp.pos_ptr, ttf)[0]
+    except IndexError as e:  # corrupt encoding
+        return [f"postings decode failed: {e}"]
+    errors: list[str] = []
+
+    def flag(bad_terms: np.ndarray, what: str) -> None:
+        """One error for the term rows ``bad_terms``, naming the first."""
+        if len(bad_terms):
+            i = int(bad_terms.min())
+            errors.append(f"{len(np.unique(bad_terms))} terms: {what}, first "
+                          f"term {sp.dictionary['field'][i].as_py()}:"
+                          f"{sp.dictionary['term'][i].as_py()!r}")
+
+    term_of = np.repeat(np.arange(n), df)  # each entry's term row
+    first = voffs[:-1]  # each term's first entry (every df >= 1)
+    rising = np.ones(len(docs), bool)
+    rising[1:] = docs[1:] > docs[:-1]
+    rising[first] = True
+    in_range = (docs >= 0) & (docs < n_docs)
+    flag(term_of[~(rising & in_range)],
+         f"docIDs not strictly ascending in [0, {n_docs})")
+    flag(term_of[freqs < 1], "freq < 1")
+    sums = np.add.reduceat(freqs, first) if n else ttf
+    flag(np.flatnonzero(sums != ttf), "ttf != Σ freq")
+    if np.array_equal(sums, ttf) and (freqs >= 0).all():
+        entry_of = np.repeat(np.arange(len(freqs)), freqs)
+        inner = np.zeros(len(posd), bool)  # not an entry's first position
+        inner[1:] = entry_of[1:] == entry_of[:-1]
+        flag(term_of[entry_of[posd < 0]], "negative position")
+        flag(term_of[entry_of[inner & (posd <= 0)]],
+             "positions not strictly ascending")
+    ranges = field_ranges(sp.dictionary)
+    for f, (lo, hi) in ranges.items():
+        mf = man_fields.get(f, {})
+        for key, got in (("sum_doc_freq", int(df[lo:hi].sum())),
+                         ("sum_total_term_freq", int(ttf[lo:hi].sum()))):
+            if got != mf.get(key):
+                errors.append(f"field {f}: {key} {mf.get(key)} != {got}")
+    if not in_range.all():
+        return errors  # the checks below index by docID
+
+    # every 128-entry block; a multi-block term's .doc record ends with
+    # its blocks' last docs, then max freqs, then min norms (int32 each)
+    nb = (df + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
+    blk_term = np.repeat(np.arange(n), nb)
+    within = np.arange(len(blk_term)) - np.repeat(np.cumsum(nb) - nb, nb)
+    blk = voffs[blk_term] + fu.BLOCK_SIZE * within  # block's first entry
+    multi = nb[blk_term] > 1
+    if multi.any():
+        entry_norm = np.empty(len(docs), np.int64)
+        for f, (lo, hi) in ranges.items():
+            at = slice(voffs[lo], voffs[hi])
+            entry_norm[at] = norms_by_field[f][docs[at]]
+        derived = (docs[np.minimum(blk + fu.BLOCK_SIZE,
+                                   voffs[blk_term + 1]) - 1],
+                   np.maximum.reduceat(freqs, blk),
+                   np.minimum.reduceat(entry_norm, blk))
+        t = blk_term[multi]
+        at = np.append(sp.doc_ptr[1:], sp.doc.size).astype(np.int64)[t] \
+            - 12 * nb[t] + 4 * within[multi]
+        doc = np.frombuffer(sp.doc.read(0, sp.doc.size), np.uint8)
+        for k, name in enumerate(BLOCK_COLS):
+            got = doc[(at + 4 * k * nb[t])[:, None] + np.arange(4)]
+            flag(t[got.view("<i4")[:, 0] != derived[k][multi]],
+                 f"{name} disagrees with postings")
+
+    # FieldInvertState's per-doc stats of each field
+    for f in norms_by_field:
+        sfx = "" if f == "text" else f"_{f}"
+        if f"max_tf{sfx}" not in docs_t.column_names:
+            continue
+        lo, hi = ranges.get(f, (0, 0))
+        at = slice(voffs[lo], voffs[hi])
+        max_tf = np.zeros(n_docs, np.int64)
+        np.maximum.at(max_tf, docs[at], freqs[at])
+        for stat, want in (("max_tf", max_tf), ("unique_terms", np.bincount(
+                docs[at], minlength=n_docs))):
+            if not np.array_equal(docs_t[stat + sfx].to_numpy(), want):
+                errors.append(f"field {f}: {stat} disagrees with postings")
+    return errors
 
 
 def check_postings_files(seg_dir: str) -> list[str]:
-    """The record layout the dictionary's pointers promise (segments of
-    the old all-in-``terms.parquet`` layout have no pointers to check)."""
-    t = pq.read_table(os.path.join(seg_dir, TERMS_FILE))
-    if "doc_ptr" not in t.column_names:
-        return []
-    errors: list[str] = []
-    df = t["df"].to_numpy().astype(np.int64)
-    ttf = t["ttf"].to_numpy().astype(np.int64)
-    files = {}
+    """The record layout the dictionary's pointers promise."""
+    t = read_dictionary(seg_dir)
+    df, ttf = (t[c].to_numpy().astype(np.int64) for c in ("df", "ttf"))
+    errors = [] if np.all(df >= 1) and np.all(ttf >= df) else \
+        ["a term has df < 1 or ttf < df"]
+    recs = {}  # file name -> (record pointers, file bytes)
     for col, name in (("doc_ptr", DOC_FILE), ("pos_ptr", POS_FILE)):
         ptr = t[col].to_numpy().astype(np.int64)
         buf = np.fromfile(os.path.join(seg_dir, name), np.uint8)
@@ -200,44 +202,45 @@ def check_postings_files(seg_dir: str) -> list[str]:
             errors.append(f"{name}: pointers do not ascend from 0")
         elif len(ptr) and ptr[-1] > len(buf):
             errors.append(f"{name}: a record starts past the end of file")
-        files[name] = (ptr, np.append(ptr, len(buf)), buf)
-    if np.any(ttf < df):
-        errors.append("a term has ttf < df")
+        recs[name] = (ptr, buf)
     if errors:
         return errors
-    terms = t["term"]
-    (ptr, bounds, doc), (pptr, pbounds, pos) = files[DOC_FILE], files[POS_FILE]
+    (ptr, doc), (pptr, pos) = recs[DOC_FILE], recs[POS_FILE]
     nb = (df + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
     has = ttf > df
     try:
         dl = stream_nbytes(doc, ptr, df)
         fl = np.zeros_like(dl)
         fl[has] = stream_nbytes(doc, ptr[has] + dl[has], df[has])
-        expect = dl + fl + np.where(nb > 1, 12 * nb, 0)
-        pexpect = stream_nbytes(pos, pptr, ttf)
+        want = {DOC_FILE: dl + fl + np.where(nb > 1, 12 * nb, 0),
+                POS_FILE: stream_nbytes(pos, pptr, ttf)}
     except IndexError:
         return ["postings streams run past the end of their file"]
-    for name, got, want in ((DOC_FILE, np.diff(bounds), expect),
-                            (POS_FILE, np.diff(pbounds), pexpect)):
-        bad = np.flatnonzero(got != want)
+    for name, (p, buf) in recs.items():
+        bad = np.flatnonzero(np.diff(np.append(p, len(buf))) != want[name])
         if len(bad):
+            i = int(bad[0])
             errors.append(f"{name}: {len(bad)} records do not match their "
-                          f"streams, first term {terms[int(bad[0])]}")
+                          f"streams, first term {t['field'][i]}:"
+                          f"{t['term'][i]}")
     return errors
 
 
-def _keys_ascending(terms_t) -> bool:
-    """(field, term) keys strictly ascending, compared as UTF-8 bytes
-    (BytesRef order == code-point order) by Arrow, row against row."""
-    n = terms_t.num_rows
+def _keys_ascending(t: pa.Table, cols=("field", "term"),
+                    strict: bool = True) -> bool:
+    """Rows ascending by ``cols`` (strictly when ``strict``), compared by
+    Arrow row against row — strings as UTF-8 bytes (BytesRef order ==
+    code-point order)."""
+    n = t.num_rows
     if n < 2:
         return True
-    term = terms_t["term"]
-    ok = pc.less(term.slice(0, n - 1), term.slice(1))
-    if "field" in terms_t.column_names:
-        f = terms_t["field"].cast(pa.string())
-        f0, f1 = f.slice(0, n - 1), f.slice(1)
-        ok = pc.or_(pc.less(f0, f1), pc.and_(pc.equal(f0, f1), ok))
+    ok = pa.array(np.full(n - 1, not strict))  # rows equal in every col
+    for c in reversed(cols):
+        col = t[c]
+        if pa.types.is_dictionary(col.type):
+            col = col.cast(col.type.value_type)
+        a, b = col.slice(0, n - 1), col.slice(1)
+        ok = pc.or_(pc.less(a, b), pc.and_(pc.equal(a, b), ok))
     return bool(pc.all(ok).as_py())
 
 
@@ -246,7 +249,6 @@ def _check_bloom_sidecar(seg_dir: str, terms_t, errors: list[str]) -> None:
     term actually in the dictionary (false negatives are corruption;
     false positives are by design)."""
     from .bloom import load_segment_bloom, murmur128_bulk, terms_by_field
-    import numpy as np
     blooms = load_segment_bloom(seg_dir)
     if blooms is None:
         return
@@ -279,41 +281,32 @@ def _check_term_vectors_sidecar(seg_dir: str, docs_t, errors: list[str]
     if not os.path.exists(path):
         return
     tv = pq.read_table(path)
-    if tv.num_rows == 0:
-        return
-    ids = tv["doc_id"].to_numpy()
-    seg_ids = set(docs_t["doc_id"].to_numpy().tolist())
-    if not set(np.unique(ids).tolist()) <= seg_ids:
+    if not np.isin(tv["doc_id"].to_numpy(),
+                   docs_t["doc_id"].to_numpy()).all():
         errors.append("term vectors reference doc_ids outside the segment")
-    keys = list(zip(ids.tolist(), tv["field"].to_pylist(),
-                    tv["term"].to_pylist()))
-    if keys != sorted(keys):
+    if not _keys_ascending(tv, ("doc_id", "field", "term"), strict=False):
         errors.append("term vectors not sorted by (doc_id, field, term)")
-    freqs = tv["freq"].to_numpy()
     pos = tv["positions"].combine_chunks()
     lens = np.diff(pos.offsets.to_numpy())
-    if not np.array_equal(freqs.astype(np.int64), lens.astype(np.int64)):
+    if not np.array_equal(tv["freq"].to_numpy(), lens):
         errors.append("term vector freq != len(positions)")
     flat = pos.flatten().to_numpy()
-    if len(flat) and flat.min() < 0:
+    if (flat < 0).any():
         errors.append("negative term vector position")
-    starts = pos.offsets.to_numpy()[:-1]
-    if len(flat) > 1:
-        rising = np.ones(len(flat), bool)
-        rising[1:] = flat[1:] > flat[:-1]
-        rising[starts] = True  # list boundaries restart
-        if not rising.all():
-            errors.append("term vector positions not strictly ascending")
+    rising = np.ones(len(flat), bool)
+    rising[1:] = flat[1:] > flat[:-1]
+    rising[pos.offsets.to_numpy()[:-1][lens > 0]] = True  # lists restart
+    if not rising.all():
+        errors.append("term vector positions not strictly ascending")
 
 
 def _check_quantized_sidecar(seg_dir: str, man: dict, n_docs: int,
                              errors: list[str]) -> None:
     """int8 scalar-quantized sidecar integrity: manifest params present,
     row count matches, bytes within [0, 2^bits − 1], null mask agrees
-    with the float sidecar, and requantizing the floats with the
-    manifest's (lo, hi, bits) reproduces the stored bytes and
-    corrections exactly (flush determinism — the CheckIndex spirit of
-    re-deriving what the files claim)."""
+    with the float sidecar, and one requantization of the floats with the
+    manifest's (lo, hi, bits) reproduces the stored bytes and corrections
+    exactly (flush determinism)."""
     qpath = os.path.join(seg_dir, "vectors_q.parquet")
     if not os.path.exists(qpath):
         return
@@ -330,15 +323,14 @@ def _check_quantized_sidecar(seg_dir: str, man: dict, n_docs: int,
     col = qt["qvec"].combine_chunks()
     qnull = np.asarray(col.is_null()) if col.null_count \
         else np.zeros(n_docs, bool)
-    rows = col.to_numpy(zero_copy_only=False)
-    hi_byte = (1 << int(qmeta.get("bits", 7))) - 1
-    for i, r in enumerate(rows):
-        if r is None:
-            continue
-        a = np.asarray(r, np.int64)
-        if a.min() < 0 or a.max() > hi_byte:
-            errors.append(f"quantized bytes out of [0,{hi_byte}] at doc {i}")
-            break
+    qflat = pc.list_flatten(col).to_numpy().astype(np.int64)
+    qlen = pc.list_value_length(col).fill_null(0).to_numpy()
+    bits = int(qmeta.get("bits", 7))
+    hi_byte = (1 << bits) - 1
+    bad = np.flatnonzero((qflat < 0) | (qflat > hi_byte))
+    if len(bad):
+        i = int(np.searchsorted(np.cumsum(qlen), bad[0], side="right"))
+        errors.append(f"quantized bytes out of [0,{hi_byte}] at doc {i}")
     vpath = os.path.join(seg_dir, "vectors.parquet")
     if not os.path.exists(vpath):
         errors.append("quantized sidecar without float vector sidecar")
@@ -349,19 +341,28 @@ def _check_quantized_sidecar(seg_dir: str, man: dict, n_docs: int,
     if not np.array_equal(qnull, vnull):
         errors.append("quantized/float sidecar null masks disagree")
         return
-    sq = ScalarQuantizer(float(qmeta["lo"]), float(qmeta["hi"]),
-                         int(qmeta.get("bits", 7)))
-    vrows = vcol.to_numpy(zero_copy_only=False)
-    corr = qt["qcorr"].to_numpy(zero_copy_only=False)
-    for i in np.flatnonzero(~qnull):
-        qb, c = sq.quantize(np.asarray(vrows[i], np.float64)[None, :])
-        if not np.array_equal(qb[0], np.asarray(rows[i], np.int8)):
-            errors.append(f"requantization disagrees with stored bytes "
-                          f"at doc {i}")
-            return
-        if abs(float(c[0]) - float(corr[i])) > 1e-9:
-            errors.append(f"stored correction disagrees at doc {i}")
-            return
+    # one quantize over the non-null rows, a [rows, dim] matrix
+    live = np.flatnonzero(~qnull)
+    vlen = pc.list_value_length(vcol).fill_null(0).to_numpy()[live]
+    dim = int(vlen[0]) if len(live) else 0
+    if np.any(vlen != dim):
+        errors.append("float vectors of differing dimension")
+        return
+    sq = ScalarQuantizer(float(qmeta["lo"]), float(qmeta["hi"]), bits)
+    qb, corr = sq.quantize(
+        pc.list_flatten(vcol).to_numpy().reshape(len(live), dim))
+    wrong = qlen[live] != dim
+    if not wrong.any():
+        wrong = np.any(qflat.reshape(qb.shape) != qb, axis=1)
+    if wrong.any():
+        errors.append(f"requantization disagrees with stored bytes "
+                      f"at doc {live[np.argmax(wrong)]}")
+        return
+    off = np.abs(corr - qt["qcorr"].to_numpy(zero_copy_only=False)[live]
+                 .astype(np.float64)) > 1e-9
+    if off.any():
+        errors.append(f"stored correction disagrees at doc "
+                      f"{live[np.argmax(off)]}")
 
 
 def check_index(index_dir: str, parallel: bool = True) -> dict:
@@ -393,14 +394,12 @@ def check_index(index_dir: str, parallel: bool = True) -> dict:
         *(sums[c].to_pylist() for c in ("field", "df_sum", "ttf_sum")))}
     per = manifest.get("fields") or {"text": manifest}
     for f in sorted(set(per) | set(got)):
-        df, ttf = got.get(f, (0, 0))
-        want = per.get(f, {})
-        if want.get("sum_doc_freq", 0) != df:
-            errors.append(f"field {f}: manifest sum_doc_freq "
-                          f"{want.get('sum_doc_freq')} != Σ df {df}")
-        if want.get("sum_total_term_freq", 0) != ttf:
-            errors.append(f"field {f}: manifest sum_total_term_freq "
-                          f"{want.get('sum_total_term_freq')} != Σ ttf {ttf}")
+        for (key, col), v in zip((("sum_doc_freq", "df"),
+                                  ("sum_total_term_freq", "ttf")),
+                                 got.get(f, (0, 0))):
+            if per.get(f, {}).get(key, 0) != v:
+                errors.append(f"field {f}: manifest {key} "
+                              f"{per.get(f, {}).get(key)} != Σ {col} {v}")
     return {"ok": not errors, "doc_count": manifest["doc_count"],
             "segments": seg_reports, "errors": errors}
 

@@ -459,7 +459,7 @@ def _merge_records(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
     fused decode and encode of ``merge_postings``, ``encode_sec`` the
     dictionary's assembly."""
     from ..util import cfor
-    from .postings import SegmentPostings
+    from .postings import SegmentPostings, field_ranges
 
     def ends(ptr, lo, hi, size):  # rows' pointers + the last one's end
         return np.append(ptr[lo:hi], ptr[hi] if hi < len(ptr) else size)
@@ -470,7 +470,7 @@ def _merge_records(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
     for si, d in enumerate(dirs):
         sp = SegmentPostings(d)
         srcs.append(_Source(sp, sp.dictionary["term"].combine_chunks(),
-                            _field_runs(sp.dictionary),
+                            field_ranges(sp.dictionary),
                             sp.doc.read(0, sp.doc.size),
                             sp.pos.read(0, sp.pos.size),
                             inv_perm[bounds[si]:bounds[si + 1]]))
@@ -538,20 +538,6 @@ def _merge_records(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
 # {field: (lo, hi)} row runs, whole .doc / .pos buffers and doc map
 _Source = collections.namedtuple("_Source",
                                  "postings terms runs doc pos inv")
-
-
-def _field_runs(dictionary: pa.Table) -> dict:
-    """``{field: (lo, hi)}``: each field's rows of a (field, term)-sorted
-    dictionary (a dictionary without a ``field`` column is all
-    ``text``)."""
-    n = dictionary.num_rows
-    if "field" not in dictionary.column_names:
-        return {"text": (0, n)} if n else {}
-    runs = pc.run_end_encode(
-        dictionary["field"].combine_chunks().cast(pa.string()))
-    ends = runs.run_ends.to_numpy().tolist()
-    return {f: (lo, hi) for f, lo, hi in
-            zip(runs.values.to_pylist(), [0] + ends[:-1], ends)}
 
 
 MERGE_POLICIES = {

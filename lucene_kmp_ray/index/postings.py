@@ -27,11 +27,10 @@ record into ``docs_enc`` / ``freqs_enc`` when a caller asks for those.
 Every read is checked against the record's stream bytes, so a truncated
 or corrupt record raises IndexError instead of reading past its buffer.
 
-Segments written before this layout keep every payload column in
-``terms.parquet``; ``SegmentPostings`` reads such a table once, whole,
-and splits it in memory with ``split_postings``, so both layouts answer
-through one lookup path. That old-layout read is ``split_postings``'
-only engine caller.
+The dictionary's schema is the layout's version: ``read_dictionary``
+accepts exactly ``DICT_COLS`` and raises ValueError for anything else
+(segments that kept the postings payload in ``terms.parquet``, or a
+dictionary without a ``field`` column, predate this layout).
 
 ``write_postings`` stores the three parts as they are. One C record
 writer makes them: the flush (``format.encode_term_table_arrays``)
@@ -55,9 +54,8 @@ from ..util import forutil as fu
 TERMS_FILE = "terms.parquet"
 DOC_FILE = "postings.doc"
 POS_FILE = "postings.pos"
-PAYLOAD_COLS = ("docs_enc", "freqs_enc", "pos_enc")
+DICT_COLS = ("field", "term", "df", "ttf", "doc_ptr", "pos_ptr")
 BLOCK_COLS = ("block_last_doc", "block_max_freq", "block_min_norm")
-_EMPTY = pa.scalar(b"", pa.binary())
 
 
 def _binary_parts(col) -> tuple[pa.Buffer, np.ndarray]:
@@ -71,52 +69,6 @@ def _binary_parts(col) -> tuple[pa.Buffer, np.ndarray]:
         return pa.py_buffer(b""), np.zeros(1, np.int64)
     data = bufs[2] if bufs[2] is not None else pa.py_buffer(b"")
     return data.slice(int(offs[0]), int(offs[-1] - offs[0])), offs - offs[0]
-
-
-def _n_blocks(df: np.ndarray) -> np.ndarray:
-    return (np.asarray(df, np.int64) + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
-
-
-def _meta_column(t: pa.Table, df: np.ndarray) -> pa.Array:
-    """Per-term skip/impact metadata bytes: the three block lists of a
-    multi-block term as int32, empty for a single-block term."""
-    nb = _n_blocks(df)
-    lens = np.where(nb > 1, 3 * nb, 0)
-    offs = np.zeros(len(df) + 1, np.int64)
-    np.cumsum(lens, out=offs[1:])
-    vals = np.empty(int(offs[-1]), np.int32)
-    if len(vals):
-        cnt = nb[nb > 1]
-        starts = np.cumsum(nb) - nb
-        # concatenated block ranges of the multi-block terms
-        within = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt,
-                                                       cnt)
-        src = np.repeat(starts[nb > 1], cnt) + within
-        dst = np.repeat(offs[:-1][nb > 1], cnt) + within
-        for k, name in enumerate(BLOCK_COLS):
-            flat = pc.list_flatten(t[name]).to_numpy()
-            vals[dst + k * np.repeat(cnt, cnt)] = flat[src]
-    return pa.Array.from_buffers(
-        pa.binary(), len(df),
-        [None, pa.py_buffer((offs * 4).astype(np.int32).tobytes()),
-         pa.py_buffer(vals.astype("<i4").tobytes())])
-
-
-def split_postings(t: pa.Table) -> tuple[pa.Table, pa.Buffer, pa.Buffer]:
-    """Logical terms table → (dictionary table with ``doc_ptr``/
-    ``pos_ptr``, ``postings.doc`` bytes, ``postings.pos`` bytes): how an
-    old-layout segment, whose ``terms.parquet`` holds the payload
-    columns, is read (``SegmentPostings``)."""
-    df = t["df"].to_numpy()
-    ttf = t["ttf"].to_numpy()
-    freqs = pc.if_else(pa.array(ttf > df), t["freqs_enc"], _EMPTY)
-    doc, doc_offs = _binary_parts(pc.binary_join_element_wise(
-        t["docs_enc"], freqs, _meta_column(t, df), _EMPTY))
-    pos, pos_offs = _binary_parts(t["pos_enc"])
-    cols = {c: t[c] for c in ("field", "term") if c in t.column_names}
-    cols.update(df=_narrow(df), ttf=_narrow(ttf), doc_ptr=_narrow(
-        doc_offs[:-1]), pos_ptr=_narrow(pos_offs[:-1]))
-    return pa.table(cols), doc, pos
 
 
 def _narrow(a: np.ndarray) -> pa.Array:
@@ -201,23 +153,16 @@ def _decode_records(buf: np.ndarray, starts: np.ndarray, df: np.ndarray,
 
 class _Flat:
     """One flat postings file: an open file read with ``os.preadv`` into
-    Arrow-pool buffers (a large read never lands on the Python heap), or
-    an in-memory buffer (old-layout segments)."""
+    Arrow-pool buffers (a large read never lands on the Python heap)."""
 
-    def __init__(self, path: str | None = None, buf=None):
+    def __init__(self, path: str):
         self.path = path
-        if path is not None:
-            self._f = open(path, "rb", buffering=0)
-            self.size = os.fstat(self._f.fileno()).st_size
-        else:
-            self._buf = buf
-            self.size = buf.size
+        self._f = open(path, "rb", buffering=0)
+        self.size = os.fstat(self._f.fileno()).st_size
 
     def read(self, start: int, end: int) -> pa.Buffer:
         """Bytes ``[start, end)``; IndexError when the file ends first
         (a truncated file never hands out unread buffer bytes)."""
-        if self.path is None:
-            return self._buf.slice(start, end - start)
         out = pa.allocate_buffer(end - start)
         if os.preadv(self._f.fileno(), [out], start) != end - start:
             raise IndexError(f"{self.path} ends before byte {end}")
@@ -271,20 +216,37 @@ class TermRow(dict):
         return self[key]
 
 
+def read_dictionary(seg_dir: str) -> pa.Table:
+    """A segment's ``terms.parquet``, whose columns must be exactly
+    ``DICT_COLS``; ValueError names the segment and the layout found."""
+    t = pq.read_table(os.path.join(seg_dir, TERMS_FILE))
+    if t.column_names != list(DICT_COLS):
+        raise ValueError(
+            f"{seg_dir}: {TERMS_FILE} holds {', '.join(t.column_names)}: an "
+            f"old layout, not the flat-postings dictionary "
+            f"({', '.join(DICT_COLS)})")
+    return t
+
+
+def field_ranges(dictionary: pa.Table) -> dict[str, tuple[int, int]]:
+    """``{field: (lo, hi)}``: each field's rows of a (field, term)-sorted
+    dictionary, in row order (one block-tree per field,
+    Lucene90BlockTreeTermsWriter.kt:153)."""
+    runs = pc.run_end_encode(
+        dictionary["field"].combine_chunks().cast(pa.string()))
+    ends = runs.run_ends.to_numpy().tolist()
+    return {f: (lo, hi) for f, lo, hi in
+            zip(runs.values.to_pylist(), [0] + ends[:-1], ends)}
+
+
 class SegmentPostings:
     """A segment's term dictionary arrays and its open postings files."""
 
-    def __init__(self, seg_dir: str, table: pa.Table | None = None):
-        t = pq.read_table(os.path.join(seg_dir, TERMS_FILE)) \
-            if table is None else table
-        if "docs_enc" in t.column_names:  # old layout: split in memory
-            t, doc, pos = split_postings(t)
-            self.doc, self.pos = _Flat(buf=doc), _Flat(buf=pos)
-        else:
-            self.doc = _Flat(os.path.join(seg_dir, DOC_FILE))
-            self.pos = _Flat(os.path.join(seg_dir, POS_FILE))
-        self.dictionary = t.select([c for c in ("field", "term")
-                                    if c in t.column_names])
+    def __init__(self, seg_dir: str):
+        t = read_dictionary(seg_dir)
+        self.doc = _Flat(os.path.join(seg_dir, DOC_FILE))
+        self.pos = _Flat(os.path.join(seg_dir, POS_FILE))
+        self.dictionary = t.select(["field", "term"])
         # zero-copy views of the Arrow columns
         self.df, self.ttf, self.doc_ptr, self.pos_ptr = (
             t[c].combine_chunks().to_numpy()
@@ -327,125 +289,3 @@ class SegmentPostings:
             self.doc_ptr, int(idxs[-1]), self.doc.size)), np.uint8)
         return _decode_records(buf, self.doc_ptr[idxs] - base,
                                self.df[idxs], self.ttf[idxs], freqs)
-
-    def logical_table(self, norms: dict | None = None,
-                      columns=None) -> pa.Table:
-        """The full logical terms table (``field, term, df, ttf`` plus
-        the payload columns) — what segments stored before the flat
-        files. ``norms`` ({field: norm bytes}) is needed only for
-        ``block_min_norm``; ``columns`` limits the payload columns."""
-        want = [c for c in PAYLOAD_COLS + BLOCK_COLS
-                if columns is None or c in columns]
-        n = len(self)
-        doc = np.frombuffer(self.doc.read(0, self.doc.size), np.uint8)
-        df = self.df.astype(np.int64)
-        ttf = self.ttf.astype(np.int64)
-        starts = self.doc_ptr.astype(np.int64)
-        ends = np.append(starts[1:], self.doc.size)
-        dl = stream_nbytes(doc, starts, df)
-        out = {c: self.dictionary[c] for c in self.dictionary.column_names}
-        out["df"], out["ttf"] = pa.array(df), pa.array(ttf)
-        if "docs_enc" in want:
-            out["docs_enc"] = _gather(doc, starts, dl)
-        if "freqs_enc" in want:
-            # ttf == df terms get the all-ones stream of their df,
-            # appended once per distinct df after the file bytes
-            ones = ttf == df
-            u, inv = np.unique(df[ones], return_inverse=True)
-            tmpl = [ones_stream(x) for x in u]
-            tl = np.array([len(x) for x in tmpl], np.int64)
-            src = np.concatenate([doc, np.frombuffer(b"".join(tmpl),
-                                                     np.uint8)])
-            fs, fl = starts + dl, ends - starts - dl - \
-                np.where(_n_blocks(df) > 1, 12 * _n_blocks(df), 0)
-            fs[ones] = len(doc) + (np.cumsum(tl) - tl)[inv]
-            fl[ones] = tl[inv]
-            out["freqs_enc"] = _gather(src, fs, fl)
-        if "pos_enc" in want:
-            offs = np.append(self.pos_ptr, self.pos.size).astype(np.int32)
-            out["pos_enc"] = pa.Array.from_buffers(
-                pa.binary(), n, [None, pa.py_buffer(offs.tobytes()),
-                                 self.pos.read(0, self.pos.size)])
-        if any(c in want for c in BLOCK_COLS):
-            out.update(self._block_columns(doc, ends, norms or {}))
-        return pa.table({c: out[c] for c in
-                         list(self.dictionary.column_names) + ["df", "ttf"]
-                         + want})
-
-    def _block_columns(self, doc: np.ndarray, ends: np.ndarray,
-                       norms: dict) -> dict:
-        """Skip/impact list columns: stored for multi-block terms,
-        re-derived from the one block for the rest."""
-        df = self.df.astype(np.int64)
-        nb = _n_blocks(df)
-        loffs = np.zeros(len(df) + 1, np.int64)
-        np.cumsum(nb, out=loffs[1:])
-        cols = [np.empty(int(loffs[-1]), np.int64) for _ in BLOCK_COLS]
-        multi = np.flatnonzero(nb > 1)
-        for i in multi:
-            end = int(ends[i])
-            meta = doc[end - 12 * nb[i]:end].view("<i4").reshape(3, nb[i])
-            for k in range(3):
-                cols[k][loffs[i]:loffs[i + 1]] = meta[k]
-        single = np.flatnonzero(nb == 1)
-        docs, freqs, voffs = _decode_records(
-            doc, self.doc_ptr[single], df[single], self.ttf[single])
-        if len(single):
-            at = loffs[single]
-            cols[0][at] = docs[voffs[1:] - 1]
-            cols[1][at] = np.maximum.reduceat(freqs, voffs[:-1])
-            fields = self.dictionary["field"].to_numpy() \
-                if "field" in self.dictionary.column_names else None
-            entry_norm = np.empty(len(docs), np.int64)
-            term_of = np.repeat(single, df[single])
-            for f in (np.unique(fields[single]) if fields is not None
-                      else ["text"]):
-                sel = fields[term_of] == f if fields is not None else \
-                    slice(None)
-                entry_norm[sel] = norms[f][docs[sel]]
-            cols[2][at] = np.minimum.reduceat(entry_norm, voffs[:-1])
-        return {name: pa.ListArray.from_arrays(
-                    pa.array(loffs.astype(np.int32)),
-                    pa.array(c.astype(np.int32)))
-                for name, c in zip(BLOCK_COLS, cols)}
-
-
-def _gather(src: np.ndarray, starts: np.ndarray,
-            lens: np.ndarray) -> pa.Array:
-    """Binary column of the byte slices ``src[starts[i]:+lens[i]]``."""
-    lens = np.asarray(lens, np.int64)
-    offs = np.zeros(len(lens) + 1, np.int64)
-    np.cumsum(lens, out=offs[1:])
-    idx = np.repeat(np.asarray(starts, np.int64) - offs[:-1], lens)
-    idx += np.arange(int(offs[-1]), dtype=np.int64)
-    return pa.Array.from_buffers(
-        pa.binary(), len(lens),
-        [None, pa.py_buffer(offs.astype(np.int32).tobytes()),
-         pa.py_buffer(src[idx].tobytes())])
-
-
-def read_norms(seg_dir: str) -> dict:
-    """{field: norm bytes} of one segment (field "text" keeps the legacy
-    ``norm`` column name)."""
-    from .format import DOCS_FILE
-    path = os.path.join(seg_dir, DOCS_FILE)
-    names = [c for c in pq.read_schema(path).names
-             if c == "norm" or c.startswith("norm_")]
-    t = pq.read_table(path, columns=names)
-    return {("text" if c == "norm" else c[5:]):
-            t[c].to_numpy().astype(np.uint8) for c in names}
-
-
-def read_terms_table(seg_dir: str, columns=None) -> pa.Table:
-    """One segment's full logical terms table — ``field, term, df, ttf,
-    docs_enc, freqs_enc, pos_enc, block_last_doc, block_max_freq,
-    block_min_norm`` — from either layout; ``columns`` limits the
-    payload columns (block metadata then needs no norms read)."""
-    t = pq.read_table(os.path.join(seg_dir, TERMS_FILE))
-    if "docs_enc" in t.column_names:
-        return t if columns is None else t.select(
-            [c for c in t.column_names
-             if c not in PAYLOAD_COLS + BLOCK_COLS or c in columns])
-    need_norms = any(c in BLOCK_COLS for c in (columns or BLOCK_COLS))
-    return SegmentPostings(seg_dir, t).logical_table(
-        read_norms(seg_dir) if need_norms else None, columns)

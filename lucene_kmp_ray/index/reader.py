@@ -39,7 +39,7 @@ import pyarrow.parquet as pq
 from ..util import cfor
 from ..util import forutil as fu
 from .format import DOCS_FILE, TVECTORS_FILE, decode_postings
-from .postings import SegmentPostings
+from .postings import SegmentPostings, field_ranges
 
 INDEX_MANIFEST = "manifest.json"
 
@@ -117,21 +117,7 @@ class SegmentReader:
             p = self._postings = SegmentPostings(self.dir)
             self._terms = p.dictionary
             self._term_search = cfor.SortedTerms(self._terms["term"])
-            # (field, term)-sorted dictionary → per-field contiguous row
-            # ranges (one block-tree per field,
-            # Lucene90BlockTreeTermsWriter.kt:153); legacy single-field
-            # tables (no field column) read as one "text" range
-            if "field" in self._terms.column_names:
-                self._field_ranges = {}
-                if len(p):
-                    runs = pc.run_end_encode(
-                        self._terms["field"].combine_chunks())
-                    ends = runs.run_ends.to_numpy()
-                    for f, lo, hi in zip(runs.values.to_pylist(),
-                                         np.append(0, ends[:-1]), ends):
-                        self._field_ranges[f] = (int(lo), int(hi))
-            else:
-                self._field_ranges = {"text": (0, len(p))}
+            self._field_ranges = field_ranges(self._terms)
         return self._terms
 
     @property

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import zlib
 
+from .postings import field_ranges
+
 NEWLINE = 0x0A
 ESCAPE = 0x5C
 FIELD = b"field "
@@ -52,29 +54,22 @@ def export_segment_postings(sr, fields: tuple[str, ...] | None = None
         out.extend(_escaped(payload.encode("utf-8")))
         out.append(NEWLINE)
 
-    terms = sr.terms_table  # (field, term) dictionary, sorted
     doc_ids = sr.doc_meta["doc_id"].to_numpy()
-    field_col = terms["field"].to_pylist() if "field" in terms.column_names \
-        else ["text"] * terms.num_rows
     term_col = sr.term_search  # decodes one term per TERM line
-    want = set(fields) if fields is not None else None
-    cur_field = None
-    for i in range(terms.num_rows):
-        f = field_col[i]
-        if want is not None and f not in want:
+    for f, (lo, hi) in field_ranges(sr.terms_table).items():
+        if fields is not None and f not in fields:
             continue
-        if f != cur_field:
-            line(FIELD, f)
-            cur_field = f
-        line(TERM, term_col[i])
-        docs, freqs, pos = sr.postings_at(i, positions=True)
-        p = 0
-        for d, fr in zip(docs, freqs):
-            line(DOC, str(int(doc_ids[d])))
-            line(FREQ, str(int(fr)))
-            for k in range(int(fr)):
-                line(POS, str(int(pos[p])))
-                p += 1
+        line(FIELD, f)
+        for i in range(lo, hi):
+            line(TERM, term_col[i])
+            docs, freqs, pos = sr.postings_at(i, positions=True)
+            p = 0
+            for d, fr in zip(docs, freqs):
+                line(DOC, str(int(doc_ids[d])))
+                line(FREQ, str(int(fr)))
+                for k in range(int(fr)):
+                    line(POS, str(int(pos[p])))
+                    p += 1
     line(END)
     crc = zlib.crc32(bytes(out)) & 0xFFFFFFFF
     line(CHECKSUM, str(crc).rjust(20, "0"))

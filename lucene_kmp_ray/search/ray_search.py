@@ -543,7 +543,20 @@ class SearcherPool:
                              for c, v in out.items()})
 
     def shutdown(self):
+        """Kill the slice actors and return once each is dead: no actor
+        outlives the pool, and a call made after this raises
+        RayActorError. ``ray.kill`` only asks for the kill, so each actor
+        is pinged until its death is known."""
+        import time
+
         import ray as _ray
         for a in self._actors:
             _ray.kill(a)
+        for a in self._actors:
+            while True:
+                try:
+                    _ray.get(a.__ray_ready__.remote())
+                except _ray.exceptions.RayActorError:
+                    break
+                time.sleep(0.01)
         self._actors = []

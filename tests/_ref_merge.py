@@ -16,13 +16,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from _ref_codec import decode_blocks
-from _ref_postings import (encode_term_table, encode_term_table_arrays,
-                           prepend_field)
+from _ref_postings import (PAYLOAD_COLS, encode_term_table,
+                           encode_term_table_arrays, logical_table,
+                           prepend_field, split_postings)
 
 from lucene_kmp_ray.index import merge
 from lucene_kmp_ray.index.format import field_stats_of, sorted_codes
-from lucene_kmp_ray.index.postings import (PAYLOAD_COLS, read_terms_table,
-                                           split_postings)
 from lucene_kmp_ray.util.forutil import delta_decode
 
 
@@ -45,8 +44,7 @@ def merge_logical(dirs: list[str], bounds: np.ndarray, inv_perm: np.ndarray,
     seconds)``."""
     t_read = time.monotonic()
     reclaimed = bool((inv_perm < 0).any())
-    source_tables = [read_terms_table(d, columns=PAYLOAD_COLS)
-                     for d in dirs]
+    source_tables = [logical_table(d, PAYLOAD_COLS) for d in dirs]
     t_vocab = time.monotonic()
     all_codes, vocab_fields = merged_vocab(source_tables)
     n_codes = vocab_fields[-1][2] if vocab_fields else 0

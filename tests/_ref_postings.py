@@ -7,21 +7,30 @@ freqs_enc, pos_enc, block_last_doc, block_max_freq, block_min_norm``.
 ``encode_term_table_arrays`` builds it in bulk from flat entry arrays
 (gapped term views included, as the numpy merge of tests/_ref_merge.py
 passes them), ``encode_term_table`` term by term; both encode blocks with
-the numpy encoders of tests/_ref_codec.py. ``split_postings`` (the
-engine's old-layout reader) turns such a table into the ``(dictionary,
-.doc, .pos)`` triple, which must equal the engine's bytes.
-``logical_segment`` and ``flush_postings`` run that over a segment's
-inverted fields, the flush's reference.
+the numpy encoders of tests/_ref_codec.py. ``split_postings`` turns
+such a table into the ``(dictionary, .doc, .pos)`` triple, which must
+equal the engine's bytes. ``logical_segment`` and ``flush_postings`` run
+that over a segment's inverted fields, the flush's reference.
+``logical_table`` reads a stored segment back into a logical terms
+table, row by row through the engine's ``SegmentPostings.row``.
 """
+
+import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 from _ref_codec import encode_csr
 
-from lucene_kmp_ray.index.format import (_sorted_docs, field_column,
-                                         invert_field)
-from lucene_kmp_ray.index.postings import split_postings
+from lucene_kmp_ray.index.format import (DOCS_FILE, _sorted_docs,
+                                         field_column, invert_field)
+from lucene_kmp_ray.index.postings import (BLOCK_COLS, SegmentPostings,
+                                           _binary_parts, _narrow)
 from lucene_kmp_ray.util.forutil import BLOCK_SIZE, delta_encode
+
+PAYLOAD_COLS = ("docs_enc", "freqs_enc", "pos_enc")
+_EMPTY = pa.scalar(b"", pa.binary())
 
 
 def encode_stream(vals: np.ndarray, pfor: bool) -> bytes:
@@ -216,3 +225,73 @@ def flush_postings(docs: pa.Table, **kw) -> tuple:
     """The reference flush: ``(dictionary, .doc, .pos)`` of
     ``logical_segment(docs, **kw)`` split by ``split_postings``."""
     return split_postings(logical_segment(docs, **kw))
+
+
+def _meta_column(t: pa.Table, df: np.ndarray) -> pa.Array:
+    """Per-term skip/impact metadata bytes: the three block lists of a
+    multi-block term as int32, empty for a single-block term."""
+    nb = (np.asarray(df, np.int64) + BLOCK_SIZE - 1) // BLOCK_SIZE
+    lens = np.where(nb > 1, 3 * nb, 0)
+    offs = np.zeros(len(df) + 1, np.int64)
+    np.cumsum(lens, out=offs[1:])
+    vals = np.empty(int(offs[-1]), np.int32)
+    if len(vals):
+        cnt = nb[nb > 1]
+        starts = np.cumsum(nb) - nb
+        # concatenated block ranges of the multi-block terms
+        within = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt,
+                                                       cnt)
+        src = np.repeat(starts[nb > 1], cnt) + within
+        dst = np.repeat(offs[:-1][nb > 1], cnt) + within
+        for k, name in enumerate(BLOCK_COLS):
+            flat = pc.list_flatten(t[name]).to_numpy()
+            vals[dst + k * np.repeat(cnt, cnt)] = flat[src]
+    return pa.Array.from_buffers(
+        pa.binary(), len(df),
+        [None, pa.py_buffer((offs * 4).astype(np.int32).tobytes()),
+         pa.py_buffer(vals.astype("<i4").tobytes())])
+
+
+def split_postings(t: pa.Table) -> tuple[pa.Table, pa.Buffer, pa.Buffer]:
+    """Logical terms table → (dictionary table with ``doc_ptr``/
+    ``pos_ptr``, ``postings.doc`` bytes, ``postings.pos`` bytes): the
+    record layout the C writer must produce."""
+    df = t["df"].to_numpy()
+    ttf = t["ttf"].to_numpy()
+    freqs = pc.if_else(pa.array(ttf > df), t["freqs_enc"], _EMPTY)
+    doc, doc_offs = _binary_parts(pc.binary_join_element_wise(
+        t["docs_enc"], freqs, _meta_column(t, df), _EMPTY))
+    pos, pos_offs = _binary_parts(t["pos_enc"])
+    cols = {c: t[c] for c in ("field", "term") if c in t.column_names}
+    cols.update(df=_narrow(df), ttf=_narrow(ttf), doc_ptr=_narrow(
+        doc_offs[:-1]), pos_ptr=_narrow(pos_offs[:-1]))
+    return pa.table(cols), doc, pos
+
+
+def logical_table(seg_dir: str, columns=PAYLOAD_COLS + BLOCK_COLS
+                  ) -> pa.Table:
+    """A stored segment's logical terms table (``field, term, df, ttf``
+    plus ``columns``), one ``SegmentPostings.row`` per term: each column
+    as the engine's ``TermRow`` derives it."""
+    sp = SegmentPostings(seg_dir)
+    fields = sp.dictionary["field"].to_pylist()
+    norms = {}
+
+    def norms_of(f):
+        if f not in norms:
+            col = "norm" if f == "text" else f"norm_{f}"
+            norms[f] = pq.read_table(os.path.join(seg_dir, DOCS_FILE),
+                                     columns=[col])[col].to_numpy()
+        return norms[f]
+
+    rows = [sp.row(i, lambda f=f: norms_of(f)) for i, f in enumerate(fields)]
+    types = {"docs_enc": pa.binary(), "freqs_enc": pa.binary(),
+             "pos_enc": pa.binary()}
+    return pa.table({
+        "field": pa.array(fields, pa.string()),
+        "term": sp.dictionary["term"].combine_chunks(),
+        "df": pa.array(sp.df, pa.int64()),
+        "ttf": pa.array(sp.ttf, pa.int64()),
+        **{c: pa.array([r[c] for r in rows],
+                       types.get(c, pa.list_(pa.int32())))
+           for c in columns}})

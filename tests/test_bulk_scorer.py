@@ -221,6 +221,7 @@ def test_doc_past_norms_raises():
                             0, np.float32, 50)
 
 
+@pytest.mark.corrupts_index
 def test_truncated_postings_file_raises(index, tmp_path):
     root = index
     work = str(tmp_path / "cut")

@@ -2,11 +2,17 @@
 (TestCheckIndex style, SURVEY §5)."""
 
 import json
+import os
 import shutil
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
+from lucene_kmp_ray.index import postings as pf
 from lucene_kmp_ray.index.check import check_index, check_segment
+from lucene_kmp_ray.util import cfor
 
 
 def test_clean_index_passes(built_index, ray_session):
@@ -16,6 +22,7 @@ def test_clean_index_passes(built_index, ray_session):
     assert report["doc_count"] == 500
 
 
+@pytest.mark.corrupts_index
 def test_corrupt_stats_detected(built_index, tmp_path):
     work = str(tmp_path / "corrupt")
     shutil.copytree(built_index, work)
@@ -30,6 +37,7 @@ def test_corrupt_stats_detected(built_index, tmp_path):
     assert any("sum_total_term_freq" in e for e in rep["errors"])
 
 
+@pytest.mark.corrupts_index
 def test_corrupt_global_field_stats_detected(built_index, tmp_path):
     """The manifest's per-field sums must equal Σ df / Σ ttf over the
     segment dictionaries, the figures the scorer's term stats add up."""
@@ -48,6 +56,7 @@ def test_corrupt_global_field_stats_detected(built_index, tmp_path):
         f"{man['fields']['title']['sum_doc_freq'] - 1}"]
 
 
+@pytest.mark.corrupts_index
 def test_corrupt_postings_detected(built_index, tmp_path):
     work = str(tmp_path / "corrupt2")
     shutil.copytree(built_index, work)
@@ -64,6 +73,7 @@ def test_corrupt_postings_detected(built_index, tmp_path):
     assert not rep["ok"]
 
 
+@pytest.mark.corrupts_index
 def test_truncated_postings_file_detected(built_index, tmp_path):
     work = str(tmp_path / "truncated")
     shutil.copytree(built_index, work)
@@ -77,6 +87,7 @@ def test_truncated_postings_file_detected(built_index, tmp_path):
     assert any("postings" in e for e in rep["errors"]), rep["errors"]
 
 
+@pytest.mark.corrupts_index
 def test_check_command_line(built_index, tmp_path):
     import os
     import subprocess
@@ -102,6 +113,7 @@ def test_check_command_line(built_index, tmp_path):
     assert not json.loads(bad.stdout)["ok"]
 
 
+@pytest.mark.corrupts_index
 def test_shifted_postings_pointer_detected(built_index, tmp_path):
     import numpy as np
     import pyarrow as pa
@@ -120,6 +132,7 @@ def test_shifted_postings_pointer_detected(built_index, tmp_path):
     assert any("postings.doc" in e for e in rep["errors"]), rep["errors"]
 
 
+@pytest.mark.corrupts_index
 def test_corrupt_term_vectors_detected(tmp_path):
     """CheckIndex's 'test: term vectors...' section: a freq that
     disagrees with its positions list is caught."""
@@ -154,19 +167,127 @@ def test_keys_ascending_compares_bytes_per_field():
 
     from lucene_kmp_ray.index.check import _keys_ascending
 
-    def table(rows, field=True):
-        cols = {"term": [t for _, t in rows]}
-        if field:
-            fields = pa.array([f for f, _ in rows], pa.string())
-            cols = {"field": fields.dictionary_encode(), **cols}
-        return pa.table(cols)
+    def table(rows):
+        fields = pa.array([f for f, _ in rows], pa.string())
+        return pa.table({"field": fields.dictionary_encode(),
+                         "term": [t for _, t in rows]})
 
     good = [("text", "a"), ("text", "é"), ("text", "😀"), ("title", "a")]
     assert _keys_ascending(table(good))
-    assert _keys_ascending(table(good[:3], field=False))
+    assert _keys_ascending(table(good[:3]))
     assert _keys_ascending(table([]))
     assert not _keys_ascending(table([("text", "b"), ("text", "a")]))
     assert not _keys_ascending(table([("text", "a"), ("text", "a")]))
     assert not _keys_ascending(table([("title", "a"), ("text", "b")]))
-    assert not _keys_ascending(table([("text", "😀"), ("text", "é")],
-                                     field=False))
+    assert not _keys_ascending(table([("text", "😀"), ("text", "é")]))
+
+
+@pytest.fixture(scope="module")
+def multi_block_index(tmp_path_factory):
+    """One 300-doc segment: ``every`` is in each doc (three 128-doc
+    blocks, so its skip/impact metadata is stored) and twice in every
+    fifth (ttf > df)."""
+    from lucene_kmp_ray.index.builder import commit_index
+    from lucene_kmp_ray.index.format import build_and_write_segment
+
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i:03d}" for i in range(400)]
+    texts = [" ".join(["every"] * (2 if i % 5 == 0 else 1)
+                      + list(rng.choice(vocab, int(rng.integers(3, 30)))))
+             for i in range(300)]
+    idx = str(tmp_path_factory.mktemp("check") / "idx")
+    docs = pa.table({"doc_id": pa.array(range(300), pa.int64()),
+                     "url": [f"u{i}" for i in range(300)], "text": texts})
+    commit_index(idx, [build_and_write_segment(docs, 0, idx)])
+    return idx
+
+
+def _every(seg):
+    """(postings, row of ``every``, its record's end in postings.doc)."""
+    sp = pf.SegmentPostings(seg)
+    i = sp.dictionary["term"].to_pylist().index("every")
+    end = int(sp.doc_ptr[i + 1]) if i + 1 < len(sp) else sp.doc.size
+    return sp, i, end
+
+
+def _rewrite_positions(seg, edit):
+    """Re-encode the ``postings.pos`` record of ``every`` with
+    ``edit(position deltas, freqs)`` applied and store the segment's
+    dictionary (its ttf set to the new value count) and files again."""
+    sp, i, _ = _every(seg)
+    pos = sp.pos.read(0, sp.pos.size).to_pybytes()
+    start = int(sp.pos_ptr[i])
+    end = int(sp.pos_ptr[i + 1]) if i + 1 < len(sp) else len(pos)
+    posd = cfor.decode_streams_at(np.frombuffer(pos, np.uint8),
+                                  np.array([start]),
+                                  np.array([sp.ttf[i]]))[0]
+    posd = edit(posd, sp.docs_freqs(np.array([i]))[1])
+    rec = cfor.encode_stream(posd, pfor=True).tobytes()
+    t = pq.read_table(os.path.join(seg, pf.TERMS_FILE))
+    cols = {c: t[c].to_numpy().copy() for c in ("ttf", "pos_ptr")}
+    cols["ttf"][i] = len(posd)
+    cols["pos_ptr"][i + 1:] += len(rec) - (end - start)
+    for c, v in cols.items():
+        t = t.set_column(t.column_names.index(c), c, pa.array(v, t[c].type))
+    pf.write_postings(seg, t, sp.doc.read(0, sp.doc.size),
+                      pos[:start] + rec + pos[end:])
+
+
+def _repeat_a_position(posd, freqs):
+    """The second position of the first entry with two equals its
+    first."""
+    at = int(np.cumsum(freqs)[np.argmax(freqs > 1)] - freqs[freqs > 1][0])
+    out = posd.copy()
+    out[at + 1] = 0
+    return out
+
+
+def _set_docs_value(seg, col, edit):
+    path = os.path.join(seg, "docs.parquet")
+    t = pq.read_table(path)
+    v = t[col].to_numpy().copy()
+    v[0] = edit(v[0])
+    pq.write_table(t.set_column(t.column_names.index(col), col,
+                                pa.array(v, t[col].type)), path)
+
+
+def _flip_block_min_norm(seg):
+    sp, i, end = _every(seg)
+    nb = -(-int(sp.df[i]) // 128)
+    with open(os.path.join(seg, pf.DOC_FILE), "r+b") as f:
+        f.seek(end - 4 * nb)  # the first stored block_min_norm
+        b = f.read(1)[0]
+        f.seek(end - 4 * nb)
+        f.write(bytes([b ^ 1]))
+
+
+CORRUPTIONS = {
+    "block_min_norm": (_flip_block_min_norm,
+                       "block_min_norm disagrees with postings",
+                       "text:'every'"),
+    "positions": (lambda seg: _rewrite_positions(seg, _repeat_a_position),
+                  "positions not strictly ascending", "text:'every'"),
+    "norm": (lambda seg: _set_docs_value(seg, "norm", lambda v: v ^ 1),
+             "norm bytes disagree with SmallFloat(length)", "field text"),
+    "max_tf": (lambda seg: _set_docs_value(seg, "max_tf", lambda v: v + 1),
+               "max_tf disagrees with postings", "field text"),
+    "ttf": (lambda seg: _rewrite_positions(
+                seg, lambda posd, freqs: np.append(posd, 1)),
+            "ttf != Σ freq", "text:'every'"),
+}
+
+
+@pytest.mark.corrupts_index
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_corrupt_invariant_detected(multi_block_index, tmp_path, kind):
+    """Each postings invariant that only the record decode can see is
+    caught, and the error names the term or the field."""
+    corrupt, what, name = CORRUPTIONS[kind]
+    work = str(tmp_path / "idx")
+    shutil.copytree(multi_block_index, work)
+    seg = os.path.join(work, "segments", "seg=00000")
+    assert check_segment(work, seg)["ok"]
+    corrupt(seg)
+    rep = check_segment(work, seg)
+    assert not rep["ok"]
+    assert any(what in e and name in e for e in rep["errors"]), rep["errors"]

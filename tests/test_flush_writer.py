@@ -96,7 +96,7 @@ def test_write_postings_fuzz_vs_reference():
             np.array([f"t{i:03d}" for i in range(len(bounds) - 1)],
                      dtype=object),
             docs, freqs, posd, bounds[:-1], bounds[1:], pos_bounds, norms)
-        dictionary, want_doc, want_pos = pf.split_postings(logical)
+        dictionary, want_doc, want_pos = refp.split_postings(logical)
         stats, doc, pos = write_postings(bounds, docs, freqs, posd, norms)
         for k, c in enumerate(("df", "ttf", "doc_ptr", "pos_ptr")):
             assert np.array_equal(stats[k], dictionary[c].to_numpy()), \

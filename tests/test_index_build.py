@@ -137,13 +137,10 @@ def test_interrupted_build_equals_uninterrupted(tmp_path, ray_session,
     man = build_index(corpus_dataset("/root/testdata/sf0.001"), part,
                       segment_size=100)
     assert len(man["segments"]) == 5
-    from lucene_kmp_ray.index.postings import (DOC_FILE, POS_FILE,
-                                               read_terms_table)
+    from lucene_kmp_ray.index.postings import DOC_FILE, POS_FILE, TERMS_FILE
     for seg_meta in man["segments"]:
         d = seg_meta["dir"]
-        assert read_terms_table(f"{part}/{d}").equals(
-            read_terms_table(f"{full}/{d}"))
-        for f in (DOC_FILE, POS_FILE):
+        for f in (TERMS_FILE, DOC_FILE, POS_FILE):
             assert open(f"{part}/{d}/{f}", "rb").read() == \
                 open(f"{full}/{d}/{f}", "rb").read(), f
         assert pq.read_table(f"{part}/{d}/docs.parquet").equals(
@@ -188,7 +185,6 @@ def test_encode_term_table_arrays_matches_loop_path():
     terms and patched PFor freq blocks), and the reference's bulk
     logical table must equal its per-term one."""
     from lucene_kmp_ray.index.format import encode_term_table_arrays
-    from lucene_kmp_ray.index.postings import split_postings
     rng = np.random.default_rng(7)
     n_docs = 400
     norms = rng.integers(1, 255, n_docs).astype(np.uint8)
@@ -224,7 +220,7 @@ def test_encode_term_table_arrays_matches_loop_path():
     assert bulk.equals(slow), "bulk path diverges from per-term path"
     stats, doc, pos = encode_term_table_arrays(
         s_doc, s_freq, pos_delta, np.append(term_starts, len(s_doc)), norms)
-    dictionary, want_doc, want_pos = split_postings(slow)
+    dictionary, want_doc, want_pos = refp.split_postings(slow)
     for k, c in enumerate(("df", "ttf", "doc_ptr", "pos_ptr")):
         assert np.array_equal(stats[k], dictionary[c].to_numpy()), c
     assert doc.tobytes() == want_doc.to_pybytes(), \

@@ -14,15 +14,14 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 from _ref_merge import numpy_merge
-from test_postings_file import _to_old_layout
+from _ref_postings import logical_table
 
 from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
 from lucene_kmp_ray.index.builder import commit_index
 from lucene_kmp_ray.index.deletes import delete_segment_urls
 from lucene_kmp_ray.index.format import build_and_write_segment, seg_dirname
 from lucene_kmp_ray.index.merge import merge_segments
-from lucene_kmp_ray.index.postings import (DOC_FILE, POS_FILE, TERMS_FILE,
-                                           read_terms_table)
+from lucene_kmp_ray.index.postings import DOC_FILE, POS_FILE, TERMS_FILE
 from lucene_kmp_ray.index.reader import IndexReader
 from lucene_kmp_ray.index.softdeletes import soft_delete_segment_urls
 from lucene_kmp_ray.search import BooleanQuery, Occur, Searcher, TermQuery
@@ -135,7 +134,8 @@ def test_two_fields(tmp_path):
         _write(idx, seg, ids, _corpus(seg, ids),
                titles=_corpus(seg + 10, ids))
     out = _merge_both(idx, [0, 1])
-    fields = set(read_terms_table(out, columns=())["field"].to_pylist())
+    fields = set(pq.read_table(os.path.join(out, TERMS_FILE))["field"]
+                 .to_pylist())
     assert fields == {"text", "title"}
 
 
@@ -182,14 +182,6 @@ def test_sources_with_different_field_sets(tmp_path):
     assert hits() == before
 
 
-def test_old_layout_source(tmp_path):
-    idx = str(tmp_path / "idx")
-    _two(idx, hot_every=11)
-    _to_old_layout(_dir(idx, 0))
-    assert not os.path.exists(os.path.join(_dir(idx, 0), DOC_FILE))
-    _merge_both(idx, [0, 1])
-
-
 def test_soft_deletes_with_retention(tmp_path):
     idx = str(tmp_path / "idx")
     _two(idx)
@@ -215,7 +207,8 @@ def test_term_reclaimed_everywhere(tmp_path):
     delete_segment_urls(_dir(idx, 0), ["u00000"])
     delete_segment_urls(_dir(idx, 1), ["u00003"])
     out = _merge_both(idx, [0, 1])
-    assert read_terms_table(out, columns=())["term"].to_pylist() == \
+    assert pq.read_table(os.path.join(out, TERMS_FILE))["term"] \
+        .to_pylist() == \
         ["a", "b"]
 
 
@@ -236,7 +229,7 @@ def test_multi_block_terms_with_pfor_exceptions(tmp_path):
     delete_segment_urls(_dir(idx, 1), [f"u{i:05d}" for i in
                                        range(700, 1400, 5)])
     out = _merge_both(idx, [0, 1])
-    t = read_terms_table(out)
+    t = logical_table(out)
     hot = t["term"].to_pylist().index("hot")
     assert len(t["block_last_doc"][hot]) > 4
     freqs, pos = t["freqs_enc"][hot].as_py(), t["pos_enc"][hot].as_py()

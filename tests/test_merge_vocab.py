@@ -13,13 +13,12 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 from _ref_merge import merged_vocab, numpy_merge
-from test_postings_file import _to_old_layout
 
 from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
 from lucene_kmp_ray.index.deletes import delete_segment_urls
 from lucene_kmp_ray.index.format import build_and_write_segment, seg_dirname
 from lucene_kmp_ray.index.merge import merge_segments
-from lucene_kmp_ray.index.postings import TERMS_FILE, read_terms_table
+from lucene_kmp_ray.index.postings import TERMS_FILE
 
 # byte order == code-point order, unlike UTF-16 order: "😀" (U+1F600,
 # a surrogate pair) sorts after "ｚ" (U+FF5A), and "ab" before "aÿ"
@@ -57,7 +56,7 @@ def _merge_both(idx, segs):
         with open(os.path.join(a, f), "rb") as fa, \
                 open(os.path.join(b, f), "rb") as fb:
             assert fa.read() == fb.read(), f
-    return read_terms_table(a, columns=("df", "ttf"))
+    return pq.read_table(os.path.join(a, TERMS_FILE))
 
 
 def _check(idx, segs, docs, deleted=()):
@@ -67,10 +66,9 @@ def _check(idx, segs, docs, deleted=()):
     df, ttf = collections.Counter(), collections.Counter()
     keys = set()
     for seg in segs:
-        t = read_terms_table(_seg_dir(idx, seg), columns=("df", "ttf"))
-        fields = t["field"].to_pylist() if "field" in t.column_names \
-            else ["text"] * t.num_rows
-        for key, d, n in zip(zip(fields, t["term"].to_pylist()),
+        t = pq.read_table(os.path.join(_seg_dir(idx, seg), TERMS_FILE))
+        for key, d, n in zip(zip(t["field"].to_pylist(),
+                                 t["term"].to_pylist()),
                              t["df"].to_pylist(), t["ttf"].to_pylist()):
             keys.add(key)
             df[key] += d
@@ -110,7 +108,8 @@ def test_field_present_in_one_source(tmp_path):
     b = {i: {"text": s, "title": s.split()[0]} for i, s in SOURCE_B.items()}
     _write(idx, 0, a, fields=("text", "title"))
     _write(idx, 1, b, fields=("text", "title"))
-    assert read_terms_table(_seg_dir(idx, 0))["field"].to_pylist() == \
+    assert pq.read_table(os.path.join(_seg_dir(idx, 0), TERMS_FILE))[
+        "field"].to_pylist() == \
         ["text"] * 5
     got, _ = _check(idx, [0, 1], {**a, **b})
     assert [k for k in got if k[0] == "title"] == [
@@ -130,19 +129,6 @@ def test_term_reclaimed_everywhere_is_dropped(tmp_path):
     assert [t for _, t in got] == ["ab", "aÿ", "z", "é", "ｚ", "😀"]
 
 
-def test_old_layout_source_without_field_column(tmp_path):
-    idx = str(tmp_path / "idx")
-    _write(idx, 0, _text(SOURCE_A))
-    _write(idx, 1, _text(SOURCE_B))
-    old = _seg_dir(idx, 0)
-    _to_old_layout(old)
-    path = os.path.join(old, TERMS_FILE)
-    pq.write_table(pq.read_table(path).drop_columns(["field"]), path)
-    assert "field" not in read_terms_table(old).column_names
-    got, _ = _check(idx, [0, 1], _text({**SOURCE_A, **SOURCE_B}))
-    assert {f for f, _ in got} == {"text"}
-
-
 def test_vocab_codes_slice_per_source(tmp_path):
     """Each source row's code indexes its own (field, term) in the
     merged vocabulary."""
@@ -150,7 +136,8 @@ def test_vocab_codes_slice_per_source(tmp_path):
     a = {i: {"text": s, "title": "t"} for i, s in SOURCE_A.items()}
     _write(idx, 0, a, fields=("text", "title"))
     _write(idx, 1, _text(SOURCE_B))
-    tables = [read_terms_table(_seg_dir(idx, s), columns=()) for s in (0, 1)]
+    tables = [pq.read_table(os.path.join(_seg_dir(idx, s), TERMS_FILE))
+              for s in (0, 1)]
     codes, fields = merged_vocab(tables)
     vocab = [(f, t) for f, lo, hi, terms in fields
              for t in terms.to_pylist()]

@@ -134,15 +134,12 @@ def test_multi_block_metadata_rederives(built):
         np.minimum.reduceat(norms[docs].astype(np.int64), starts).tolist()
 
 
-def test_full_table_helper_equals_inverter(built):
+def test_rows_derive_the_inverters_table(built):
+    """Every column a ``TermRow`` derives, over every term, equals the
+    inverter's logical table."""
     root, truth = built
     for seg, t in truth.items():
-        assert pf.read_terms_table(_seg_dir(root, seg)).equals(t)
-        part = pf.read_terms_table(_seg_dir(root, seg),
-                                   columns=("docs_enc", "pos_enc"))
-        assert part.column_names == ["field", "term", "df", "ttf",
-                                     "docs_enc", "pos_enc"]
-        assert part.equals(t.select(part.column_names))
+        assert refp.logical_table(_seg_dir(root, seg)).equals(t)
 
 
 def test_ones_stream_is_the_encoders_output():
@@ -245,41 +242,36 @@ def test_pool_slices_score_like_searcher(built, ray_session):
                                    [s for _, s in want], rtol=1e-6)
 
 
-def _to_old_layout(seg_dir):
-    """Rewrite a segment as it was stored before the flat files."""
-    t = pf.read_terms_table(seg_dir)
-    pq.write_table(t, os.path.join(seg_dir, pf.TERMS_FILE),
-                   row_group_size=4096)
-    os.remove(os.path.join(seg_dir, pf.DOC_FILE))
-    os.remove(os.path.join(seg_dir, pf.POS_FILE))
-
-
-def test_old_layout_segments(built, tmp_path, ray_session):
+@pytest.mark.corrupts_index
+@pytest.mark.parametrize("shape", ["payload_in_dictionary",
+                                   "no_field_column"])
+def test_old_layouts_raise(built, tmp_path, ray_session, shape):
+    """A segment stored before the flat files (postings payload in
+    ``terms.parquet``), or a dictionary without a ``field`` column, is
+    refused by every reader of the dictionary, naming the layout."""
+    from lucene_kmp_ray.index.builder import global_term_stats
     from lucene_kmp_ray.index.merge import run_merges
 
     root, truth = built
     work = str(tmp_path / "old")
     shutil.copytree(root, work)
-    _to_old_layout(_seg_dir(work, 0))  # segment 1 keeps the new layout
-    old, new = IndexReader(work), IndexReader(root)
-    t = truth[0]
-    for field in FIELDS:
-        for i in _picks(t, field).values():
-            term = t["term"][i].as_py()
-            a = old.segment_readers[0].term_row(term, field)
-            assert {c: a[c] for c in _row(t, i)} == _row(t, i)
-    for name, q in _queries().items():
-        assert _hits(Searcher(old), q) == _hits(Searcher(new), q), name
-    assert check_index(work, parallel=False)["ok"]
-    run_merges(work, [[0, 1]])
-    merged = IndexReader(work)
-    (sr,) = merged.segment_readers
-    assert os.path.exists(os.path.join(sr.dir, pf.DOC_FILE))
-    assert "doc_ptr" in pq.read_schema(os.path.join(sr.dir,
-                                                    pf.TERMS_FILE)).names
-    assert check_index(work, parallel=False)["ok"]
-    for name, q in _queries().items():
-        assert _hits(Searcher(merged), q) == _hits(Searcher(new), q), name
+    seg0 = _seg_dir(work, 0)
+    path = os.path.join(seg0, pf.TERMS_FILE)
+    if shape == "payload_in_dictionary":
+        pq.write_table(truth[0], path)
+        for name in (pf.DOC_FILE, pf.POS_FILE):
+            os.remove(os.path.join(seg0, name))
+    else:
+        pq.write_table(pq.read_table(path).drop_columns(["field"]), path)
+    calls = {"search": lambda: Searcher(IndexReader(work)).search(
+                 TermQuery("every"), k=3),
+             "merge": lambda: run_merges(work, [[0, 1]]),
+             "check": lambda: check_index(work, parallel=False),
+             "stats": lambda: global_term_stats(work)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"seg=00000: terms\.parquet "
+                           r"holds .*: an old layout"):
+            call()
 
 
 def test_reader_outlives_merged_away_segments(built, tmp_path, ray_session):

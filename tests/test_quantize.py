@@ -216,6 +216,7 @@ def test_merge_rebuilds_quantized_sidecar_byte_identical(quantized_idx,
     assert after == before
 
 
+@pytest.mark.corrupts_index
 def test_check_index_validates_quantized_sidecar(quantized_idx, tmp_path):
     # clean quantized index passes; a flipped byte and a wrong manifest
     # bound are both detected (CheckIndex re-derivation)

@@ -12,14 +12,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
-from test_postings_file import _to_old_layout
 
 from lucene_kmp_ray.analysis.core import KeywordAnalyzer
 from lucene_kmp_ray.index.builder import commit_index, global_term_stats
 from lucene_kmp_ray.index.check import check_index
 from lucene_kmp_ray.index.format import build_and_write_segment
 from lucene_kmp_ray.index.parallel import ParallelReader
-from lucene_kmp_ray.index.postings import TERMS_FILE, read_terms_table
+from lucene_kmp_ray.index.postings import TERMS_FILE
 from lucene_kmp_ray.index.reader import IndexReader, MultiReader, SegmentReader
 from lucene_kmp_ray.search import (BooleanQuery, Occur, PhraseQuery,
                                    Searcher, TermQuery)
@@ -70,10 +69,9 @@ def _terms(truth, field):
 
 
 def _seg_stats(root, seg, field="text"):
-    t = read_terms_table(os.path.join(root, "segments", f"seg={seg:05d}"),
-                         columns=())
-    if "field" in t.column_names:
-        t = t.filter(pc.equal(t["field"], field))
+    t = pq.read_table(os.path.join(root, "segments", f"seg={seg:05d}",
+                                   TERMS_FILE))
+    t = t.filter(pc.equal(t["field"], field))
     return dict(zip(t["term"].to_pylist(),
                     zip(t["df"].to_pylist(), t["ttf"].to_pylist())))
 
@@ -174,18 +172,16 @@ def test_old_term_stats_ignored_and_removed(idx, truth, tmp_path, layout):
     assert global_term_stats(work).equals(truth)
 
 
-def test_old_layout_segment_without_field_column(tmp_path):
-    root = _build(str(tmp_path / "idx"), fields=("text",))
-    want = global_term_stats(root)
-    terms = want["term"].to_pylist()[:: 23] + ["zzzzzzzzzz"]
-    before = IndexReader(root).term_stats(terms)
-    seg0 = os.path.join(root, "segments", "seg=00000")
-    _to_old_layout(seg0)
-    path = os.path.join(seg0, TERMS_FILE)
-    pq.write_table(pq.read_table(path).drop_columns(["field"]), path)
-    assert "field" not in read_terms_table(seg0).column_names
-    assert IndexReader(root).term_stats(terms) == before
-    assert global_term_stats(root).equals(want)
+def test_index_without_segments(tmp_path):
+    """An index committed before its first segment has an empty stats
+    table, and checks clean."""
+    root = str(tmp_path / "empty")
+    os.makedirs(root)
+    commit_index(root, [])
+    t = global_term_stats(root)
+    assert t.num_rows == 0 and t.column_names == ["field", "term", "df",
+                                                  "ttf"]
+    assert check_index(root, parallel=False)["ok"]
 
 
 def test_term_longer_than_4096_bytes(tmp_path):
