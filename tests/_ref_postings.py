@@ -12,7 +12,9 @@ such a table into the ``(dictionary, .doc, .pos)`` triple, which must
 equal the engine's bytes. ``logical_segment`` and ``flush_postings`` run
 that over a segment's inverted fields, the flush's reference.
 ``logical_table`` reads a stored segment back into a logical terms
-table, row by row through the engine's ``SegmentPostings.row``.
+table, row by row through the engine's ``SegmentPostings.row``;
+``write_old_layout`` rewrites a stored segment in one of the layouts
+the engine no longer reads.
 """
 
 import os
@@ -25,7 +27,8 @@ from _ref_codec import encode_csr
 
 from lucene_kmp_ray.index.format import (DOCS_FILE, _sorted_docs,
                                          field_column, invert_field)
-from lucene_kmp_ray.index.postings import (BLOCK_COLS, SegmentPostings,
+from lucene_kmp_ray.index.postings import (BLOCK_COLS, DOC_FILE, POS_FILE,
+                                           TERMS_FILE, SegmentPostings,
                                            _binary_parts, _narrow)
 from lucene_kmp_ray.util.forutil import BLOCK_SIZE, delta_encode
 
@@ -295,3 +298,21 @@ def logical_table(seg_dir: str, columns=PAYLOAD_COLS + BLOCK_COLS
         **{c: pa.array([r[c] for r in rows],
                        types.get(c, pa.list_(pa.int32())))
            for c in columns}})
+
+
+OLD_LAYOUT = r"seg=00000: terms\.parquet holds .*: an old layout"
+
+
+def write_old_layout(seg_dir: str, shape: str) -> None:
+    """Rewrite a stored segment as ``shape``: ``payload_in_dictionary``
+    (the postings payload in ``terms.parquet``, no flat files, as stored
+    before them) or ``no_field_column`` (a dictionary without ``field``).
+    ``OLD_LAYOUT`` matches the ValueError that refuses segment 0."""
+    path = os.path.join(seg_dir, TERMS_FILE)
+    if shape == "payload_in_dictionary":
+        pq.write_table(logical_table(seg_dir), path)
+        for name in (DOC_FILE, POS_FILE):
+            os.remove(os.path.join(seg_dir, name))
+    else:
+        assert shape == "no_field_column", shape
+        pq.write_table(pq.read_table(path).drop_columns(["field"]), path)

@@ -14,7 +14,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 from _ref_merge import numpy_merge
-from _ref_postings import logical_table
+from _ref_postings import OLD_LAYOUT, logical_table, write_old_layout
 
 from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
 from lucene_kmp_ray.index.builder import commit_index
@@ -180,6 +180,17 @@ def test_sources_with_different_field_sets(tmp_path):
     assert merged["fields"]["title"]["doc_count"] == 200
     commit_index(idx, [merged])
     assert hits() == before
+
+
+@pytest.mark.corrupts_index
+def test_old_layout_source(tmp_path):
+    """A source stored before the flat files is refused, not merged."""
+    idx = str(tmp_path / "idx")
+    _two(idx, hot_every=11)
+    write_old_layout(_dir(idx, 0), "payload_in_dictionary")
+    assert not os.path.exists(os.path.join(_dir(idx, 0), DOC_FILE))
+    with pytest.raises(ValueError, match=OLD_LAYOUT):
+        merge_segments(idx, [0, 1], 900)
 
 
 def test_soft_deletes_with_retention(tmp_path):

@@ -13,6 +13,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 from _ref_merge import merged_vocab, numpy_merge
+from _ref_postings import OLD_LAYOUT, write_old_layout
 
 from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
 from lucene_kmp_ray.index.deletes import delete_segment_urls
@@ -127,6 +128,18 @@ def test_term_reclaimed_everywhere_is_dropped(tmp_path):
                        deleted=(4, 5))
     assert {("text", "x"), ("text", "y")} <= keys
     assert [t for _, t in got] == ["ab", "aÿ", "z", "é", "ｚ", "😀"]
+
+
+@pytest.mark.corrupts_index
+def test_old_layout_source_without_field_column(tmp_path):
+    """A source dictionary without a ``field`` column is refused, not
+    merged."""
+    idx = str(tmp_path / "idx")
+    _write(idx, 0, _text(SOURCE_A))
+    _write(idx, 1, _text(SOURCE_B))
+    write_old_layout(_seg_dir(idx, 0), "no_field_column")
+    with pytest.raises(ValueError, match=OLD_LAYOUT):
+        merge_segments(idx, [0, 1], 900)
 
 
 def test_vocab_codes_slice_per_source(tmp_path):

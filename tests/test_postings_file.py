@@ -243,35 +243,26 @@ def test_pool_slices_score_like_searcher(built, ray_session):
 
 
 @pytest.mark.corrupts_index
-@pytest.mark.parametrize("shape", ["payload_in_dictionary",
-                                   "no_field_column"])
-def test_old_layouts_raise(built, tmp_path, ray_session, shape):
+def test_old_layout_segments(built, tmp_path, ray_session):
     """A segment stored before the flat files (postings payload in
     ``terms.parquet``), or a dictionary without a ``field`` column, is
     refused by every reader of the dictionary, naming the layout."""
     from lucene_kmp_ray.index.builder import global_term_stats
     from lucene_kmp_ray.index.merge import run_merges
 
-    root, truth = built
-    work = str(tmp_path / "old")
-    shutil.copytree(root, work)
-    seg0 = _seg_dir(work, 0)
-    path = os.path.join(seg0, pf.TERMS_FILE)
-    if shape == "payload_in_dictionary":
-        pq.write_table(truth[0], path)
-        for name in (pf.DOC_FILE, pf.POS_FILE):
-            os.remove(os.path.join(seg0, name))
-    else:
-        pq.write_table(pq.read_table(path).drop_columns(["field"]), path)
-    calls = {"search": lambda: Searcher(IndexReader(work)).search(
-                 TermQuery("every"), k=3),
-             "merge": lambda: run_merges(work, [[0, 1]]),
-             "check": lambda: check_index(work, parallel=False),
-             "stats": lambda: global_term_stats(work)}
-    for name, call in calls.items():
-        with pytest.raises(ValueError, match=r"seg=00000: terms\.parquet "
-                           r"holds .*: an old layout"):
-            call()
+    root, _ = built
+    for shape in ("payload_in_dictionary", "no_field_column"):
+        work = str(tmp_path / shape)
+        shutil.copytree(root, work)
+        refp.write_old_layout(_seg_dir(work, 0), shape)
+        calls = {"search": lambda: Searcher(IndexReader(work)).search(
+                     TermQuery("every"), k=3),
+                 "merge": lambda: run_merges(work, [[0, 1]]),
+                 "check": lambda: check_index(work, parallel=False),
+                 "stats": lambda: global_term_stats(work)}
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=refp.OLD_LAYOUT):
+                call()
 
 
 def test_reader_outlives_merged_away_segments(built, tmp_path, ray_session):

@@ -12,6 +12,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+from _ref_postings import OLD_LAYOUT, write_old_layout
 
 from lucene_kmp_ray.analysis.core import KeywordAnalyzer
 from lucene_kmp_ray.index.builder import commit_index, global_term_stats
@@ -182,6 +183,20 @@ def test_index_without_segments(tmp_path):
     assert t.num_rows == 0 and t.column_names == ["field", "term", "df",
                                                   "ttf"]
     assert check_index(root, parallel=False)["ok"]
+
+
+@pytest.mark.corrupts_index
+def test_old_layout_segment_without_field_column(tmp_path):
+    """Term stats refuse a segment whose dictionary has no ``field``
+    column, naming the layout, rather than summing it."""
+    root = _build(str(tmp_path / "idx"), fields=("text",))
+    terms = global_term_stats(root)["term"].to_pylist()[:: 23]
+    write_old_layout(os.path.join(root, "segments", "seg=00000"),
+                     "no_field_column")
+    with pytest.raises(ValueError, match=OLD_LAYOUT):
+        IndexReader(root).term_stats(terms)
+    with pytest.raises(ValueError, match=OLD_LAYOUT):
+        global_term_stats(root)
 
 
 def test_term_longer_than_4096_bytes(tmp_path):
