@@ -1,44 +1,39 @@
 """CheckIndex analog: full-index integrity scan.
 
 Re-reads every structure of every segment and re-derives the statistics the
-manifests claim, exactly in the spirit of ``index/CheckIndex.kt:487``
-(postings re-walked at ``:1033-1055``, norms, stored fields, per-field
-stats). Segments are verified by parallel Ray tasks (one per segment — the
-scan is embarrassingly parallel and IO-bound); the driver then checks the
-global manifest against the segments.
-
-A segment's postings decode once (all of ``postings.doc`` in one
-``SegmentPostings.docs_freqs`` call, all of ``postings.pos`` in one
-``decode_streams_at``) and each invariant is one array operation over the
-entries, segmented per term; a violated invariant is one error giving its
-count of terms and, as the only string made, its first term.
+manifests claim, in the spirit of ``index/CheckIndex.kt:487`` (postings
+re-walked at ``:1033-1055``), one Ray task per segment; the driver then
+checks the global manifest. Postings files are read once and decode in runs
+of whole terms of at most ``CHUNK`` positions (bounded memory); each
+invariant is one array operation over a run, segmented per term, and one
+error giving its count of terms and, as the only string made, the first.
 
 Checks per segment:
-- postings pointers: ``doc_ptr``/``pos_ptr`` ascend from 0; each
-  ``postings.doc`` record is exactly its docs stream, its freqs stream
-  (present iff ``ttf > df``) and, for a multi-block term, its skip/impact
-  metadata; each ``postings.pos`` record is its ``ttf`` positions;
+- ``doc_ptr``/``pos_ptr`` ascend from 0; each ``postings.doc`` record is
+  its docs stream, its freqs stream (iff ``ttf > df``) and, for a
+  multi-block term, its skip/impact metadata; each ``postings.pos``
+  record is its ``ttf`` positions;
 - (field, term) keys strictly ascending (BytesRef order); docIDs strictly
   ascending per term, in ``[0, doc_count)``; freqs ≥ 1, ``ttf`` == Σ
   freqs; positions per entry strictly ascending, non-negative;
-- only STORED metadata is compared: each multi-block term's
-  ``block_last_doc``/``block_max_freq``/``block_min_norm`` == their
-  re-derivation over 128-doc blocks against the field's norms (a
-  single-block term stores none; readers derive it from the same decode);
-- ``norm`` byte == SmallFloat.intToByte4(length) for every doc;
-- per field, Σ length / Σ df / Σ ttf == the segment manifest, and each
-  doc's ``max_tf`` / ``unique_terms`` == its maximum freq / entry count.
+- only STORED metadata is compared: a multi-block term's ``block_last_doc``
+  / ``block_max_freq`` / ``block_min_norm`` == their re-derivation over
+  128-doc blocks (a single-block term stores none; readers derive it from
+  the same decode);
+- ``norm`` byte == SmallFloat.intToByte4(length); per field, Σ length /
+  Σ df / Σ ttf == the manifest, and each doc's ``max_tf`` /
+  ``unique_terms`` == its maximum freq / entry count.
 
 Global checks: manifest doc_count == Σ segment doc counts; per field, the
 manifest's ``sum_doc_freq`` / ``sum_total_term_freq`` == Σ df / Σ ttf over
-the segment dictionaries, the same df/ttf that ``IndexReader.term_stats``
-sums for the scorer.
+the segment dictionaries, the df/ttf ``IndexReader.term_stats`` sums.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import defaultdict
 
 import numpy as np
 import pyarrow as pa
@@ -48,29 +43,46 @@ import pyarrow.parquet as pq
 from ..util import cfor, forutil as fu
 from ..util.smallfloat import int_to_byte4_np
 from .format import DOCS_FILE
-from .postings import (BLOCK_COLS, DOC_FILE, POS_FILE, SegmentPostings,
-                       field_ranges, read_dictionary, stream_nbytes)
+from .postings import (BLOCK_COLS, DICT_COLS, DOC_FILE, POS_FILE,
+                       _decode_records, field_ranges, read_dictionary,
+                       stream_nbytes)
 from .reader import INDEX_MANIFEST
 
 
+CHUNK = 1 << 18  # positions decoded at once: bounds a segment's check memory
+STAT_KEYS = ("sum_doc_freq", "sum_total_term_freq")  # Σ df, Σ ttf
+
+
 def check_segment(index_dir: str, seg_dir: str) -> dict:
-    """Verify one segment directory; returns {seg, ok, errors, stats}."""
+    """Verify one segment directory; returns {seg, ok, errors, doc_count,
+    unique_terms, field_sums: {field: [Σ df, Σ ttf]}}."""
     d = os.path.join(index_dir, seg_dir)
     with open(os.path.join(d, "manifest.json")) as f:
         man = json.load(f)
     docs_t = pq.read_table(os.path.join(d, DOCS_FILE))
     n_docs = docs_t.num_rows
-    errors = check_postings_files(d)
+    t = read_dictionary(d)
+    ranges = field_ranges(t)
+    df, ttf = (t[c].to_numpy().astype(np.int64) for c in ("df", "ttf"))
+    sums = {f: [int(df[lo:hi].sum()), int(ttf[lo:hi].sum())]
+            for f, (lo, hi) in ranges.items()}
+    doc, pos = (np.fromfile(os.path.join(d, name), np.uint8)
+                for name in (DOC_FILE, POS_FILE))
+    report = {"seg": man["seg"], "doc_count": n_docs, "field_sums": sums}
+    errors = _check_records(t, doc, pos)
     if errors:  # the pointers cannot be followed safely
-        return {"seg": man["seg"], "ok": False, "errors": errors,
-                "doc_count": n_docs, "unique_terms": man.get("unique_terms")}
-    sp = SegmentPostings(d)
+        return {**report, "ok": False, "errors": errors,
+                "unique_terms": man.get("unique_terms")}
     if n_docs != man["doc_count"]:
         errors.append(f"doc_count {n_docs} != manifest {man['doc_count']}")
 
     # per-field norms: field f's columns are length[_f] / norm[_f]
     norms_by_field: dict[str, np.ndarray] = {}
     man_fields = man.get("fields") or {"text": man}
+    for f, got in sums.items():
+        want = [man_fields.get(f, {}).get(k) for k in STAT_KEYS]
+        if got != want:
+            errors.append(f"field {f}: {', '.join(STAT_KEYS)} {want} != {got}")
     for c in docs_t.column_names:
         if c != "norm" and not c.startswith("norm_"):
             continue
@@ -81,131 +93,131 @@ def check_segment(index_dir: str, seg_dir: str) -> dict:
         if len(bad):
             errors.append(f"field {f}: {len(bad)} norm bytes disagree with "
                           f"SmallFloat(length), first at doc {bad[0]}")
-        # the top-level stats are the text field's
-        want = {man_fields.get(f, {}).get("sum_total_term_freq")} | (
+        # a field without live terms has no manifest stats (Σ 0); the
+        # top-level stats are the text field's
+        want = {man_fields.get(f, {}).get("sum_total_term_freq", 0)} | (
             {man["sum_total_term_freq"]} if f == "text" else set())
         if want != {int(fl.sum())}:
             errors.append(f"Σ length != sum_total_term_freq ({f})")
 
-    if not _keys_ascending(sp.dictionary):
+    if not _keys_ascending(t):
         errors.append("(field, term) keys not strictly ascending")
-    errors += _check_postings(sp, man_fields, docs_t, norms_by_field)
+    errors += _check_postings(t, ranges, doc, pos, docs_t, norms_by_field)
     _check_quantized_sidecar(d, man, n_docs, errors)
     _check_term_vectors_sidecar(d, docs_t, errors)
-    _check_bloom_sidecar(d, sp.dictionary, errors)
-    return {"seg": man["seg"], "ok": not errors, "errors": errors,
-            "doc_count": n_docs, "unique_terms": len(sp)}
+    _check_bloom_sidecar(d, t, errors)
+    return {**report, "ok": not errors, "errors": errors,
+            "unique_terms": t.num_rows}
 
 
-def _check_postings(sp: SegmentPostings, man_fields: dict, docs_t,
-                    norms_by_field: dict) -> list[str]:
-    """The postings invariants over the segment's whole decode
-    (``check_postings_files`` has held each record to its streams)."""
-    n, n_docs = len(sp), docs_t.num_rows
-    df, ttf = sp.df.astype(np.int64), sp.ttf.astype(np.int64)
-    try:
-        docs, freqs, voffs = sp.docs_freqs(np.arange(n))
-        posd = cfor.decode_streams_at(np.frombuffer(
-            sp.pos.read(0, sp.pos.size), np.uint8), sp.pos_ptr, ttf)[0]
-    except IndexError as e:  # corrupt encoding
-        return [f"postings decode failed: {e}"]
-    errors: list[str] = []
-
-    def flag(bad_terms: np.ndarray, what: str) -> None:
-        """One error for the term rows ``bad_terms``, naming the first."""
-        if len(bad_terms):
-            i = int(bad_terms.min())
-            errors.append(f"{len(np.unique(bad_terms))} terms: {what}, first "
-                          f"term {sp.dictionary['field'][i].as_py()}:"
-                          f"{sp.dictionary['term'][i].as_py()!r}")
-
-    term_of = np.repeat(np.arange(n), df)  # each entry's term row
-    first = voffs[:-1]  # each term's first entry (every df >= 1)
-    rising = np.ones(len(docs), bool)
-    rising[1:] = docs[1:] > docs[:-1]
-    rising[first] = True
-    in_range = (docs >= 0) & (docs < n_docs)
-    flag(term_of[~(rising & in_range)],
-         f"docIDs not strictly ascending in [0, {n_docs})")
-    flag(term_of[freqs < 1], "freq < 1")
-    sums = np.add.reduceat(freqs, first) if n else ttf
-    flag(np.flatnonzero(sums != ttf), "ttf != Σ freq")
-    if np.array_equal(sums, ttf) and (freqs >= 0).all():
-        entry_of = np.repeat(np.arange(len(freqs)), freqs)
-        inner = np.zeros(len(posd), bool)  # not an entry's first position
-        inner[1:] = entry_of[1:] == entry_of[:-1]
-        flag(term_of[entry_of[posd < 0]], "negative position")
-        flag(term_of[entry_of[inner & (posd <= 0)]],
-             "positions not strictly ascending")
-    ranges = field_ranges(sp.dictionary)
+def _check_postings(t: pa.Table, ranges: dict, doc: np.ndarray,
+                    pos: np.ndarray, docs_t, norms: dict) -> list[str]:
+    """The postings invariants over runs of whole terms (``ranges``: the
+    field runs of ``t``; ``norms``: each field's norm bytes)."""
+    n, n_docs = t.num_rows, docs_t.num_rows
+    df, ttf, doc_ptr, pos_ptr = (t[c].to_numpy().astype(np.int64) for c in
+                                 DICT_COLS[2:])
+    bad = defaultdict(list)  # invariant -> the term rows that break it
+    fields = list(norms)
+    fid = np.empty(n, np.int64)  # each term row's index in fields
     for f, (lo, hi) in ranges.items():
-        mf = man_fields.get(f, {})
-        for key, got in (("sum_doc_freq", int(df[lo:hi].sum())),
-                         ("sum_total_term_freq", int(ttf[lo:hi].sum()))):
-            if got != mf.get(key):
-                errors.append(f"field {f}: {key} {mf.get(key)} != {got}")
-    if not in_range.all():
-        return errors  # the checks below index by docID
-
-    # every 128-entry block; a multi-block term's .doc record ends with
-    # its blocks' last docs, then max freqs, then min norms (int32 each)
+        if f not in norms:
+            return [f"field {f}: terms without a norm column"]
+        fid[lo:hi] = fields.index(f)
+    norm = np.stack([norms[f] for f in fields]) if fields else None
+    max_tf, uniq = np.zeros((2, len(fields), n_docs), np.int64)
     nb = (df + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
-    blk_term = np.repeat(np.arange(n), nb)
-    within = np.arange(len(blk_term)) - np.repeat(np.cumsum(nb) - nb, nb)
-    blk = voffs[blk_term] + fu.BLOCK_SIZE * within  # block's first entry
-    multi = nb[blk_term] > 1
-    if multi.any():
-        entry_norm = np.empty(len(docs), np.int64)
-        for f, (lo, hi) in ranges.items():
-            at = slice(voffs[lo], voffs[hi])
-            entry_norm[at] = norms_by_field[f][docs[at]]
+    rec_end = np.append(doc_ptr[1:], len(doc))
+    cum = np.concatenate([[0], np.cumsum(ttf)])
+    lo, docs_ok = 0, True
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] + CHUNK,
+                                              "right")) - 1)
+        run, r, lo = np.arange(lo, hi), slice(lo, hi), hi
+        try:
+            docs, freqs, voffs = _decode_records(doc, doc_ptr[r], df[r],
+                                                 ttf[r])
+            posd = cfor.decode_streams_at(pos, pos_ptr[r], ttf[r])[0]
+        except IndexError as e:  # corrupt encoding
+            return [f"postings decode failed: {e}"]
+        term_of = np.repeat(run, df[r])  # each entry's term row
+        first = voffs[:-1]  # each term's first entry (every df >= 1)
+        rising = np.diff(docs, prepend=docs[:1] - 1) > 0
+        rising[first] = True
+        in_range = (docs >= 0) & (docs < n_docs)
+        bad[f"docIDs not strictly ascending in [0, {n_docs})"].append(
+            term_of[~(rising & in_range)])
+        bad["freq < 1"].append(term_of[freqs < 1])
+        sums = np.add.reduceat(freqs, first)
+        bad["ttf != Σ freq"].append(run[sums != ttf[r]])
+        if np.array_equal(sums, ttf[r]) and (freqs >= 0).all():
+            entry_of = np.repeat(np.arange(len(freqs)), freqs)
+            inner = np.diff(entry_of, prepend=-1) == 0  # not a first pos
+            bad["negative position"].append(term_of[entry_of[posd < 0]])
+            bad["positions not strictly ascending"].append(
+                term_of[entry_of[inner & (posd <= 0)]])
+        docs_ok &= bool(in_range.all())
+        if not docs_ok:
+            continue  # the checks below index by docID
+        fe = fid[term_of]  # each entry's field
+        np.maximum.at(max_tf, (fe, docs), freqs)
+        np.add.at(uniq, (fe, docs), 1)
+        # every 128-entry block; a multi-block term's .doc record ends
+        # with its blocks' last docs, then max freqs, then min norms
+        blk_term = np.repeat(run, nb[r])
+        within = np.arange(len(blk_term)) - np.repeat(
+            np.cumsum(nb[r]) - nb[r], nb[r])
+        blk = voffs[blk_term - run[0]] + fu.BLOCK_SIZE * within
+        multi = nb[blk_term] > 1
+        if not multi.any():
+            continue
         derived = (docs[np.minimum(blk + fu.BLOCK_SIZE,
-                                   voffs[blk_term + 1]) - 1],
+                                   voffs[blk_term - run[0] + 1]) - 1],
                    np.maximum.reduceat(freqs, blk),
-                   np.minimum.reduceat(entry_norm, blk))
-        t = blk_term[multi]
-        at = np.append(sp.doc_ptr[1:], sp.doc.size).astype(np.int64)[t] \
-            - 12 * nb[t] + 4 * within[multi]
-        doc = np.frombuffer(sp.doc.read(0, sp.doc.size), np.uint8)
-        for k, name in enumerate(BLOCK_COLS):
-            got = doc[(at + 4 * k * nb[t])[:, None] + np.arange(4)]
-            flag(t[got.view("<i4")[:, 0] != derived[k][multi]],
-                 f"{name} disagrees with postings")
+                   np.minimum.reduceat(norm[fe, docs], blk))
+        tm = blk_term[multi]
+        at = rec_end[tm] - 12 * nb[tm] + 4 * within[multi]
+        for k, name in enumerate(BLOCK_COLS):  # int32 each
+            got = doc[(at + 4 * k * nb[tm])[:, None] + np.arange(4)]
+            bad[f"{name} disagrees with postings"].append(
+                tm[got.view("<i4")[:, 0] != derived[k][multi]])
+    errors = []
+    for what, rows in bad.items():
+        rows = np.unique(np.concatenate(rows))
+        if len(rows):
+            f, term = (t[c][rows[0]].as_py() for c in ("field", "term"))
+            errors.append(f"{len(rows)} terms: {what}, "
+                          f"first term {f}:{term!r}")
+    if not docs_ok:
+        return errors
 
     # FieldInvertState's per-doc stats of each field
-    for f in norms_by_field:
+    for k, f in enumerate(fields):
         sfx = "" if f == "text" else f"_{f}"
         if f"max_tf{sfx}" not in docs_t.column_names:
             continue
-        lo, hi = ranges.get(f, (0, 0))
-        at = slice(voffs[lo], voffs[hi])
-        max_tf = np.zeros(n_docs, np.int64)
-        np.maximum.at(max_tf, docs[at], freqs[at])
-        for stat, want in (("max_tf", max_tf), ("unique_terms", np.bincount(
-                docs[at], minlength=n_docs))):
-            if not np.array_equal(docs_t[stat + sfx].to_numpy(), want):
+        for stat, got in (("max_tf", max_tf[k]), ("unique_terms", uniq[k])):
+            if not np.array_equal(docs_t[stat + sfx].to_numpy(), got):
                 errors.append(f"field {f}: {stat} disagrees with postings")
     return errors
 
 
-def check_postings_files(seg_dir: str) -> list[str]:
-    """The record layout the dictionary's pointers promise."""
-    t = read_dictionary(seg_dir)
-    df, ttf = (t[c].to_numpy().astype(np.int64) for c in ("df", "ttf"))
+def _check_records(t: pa.Table, doc: np.ndarray, pos: np.ndarray
+                   ) -> list[str]:
+    """The record layout the pointers of dictionary ``t`` promise in the
+    bytes of ``postings.doc`` / ``postings.pos``."""
+    df, ttf, ptr, pptr = (t[c].to_numpy().astype(np.int64) for c in
+                          DICT_COLS[2:])
     errors = [] if np.all(df >= 1) and np.all(ttf >= df) else \
         ["a term has df < 1 or ttf < df"]
-    recs = {}  # file name -> (record pointers, file bytes)
-    for col, name in (("doc_ptr", DOC_FILE), ("pos_ptr", POS_FILE)):
-        ptr = t[col].to_numpy().astype(np.int64)
-        buf = np.fromfile(os.path.join(seg_dir, name), np.uint8)
-        if len(ptr) and (ptr[0] != 0 or np.any(np.diff(ptr) < 0)):
+    recs = {DOC_FILE: (ptr, doc), POS_FILE: (pptr, pos)}
+    for name, (p, buf) in recs.items():
+        if len(p) and (p[0] != 0 or np.any(np.diff(p) < 0)):
             errors.append(f"{name}: pointers do not ascend from 0")
-        elif len(ptr) and ptr[-1] > len(buf):
+        elif len(p) and p[-1] > len(buf):
             errors.append(f"{name}: a record starts past the end of file")
-        recs[name] = (ptr, buf)
     if errors:
         return errors
-    (ptr, doc), (pptr, pos) = recs[DOC_FILE], recs[POS_FILE]
     nb = (df + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
     has = ttf > df
     try:
@@ -219,10 +231,9 @@ def check_postings_files(seg_dir: str) -> list[str]:
     for name, (p, buf) in recs.items():
         bad = np.flatnonzero(np.diff(np.append(p, len(buf))) != want[name])
         if len(bad):
-            i = int(bad[0])
             errors.append(f"{name}: {len(bad)} records do not match their "
-                          f"streams, first term {t['field'][i]}:"
-                          f"{t['term'][i]}")
+                          f"streams, first term {t['field'][bad[0]]}:"
+                          f"{t['term'][bad[0]]}")
     return errors
 
 
@@ -265,9 +276,8 @@ def _check_bloom_sidecar(seg_dir: str, terms_t, errors: list[str]) -> None:
                 word = fs.bits[(pos >> np.uint64(6)).astype(np.int64)]
                 ok &= ((word >> (pos & np.uint64(63)))
                        & np.uint64(1)).astype(bool)
-        nbad = int((~ok).sum())
-        if nbad:
-            errors.append(f"field {f}: bloom sidecar rejects {nbad} "
+        if not ok.all():
+            errors.append(f"field {f}: bloom sidecar rejects {(~ok).sum()} "
                           f"dictionary terms (false negatives)")
 
 
@@ -293,8 +303,7 @@ def _check_term_vectors_sidecar(seg_dir: str, docs_t, errors: list[str]
     flat = pos.flatten().to_numpy()
     if (flat < 0).any():
         errors.append("negative term vector position")
-    rising = np.ones(len(flat), bool)
-    rising[1:] = flat[1:] > flat[:-1]
+    rising = np.diff(flat, prepend=flat[:1] - 1) > 0
     rising[pos.offsets.to_numpy()[:-1][lens > 0]] = True  # lists restart
     if not rising.all():
         errors.append("term vector positions not strictly ascending")
@@ -321,8 +330,7 @@ def _check_quantized_sidecar(seg_dir: str, man: dict, n_docs: int,
         errors.append(f"quantized sidecar rows {qt.num_rows} != {n_docs}")
         return
     col = qt["qvec"].combine_chunks()
-    qnull = np.asarray(col.is_null()) if col.null_count \
-        else np.zeros(n_docs, bool)
+    qnull = col.is_null().to_numpy(zero_copy_only=False)
     qflat = pc.list_flatten(col).to_numpy().astype(np.int64)
     qlen = pc.list_value_length(col).fill_null(0).to_numpy()
     bits = int(qmeta.get("bits", 7))
@@ -336,8 +344,7 @@ def _check_quantized_sidecar(seg_dir: str, man: dict, n_docs: int,
         errors.append("quantized sidecar without float vector sidecar")
         return
     vcol = pq.read_table(vpath)["embedding"].combine_chunks()
-    vnull = np.asarray(vcol.is_null()) if vcol.null_count \
-        else np.zeros(n_docs, bool)
+    vnull = vcol.is_null().to_numpy(zero_copy_only=False)
     if not np.array_equal(qnull, vnull):
         errors.append("quantized/float sidecar null masks disagree")
         return
@@ -345,14 +352,11 @@ def _check_quantized_sidecar(seg_dir: str, man: dict, n_docs: int,
     live = np.flatnonzero(~qnull)
     vlen = pc.list_value_length(vcol).fill_null(0).to_numpy()[live]
     dim = int(vlen[0]) if len(live) else 0
-    if np.any(vlen != dim):
-        errors.append("float vectors of differing dimension")
-        return
-    sq = ScalarQuantizer(float(qmeta["lo"]), float(qmeta["hi"]), bits)
-    qb, corr = sq.quantize(
-        pc.list_flatten(vcol).to_numpy().reshape(len(live), dim))
-    wrong = qlen[live] != dim
+    wrong = (vlen != dim) | (qlen[live] != dim)
     if not wrong.any():
+        qb, corr = ScalarQuantizer(float(qmeta["lo"]), float(qmeta["hi"]),
+                                   bits).quantize(pc.list_flatten(vcol)
+                                                  .to_numpy().reshape(-1, dim))
         wrong = np.any(qflat.reshape(qb.shape) != qb, axis=1)
     if wrong.any():
         errors.append(f"requantization disagrees with stored bytes "
@@ -384,19 +388,15 @@ def check_index(index_dir: str, parallel: bool = True) -> dict:
         seg_reports = [check_segment(index_dir, sd) for sd in seg_dirs]
 
     errors = [f"seg {r['seg']}: {e}" for r in seg_reports for e in r["errors"]]
-    # global aggregates
     if sum(r["doc_count"] for r in seg_reports) != manifest["doc_count"]:
         errors.append("global doc_count != Σ segment doc_count")
-    from .builder import global_term_stats
-    sums = global_term_stats(index_dir).group_by("field") \
-        .aggregate([("df", "sum"), ("ttf", "sum")])
-    got = {f: (df, ttf) for f, df, ttf in zip(
-        *(sums[c].to_pylist() for c in ("field", "df_sum", "ttf_sum")))}
+    got: dict[str, tuple] = {}  # field -> Σ df, Σ ttf over segments
+    for r in seg_reports:
+        for f, s in r["field_sums"].items():
+            got[f] = tuple(np.add(got.get(f, (0, 0)), s).tolist())
     per = manifest.get("fields") or {"text": manifest}
     for f in sorted(set(per) | set(got)):
-        for (key, col), v in zip((("sum_doc_freq", "df"),
-                                  ("sum_total_term_freq", "ttf")),
-                                 got.get(f, (0, 0))):
+        for key, col, v in zip(STAT_KEYS, ("df", "ttf"), got.get(f, (0, 0))):
             if per.get(f, {}).get(key, 0) != v:
                 errors.append(f"field {f}: manifest {key} "
                               f"{per.get(f, {}).get(key)} != Σ {col} {v}")

@@ -106,6 +106,7 @@ def _seg_work_items(segs, per_block: int = 8):
 
 
 _HIT_COLS = ("query_id", "seg", "doc", "score", "doc_id", "url")
+_SHUTDOWN_TIMEOUT_S = 60.0  # SearcherPool.shutdown waits this long for deaths
 
 
 class SegmentSearch:
@@ -546,17 +547,25 @@ class SearcherPool:
         """Kill the slice actors and return once each is dead: no actor
         outlives the pool, and a call made after this raises
         RayActorError. ``ray.kill`` only asks for the kill, so each actor
-        is pinged until its death is known."""
+        is pinged until its death is known; TimeoutError when one is
+        still answering after ``_SHUTDOWN_TIMEOUT_S``."""
         import time
 
         import ray as _ray
         for a in self._actors:
             _ray.kill(a)
+        deadline = time.monotonic() + _SHUTDOWN_TIMEOUT_S
         for a in self._actors:
             while True:
+                left = deadline - time.monotonic()
                 try:
-                    _ray.get(a.__ray_ready__.remote())
+                    _ray.get(a.__ray_ready__.remote(), timeout=max(left, 0))
                 except _ray.exceptions.RayActorError:
                     break
+                except _ray.exceptions.GetTimeoutError:
+                    pass
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(f"searcher actor {a} still alive "
+                                       f"{_SHUTDOWN_TIMEOUT_S} s after kill")
                 time.sleep(0.01)
         self._actors = []

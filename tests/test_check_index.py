@@ -291,3 +291,56 @@ def test_corrupt_invariant_detected(multi_block_index, tmp_path, kind):
     rep = check_segment(work, seg)
     assert not rep["ok"]
     assert any(what in e and name in e for e in rep["errors"]), rep["errors"]
+
+
+
+@pytest.mark.corrupts_index
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_invariants_checked_over_runs_of_terms(multi_block_index, tmp_path,
+                                               monkeypatch, kind):
+    """Decoded in runs of at most 64 positions (many runs, ``every``
+    alone in one), the check reports what one run reports."""
+    from lucene_kmp_ray.index import check
+
+    work = str(tmp_path / "idx")
+    shutil.copytree(multi_block_index, work)
+    seg = os.path.join(work, "segments", "seg=00000")
+    CORRUPTIONS[kind][0](seg)
+    whole = check_segment(work, seg)["errors"]
+    monkeypatch.setattr(check, "CHUNK", 64)
+    assert sorted(check_segment(work, seg)["errors"]) == sorted(whole)
+    assert whole
+
+
+@pytest.mark.parametrize("titled", ["deleted", "none"])
+def test_merged_field_without_terms_passes(tmp_path, titled):
+    """A merge whose ``title`` has no live term keeps the field's
+    per-doc columns (all 0) but no ``fields.title`` stats; such an index
+    is clean. ``deleted``: every doc with a title term was deleted before
+    the merge; ``none``: no source had a title term."""
+    from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
+    from lucene_kmp_ray.index.builder import commit_index
+    from lucene_kmp_ray.index.deletes import delete_segment_urls
+    from lucene_kmp_ray.index.format import build_and_write_segment
+    from lucene_kmp_ray.index.merge import merge_segments
+
+    idx = str(tmp_path / "idx")
+    mans = []
+    for seg in range(2):
+        ids = range(seg * 20, seg * 20 + 20)
+        titles = [f"t{i}" if titled == "deleted" and i % 7 == 0 else ""
+                  for i in ids]
+        mans.append(build_and_write_segment(
+            pa.table({"doc_id": pa.array(ids, pa.int64()),
+                      "url": [f"u{i}" for i in ids],
+                      "text": [f"w{i % 3} w{i % 5}" for i in ids],
+                      "title": titles}),
+            seg, idx, analyzer=WhitespaceAnalyzer(),
+            fields=("text", "title")))
+        delete_segment_urls(os.path.join(idx, "segments", f"seg={seg:05d}"),
+                            [f"u{i}" for i in ids if i % 7 == 0])
+    merged = merge_segments(idx, [0, 1], 2)
+    assert "title" not in merged.get("fields", {})
+    commit_index(idx, [merged])
+    report = check_index(idx, parallel=False)
+    assert report["ok"], report["errors"]

@@ -428,3 +428,23 @@ def test_searcher_pool_opened_on_empty_index(ray_session, built_index,
     for a in actors:
         with pytest.raises(ray.exceptions.RayActorError):
             ray.get(a.search.remote({}, 1), timeout=60)
+
+
+def test_searcher_pool_shutdown_has_a_deadline(ray_session, built_index,
+                                               monkeypatch):
+    """An actor that outlives its kill makes shutdown() raise once the
+    deadline passes instead of waiting for ever."""
+    import ray
+
+    from lucene_kmp_ray.search import ray_search
+
+    pool = ray_search.SearcherPool(built_index, num_actors=1)
+    actors = list(pool._actors)
+    with monkeypatch.context() as mp:
+        mp.setattr(ray, "kill", lambda actor: None)
+        mp.setattr(ray_search, "_SHUTDOWN_TIMEOUT_S", 0.0)
+        with pytest.raises(TimeoutError, match="still alive"):
+            pool.shutdown()
+    assert pool._actors == actors
+    pool.shutdown()
+    assert pool._actors == []
