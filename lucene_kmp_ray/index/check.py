@@ -18,11 +18,13 @@ Checks per segment:
   freqs; positions per entry strictly ascending, non-negative;
 - only STORED metadata is compared: a multi-block term's ``block_last_doc``
   / ``block_max_freq`` / ``block_min_norm`` == their re-derivation over
-  128-doc blocks (a single-block term stores none; readers derive it from
-  the same decode);
+  128-doc blocks (a single-block term stores none);
 - ``norm`` byte == SmallFloat.intToByte4(length); per field, Σ length /
   Σ df / Σ ttf == the manifest, and each doc's ``max_tf`` /
-  ``unique_terms`` == its maximum freq / entry count.
+  ``unique_terms`` == its maximum freq / entry count;
+- the manifest's top-level ``sum_total_term_freq`` / ``sum_doc_freq`` /
+  ``unique_terms`` == those of its ``format.main_field`` (zeros without
+  one), what the flush and the merge write (``format.top_stats``).
 
 Global checks: manifest doc_count == Σ segment doc counts; per field, the
 manifest's ``sum_doc_freq`` / ``sum_total_term_freq`` == Σ df / Σ ttf over
@@ -42,7 +44,7 @@ import pyarrow.parquet as pq
 
 from ..util import cfor, forutil as fu
 from ..util.smallfloat import int_to_byte4_np
-from .format import DOCS_FILE
+from .format import DOCS_FILE, TOP_STATS, main_field, top_stats
 from .postings import (BLOCK_COLS, DICT_COLS, DOC_FILE, POS_FILE,
                        _decode_records, field_ranges, read_dictionary,
                        stream_nbytes)
@@ -79,6 +81,11 @@ def check_segment(index_dir: str, seg_dir: str) -> dict:
     # per-field norms: field f's columns are length[_f] / norm[_f]
     norms_by_field: dict[str, np.ndarray] = {}
     man_fields = man.get("fields") or {"text": man}
+    top = top_stats(man_fields)
+    off = [k for k in TOP_STATS if man.get(k) != top[k]]
+    if off:
+        errors.append(f"top-level {', '.join(off)} != field "
+                      f"{main_field(man_fields)}'s")
     for f, got in sums.items():
         want = [man_fields.get(f, {}).get(k) for k in STAT_KEYS]
         if got != want:
@@ -93,11 +100,8 @@ def check_segment(index_dir: str, seg_dir: str) -> dict:
         if len(bad):
             errors.append(f"field {f}: {len(bad)} norm bytes disagree with "
                           f"SmallFloat(length), first at doc {bad[0]}")
-        # a field without live terms has no manifest stats (Σ 0); the
-        # top-level stats are the text field's
-        want = {man_fields.get(f, {}).get("sum_total_term_freq", 0)} | (
-            {man["sum_total_term_freq"]} if f == "text" else set())
-        if want != {int(fl.sum())}:
+        # a field without live terms has no manifest stats (Σ 0)
+        if man_fields.get(f, {}).get("sum_total_term_freq", 0) != fl.sum():
             errors.append(f"Σ length != sum_total_term_freq ({f})")
 
     if not _keys_ascending(t):

@@ -169,6 +169,24 @@ def field_stats_of(doc_lengths: np.ndarray, df: np.ndarray) -> dict:
     }
 
 
+TOP_STATS = ("sum_total_term_freq", "sum_doc_freq", "unique_terms")
+
+
+def main_field(fields) -> str | None:
+    """The field whose stats a segment manifest repeats at its top level
+    (the primary scored field): ``text`` when present, else the first of
+    ``fields`` in sorted (dictionary) order; None for no field."""
+    return "text" if "text" in fields else min(fields, default=None)
+
+
+def top_stats(field_stats: dict) -> dict:
+    """A segment manifest's top-level ``TOP_STATS``: those of
+    ``main_field(field_stats)``, zeros without a field. The flush and
+    the merge both write them through here."""
+    f = main_field(field_stats)
+    return {k: field_stats[f][k] if f else 0 for k in TOP_STATS}
+
+
 def _sorted_docs(docs: pa.Table,
                  index_sort: tuple[tuple[str, bool], ...] | None) -> pa.Table:
     """Order the segment's rows: by the index sort keys (the Sorter /
@@ -244,10 +262,6 @@ def invert_segment(docs: pa.Table, seg: int, lineage: dict | None = None,
     for mc in meta_cols:  # stored doc-values columns (DocValues role:
         doc_cols[mc] = docs[mc]  # numeric per-doc payload for filters/sort)
     docs_table = pa.table(doc_cols)
-    # top-level stats remain the text field's (back-compat: the primary
-    # scored field); per-field stats live under "fields"
-    main = field_stats.get("text", next(iter(field_stats.values()), {
-        "sum_total_term_freq": 0, "sum_doc_freq": 0, "unique_terms": 0}))
     if n_docs:
         ids_np = docs["doc_id"].to_numpy()
         id_min, id_max = int(ids_np.min()), int(ids_np.max())
@@ -256,9 +270,7 @@ def invert_segment(docs: pa.Table, seg: int, lineage: dict | None = None,
     manifest = {
         "seg": int(seg),
         "doc_count": int(n_docs),
-        "sum_total_term_freq": main["sum_total_term_freq"],
-        "sum_doc_freq": main["sum_doc_freq"],
-        "unique_terms": main["unique_terms"],
+        **top_stats(field_stats),
         "fields": field_stats,
         "index_sort": [[f, bool(d)] for f, d in index_sort]
         if index_sort else None,

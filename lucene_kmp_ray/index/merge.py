@@ -47,7 +47,7 @@ import pyarrow.parquet as pq
 from ..util import forutil as fu
 from .builder import commit_index
 from .format import (DOCS_FILE, field_stats_of, postings_dictionary,
-                     seg_dirname, write_segment)
+                     seg_dirname, top_stats, write_segment)
 
 # TieredMergePolicy.kt defaults, re-based on docs (5GB/16MB ≈ 320:1 ratio
 # preserved): segments under the floor count as floor-sized.
@@ -333,14 +333,10 @@ def merge_segments(index_dir: str, segs: list[int], new_seg: int,
     terms, field_stats, phases = _merge_records(dirs, bounds, inv_perm,
                                                 docs_table)
     read_sec += phases.pop("read_sec")
-    main = field_stats.get("text", {"sum_total_term_freq": 0,
-                                    "sum_doc_freq": 0, "unique_terms": 0})
     manifest = {
         "seg": int(new_seg),
         "doc_count": int(n_docs),
-        "sum_total_term_freq": main["sum_total_term_freq"],
-        "sum_doc_freq": main["sum_doc_freq"],
-        "unique_terms": main["unique_terms"],
+        **top_stats(field_stats),
         "fields": field_stats,
         "index_sort": index_sort,
         "doc_id_min": int(docs_table["doc_id"].to_numpy().min())

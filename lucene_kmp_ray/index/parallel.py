@@ -60,9 +60,6 @@ class ParallelSegmentReader:
         return self._route(field).postings(term, positions=positions,
                                            field=field)
 
-    def postings_pruned(self, term, keep_block, field="text"):
-        return self._route(field).postings_pruned(term, keep_block, field)
-
     def positions_for_entries(self, term, entry_idx, field="text"):
         return self._route(field).positions_for_entries(term, entry_idx,
                                                         field)

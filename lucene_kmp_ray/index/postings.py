@@ -17,8 +17,8 @@ three parts:
 
 A record ends where the next term's pointer starts; the last one ends at
 the file size. The FOR streams need no length: the value count bounds
-them. A single-block term's metadata is not stored — it re-derives from
-its one block on first use.
+them. A single-block term's metadata is not stored. No search reads
+the stored metadata yet (none skips blocks); CheckIndex verifies it.
 
 A term row (``TermRow``) is one positioned read of its record. One C call
 (``cfor.decode_record``) decodes it: absolute docs, then freqs (ones when
@@ -170,14 +170,12 @@ class _Flat:
 
 
 class TermRow(dict):
-    """One term's postings row (``df, ttf, docs_enc, freqs_enc, pos_enc,
-    block_last_doc, block_max_freq, block_min_norm``) over its ``.doc``
-    record ``rec``, whose first ``payload`` bytes hold the docs and freqs
-    streams. ``docs_freqs()`` decodes the record in one C pass; the
-    other keys derive on first access: ``docs_enc`` / ``freqs_enc`` split
-    the record at the docs stream's end, ``pos_enc`` reads
-    ``postings.pos``, and a single-block term's block metadata
-    re-derives from its block."""
+    """One term's postings row (``df, ttf, docs_enc, freqs_enc,
+    pos_enc``) over its ``.doc`` record ``rec``, whose first ``payload``
+    bytes hold the docs and freqs streams. ``docs_freqs()`` decodes the
+    record in one C pass; the other keys derive on first access:
+    ``docs_enc`` / ``freqs_enc`` split the record at the docs stream's
+    end and ``pos_enc`` reads ``postings.pos``."""
 
     __slots__ = ("_src", "rec", "payload")
 
@@ -189,7 +187,7 @@ class TermRow(dict):
         return docs, freqs
 
     def __missing__(self, key):
-        postings, i, norms_of = self._src
+        postings, i = self._src
         df, ttf, rec = self["df"], self["ttf"], self.rec
         if key == "pos_enc":
             self["pos_enc"] = postings.pos_bytes(i)
@@ -201,16 +199,6 @@ class TermRow(dict):
                 freqs = rec.slice(dl, self.payload - dl).to_pybytes()
             self.update(docs_enc=rec.slice(0, dl).to_pybytes(),
                         freqs_enc=freqs)
-        elif key in BLOCK_COLS:
-            nb = (df + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
-            if nb > 1:
-                meta = np.frombuffer(rec, "<i4", offset=self.payload)
-                self.update(zip(BLOCK_COLS, meta.reshape(3, nb).tolist()))
-            else:
-                docs, freqs = self.docs_freqs()
-                self.update(block_last_doc=[int(docs[-1])],
-                            block_max_freq=[int(freqs.max())],
-                            block_min_norm=[int(norms_of()[docs].min())])
         else:
             raise KeyError(key)
         return self[key]
@@ -259,15 +247,15 @@ class SegmentPostings:
     def __len__(self) -> int:
         return len(self.df)
 
-    def row(self, i: int, norms_of) -> TermRow:
+    def row(self, i: int) -> TermRow:
         """Term ``i``'s row over one positioned read of its ``.doc``
-        record; ``norms_of()`` returns the field's norms."""
+        record."""
         df = int(self.df[i])
         rec = self.doc.read(int(self.doc_ptr[i]), self._end(
             self.doc_ptr, i, self.doc.size))
         nb = (df + fu.BLOCK_SIZE - 1) // fu.BLOCK_SIZE
         row = TermRow(df=df, ttf=int(self.ttf[i]))
-        row._src = (self, i, norms_of)
+        row._src = (self, i)
         row.rec = rec
         row.payload = rec.size - (12 * nb if nb > 1 else 0)
         return row

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import weakref
 
 import numpy as np
 import pyarrow as pa
@@ -392,17 +391,11 @@ class SegmentReader:
         i = self.term_ord(term, field)
         if i is None:
             return None
-        row = self._row(i, field)
+        row = self._postings.row(i)
         self._term_row_cache[key] = row
         while len(self._term_row_cache) > TERM_ROW_CACHE:
             self._term_row_cache.pop(next(iter(self._term_row_cache)))
         return row
-
-    def _row(self, i: int, field: str):
-        # a weak reference: the row is cached in this reader, and a cycle
-        # would keep a dropped reader's dictionary alive until a full GC
-        ref = weakref.ref(self)
-        return self._postings.row(i, lambda: ref().norms_for(field))
 
     def load_direct(self, field: str = "text") -> "object":
         """Opt into the DirectPostingsFormat role for one field: all
@@ -427,10 +420,7 @@ class SegmentReader:
     def postings_at(self, i: int, positions: bool = False):
         """Decoded postings of the i-th term in the sorted dictionary —
         the TermsEnum-by-ordinal path used by MultiTermQuery expansion."""
-        self.terms_table
-        field = next((f for f, (lo, hi) in self._field_ranges.items()
-                      if lo <= i < hi), "text")
-        row = self._row(i, field)
+        row = self.postings_file.row(i)
         if positions:
             return decode_postings(row["df"], row["ttf"], row["docs_enc"],
                                    row["freqs_enc"], row["pos_enc"])
@@ -497,56 +487,6 @@ class SegmentReader:
         # masked decode + gather/cumsum in one C pass over the stream
         return sel_freqs, cfor.positions_select(row["pos_enc"], pm, n_pos,
                                                 mask, s, e, total)
-
-    def postings_pruned(self, term: str, keep_block,
-                        field: str = "text") -> tuple[np.ndarray, np.ndarray]:
-        """Block-max pruned decode: ``keep_block(max_freq, min_norm,
-        last_doc) -> bool mask`` selects 128-doc blocks worth decoding
-        (ImpactsDISI / MaxScoreCache semantics, SURVEY §2.5). Sound because
-        skipped blocks cannot contain competitive hits."""
-        row = self.term_row(term, field)
-        if row is None:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        maxf = np.asarray(row["block_max_freq"], dtype=np.int64)
-        minn = np.asarray(row["block_min_norm"], dtype=np.int64)
-        last = np.asarray(row["block_last_doc"], dtype=np.int64)
-        mask = keep_block(maxf, minn, last)
-        if mask.all():
-            return row.docs_freqs()
-        return _decode_selected_blocks(row, mask)
-
-
-def _decode_selected_blocks(row: dict, mask: np.ndarray):
-    """Decode only the selected 128-doc blocks of one posting list.
-
-    The docID delta chain crosses blocks; block b's base is
-    block_last_doc[b-1], which we stored precisely so a skipped block's
-    successor can be decoded without it (the skip-pointer role,
-    Lucene101PostingsReader BlockPostingsEnum, SURVEY §2.1). Block walking
-    uses the shared FOR/PFor stream parser, so freq blocks may be patched.
-    """
-    df = row["df"]
-    last = row["block_last_doc"]
-    dm = row.get("_docs_meta")  # stream layout parsed once per cached row
-    if dm is None:
-        dm = row["_docs_meta"] = fu.block_stream_meta(row["docs_enc"], df)
-    fm = row.get("_freqs_meta")
-    if fm is None:
-        fm = row["_freqs_meta"] = fu.block_stream_meta(row["freqs_enc"], df)
-    dmv, dmeta = dm
-    fmv, fmeta = fm
-    out_docs, out_freqs = [], []
-    for b in np.flatnonzero(mask):
-        cnt = min(fu.BLOCK_SIZE, df - b * fu.BLOCK_SIZE)
-        deltas = fu.decode_one_block(dmv, dmeta[b], cnt)
-        docs = np.cumsum(deltas)
-        if b > 0:
-            docs += last[b - 1]
-        out_docs.append(docs)
-        out_freqs.append(fu.decode_one_block(fmv, fmeta[b], cnt))
-    if not out_docs:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(out_docs), np.concatenate(out_freqs)
 
 
 class IndexReader:

@@ -59,13 +59,9 @@ above (tests/test_explain_weight.py). ``count`` answers a TermQuery from
 the df and MatchAllDocsQuery from the doc count in each segment without
 tombstones, and walks the matches in the others.
 
-``prune=True`` enables block-max pruning for term queries (WAND family,
-WANDScorer.kt / ImpactsDISI.kt / MaxScoreBulkScorer.kt): after
-``total_hits_threshold`` (1000, IndexSearcher.kt:1024) hits the collector's
-min-competitive score skips 128-doc blocks whose impact bound
-score(block_max_freq, block_min_norm) is not competitive; total hits then
-becomes a lower bound (TotalHits.Relation.GREATER_THAN_OR_EQUAL_TO,
-TotalHits.kt:15).
+Every top-k search scores every match: no path skips postings blocks by
+their stored impacts (block-max WAND / MaxScore), so ``total_hits`` is
+exact unless a ``timeout_s`` budget runs out.
 """
 
 from __future__ import annotations
@@ -117,8 +113,6 @@ class _KnnScoredQuery(Query):
 
     def terms(self):
         return []
-
-TOTAL_HITS_THRESHOLD = 1000  # IndexSearcher.kt:1024
 
 
 @dataclass
@@ -996,7 +990,7 @@ class Searcher:
         return self._merge(parts, k, total, "EQUAL_TO")
 
     # ----- top-k --------------------------------------------------------
-    def search(self, query: Query, k: int = 10, prune: bool = False,
+    def search(self, query: Query, k: int = 10,
                timeout_s: float | None = None) -> TopDocs:
         """Top-k. ``timeout_s`` is the per-search time budget
         (TimeLimitingBulkScorer / QueryTimeout, IndexSearcher.kt:661-685):
@@ -1007,12 +1001,6 @@ class Searcher:
         import time as _time
         deadline = (_time.monotonic() + timeout_s
                     if timeout_s is not None else None)
-        if prune and isinstance(query, TermQuery):
-            return self._search_term_pruned(query, k, deadline)
-        if prune and _is_term_disjunction(query):
-            return self._search_or_pruned(
-                [sub.term for _, sub in query.clauses], k, deadline,
-                query.clauses[0][1].field)
         parts, total, complete = collect(Weight(self, query),
                                          self.reader.segment_readers, k,
                                          deadline=deadline)
@@ -1042,129 +1030,6 @@ class Searcher:
                 total += len(docs) if live else \
                     int((~_isin_sorted(docs, tomb)).sum())
         return total
-
-    def _search_term_pruned(self, query: TermQuery, k: int,
-                            deadline: float | None = None) -> TopDocs:
-        """Block-max WAND for a single term across segments: carry the
-        collector's min-competitive score into every later segment's block
-        mask (TopScoreDocCollector.kt:81-135 minCompetitiveScore
-        propagation into ImpactsDISI)."""
-        import time as _time
-        field = query.field
-        scorer = self._scorer_for_terms([query.term], field=field)
-        top_scores = np.empty(0, dtype=self.sim.dtype)
-        hits_seen = 0
-        pruned = False
-        parts = []
-        for si, sr in enumerate(self.reader.segment_readers):
-            if deadline is not None and _time.monotonic() > deadline:
-                pruned = True  # remaining segments skipped → lower bound
-                break
-            threshold = None
-            if hits_seen >= TOTAL_HITS_THRESHOLD and len(top_scores) >= k:
-                threshold = np.partition(top_scores, -k)[-k]
-
-            def keep(maxf, minn, last, _t=threshold):
-                if _t is None:
-                    return np.ones(len(maxf), dtype=bool)
-                bounds = scorer.score(maxf, minn.astype(np.uint8))
-                return bounds > _t
-            docs, freqs = sr.postings_pruned(query.term, keep, field)
-            tomb = sr.tombstones
-            if tomb is not None and len(docs):
-                live = ~_isin_sorted(docs, tomb)
-                docs, freqs = docs[live], freqs[live]
-            if threshold is not None:
-                pruned = True
-            hits_seen += len(docs)
-            if len(docs) == 0:
-                continue
-            scores = scorer.score(freqs, sr.norms_for(field)[docs])
-            sel = _topk_idx(scores, docs, k)
-            parts.append((scores[sel], np.full(len(sel), si), docs[sel]))
-            top_scores = np.concatenate([top_scores, scores[sel]])
-            if len(top_scores) > k:
-                top_scores = np.partition(top_scores, -k)[-k:]
-        rel = "GREATER_THAN_OR_EQUAL_TO" if pruned else "EQUAL_TO"
-        return self._merge(parts, k, hits_seen, rel)
-
-    def _search_or_pruned(self, terms: list[str], k: int,
-                          deadline: float | None = None,
-                          field: str = "text") -> TopDocs:
-        """MaxScore pruning for a pure term disjunction
-        (MaxScoreBulkScorer.kt:15-36 essential/non-essential split +
-        WANDScorer's θ feedback): once the collector holds ≥ threshold hits,
-        terms whose per-segment score upper bound cannot lift a
-        non-essential-only doc above θ are dropped from candidate
-        *generation* (their freqs still contribute to candidates found via
-        essential terms). Hit counts become lower bounds
-        (TotalHits.GREATER_THAN_OR_EQUAL_TO), exactly like the reference.
-        """
-        import time as _time
-        dt = self.sim.dtype
-        stats = self.reader.term_stats(terms, field)
-        live = [t for t in terms if stats[t][0] > 0]
-        dc, sttf = self.reader.field_stats(field)
-        scorers = {t: self._sim(field).scorer(1.0, dc, sttf, [stats[t][0]],
-                                              [stats[t][1]])
-                   for t in live}
-        top_scores = np.empty(0, dtype=dt)
-        hits_seen = 0
-        pruned = False
-        parts = []
-        for si, sr in enumerate(self.reader.segment_readers):
-            if deadline is not None and _time.monotonic() > deadline:
-                pruned = True  # remaining segments skipped → lower bound
-                break
-            theta = None
-            if hits_seen >= TOTAL_HITS_THRESHOLD and len(top_scores) >= k:
-                theta = float(np.partition(top_scores, -k)[-k])
-            posts = {t: p for t in live
-                     if (p := sr.postings(t, field=field)) is not None}
-            if not posts:
-                continue
-            # per-term upper bound in this segment = max block impact score
-            ubs = {}
-            for t in posts:
-                row = sr.term_row(t, field)
-                maxf = np.asarray(row["block_max_freq"], dtype=np.int64)
-                minn = np.asarray(row["block_min_norm"], dtype=np.uint8)
-                ubs[t] = float(scorers[t].score(maxf, minn).max()) \
-                    if len(maxf) else 0.0
-            order = sorted(posts, key=lambda t: ubs[t])  # ascending bound
-            essential, acc = [], 0.0
-            for t in order:
-                # non-essential prefix: cumulative bound cannot beat θ
-                if theta is not None and acc + ubs[t] <= theta:
-                    acc += ubs[t]
-                    pruned = True
-                else:
-                    essential.append(t)
-            if not essential:
-                continue
-            cand = np.unique(np.concatenate(
-                [posts[t][0] for t in essential]))
-            tomb = sr.tombstones
-            if tomb is not None and len(cand):
-                cand = cand[~_isin_sorted(cand, tomb)]
-            scores = np.zeros(len(cand), dtype=np.float64)
-            for t in posts:  # ALL terms score the surviving candidates
-                d, f = posts[t]
-                idx = np.searchsorted(d, cand)
-                idx[idx == len(d)] = 0
-                hit = d[idx] == cand
-                sc = scorers[t].score(f[idx[hit]],
-                                      sr.norms_for(field)[cand[hit]])
-                scores[hit] += sc.astype(np.float64)
-            scores = scores.astype(dt)
-            hits_seen += len(cand)
-            sel = _topk_idx(scores, cand, k)
-            parts.append((scores[sel], np.full(len(sel), si), cand[sel]))
-            top_scores = np.concatenate([top_scores, scores[sel]])
-            if len(top_scores) > k:
-                top_scores = np.partition(top_scores, -k)[-k:]
-        rel = "GREATER_THAN_OR_EQUAL_TO" if pruned else "EQUAL_TO"
-        return self._merge(parts, k, hits_seen, rel)
 
     def _merge(self, parts, k: int, total: int, relation: str,
                ascending: bool = False) -> TopDocs:
@@ -2556,19 +2421,6 @@ def _sloppy_phrase(sr: SegmentReader, terms: list[str], slop: int,
             out_freqs.append(f)
     return (np.asarray(out_docs, dtype=np.int64),
             np.asarray(out_freqs, dtype=np.float64))
-
-
-def _is_term_disjunction(q: Query) -> bool:
-    """Pure SHOULD-of-TermQuery BooleanQuery with DISTINCT terms (the
-    MaxScore-eligible shape — duplicate SHOULD clauses each score in the
-    exhaustive path, so they stay on it)."""
-    if not (isinstance(q, BooleanQuery) and q.minimum_should_match <= 1 and
-            all(occ == Occur.SHOULD and isinstance(sub, TermQuery)
-                for occ, sub in q.clauses)):
-        return False
-    terms = [sub.term for _, sub in q.clauses]
-    fields = {sub.field for _, sub in q.clauses}
-    return len(terms) == len(set(terms)) and len(fields) <= 1
 
 
 def _top_finite(sims: np.ndarray, k: int) -> np.ndarray:

@@ -26,28 +26,8 @@ from . import cfor
 
 BLOCK_SIZE = 128  # ForUtil.kt:121
 
-__all__ = ["BLOCK_SIZE", "pack_ints", "unpack_ints", "encode_blocks",
-           "decode_blocks", "delta_encode", "delta_decode"]
-
-
-def pack_ints(vals: np.ndarray, width: int) -> bytes:
-    """Pack non-negative ints into `width` bits each, LSB-first."""
-    n = len(vals)
-    if width == 0 or n == 0:
-        return b""
-    v = np.ascontiguousarray(vals, dtype=np.uint64)
-    bits = ((v[:, None] >> np.arange(width, dtype=np.uint64)) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel(), bitorder="little").tobytes()
-
-
-def unpack_ints(buf: memoryview | bytes, n: int, width: int) -> np.ndarray:
-    """Inverse of pack_ints → int64 array of length n."""
-    if width == 0 or n == 0:
-        return np.zeros(n, dtype=np.int64)
-    raw = np.frombuffer(buf, dtype=np.uint8, count=(n * width + 7) // 8)
-    bits = np.unpackbits(raw, bitorder="little", count=n * width)
-    weights = (np.int64(1) << np.arange(width, dtype=np.int64))
-    return bits.reshape(n, width).astype(np.int64) @ weights
+__all__ = ["BLOCK_SIZE", "encode_blocks", "decode_blocks", "delta_encode",
+           "delta_decode"]
 
 
 def encode_blocks(vals: np.ndarray) -> bytes:
@@ -89,8 +69,8 @@ def encode_blocks_pfor(vals: np.ndarray) -> bytes:
 def block_stream_meta(buf, n: int):
     """Walk a FOR/PFor block stream → per-block metadata arrays
     ``(start_of_payload, width, n_exc, payload_bytes, block_total_bytes)``
-    — the parser of the skip-read paths (``cfor.positions_select``'s
-    metadata and the block-max pruned decode)."""
+    — the parser of the positional skip-read (``cfor.positions_select``'s
+    metadata)."""
     mv = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
     nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     meta = np.empty((nblocks, 5), dtype=np.int64)
@@ -110,18 +90,6 @@ def block_stream_meta(buf, n: int):
         meta[b] = (pstart, w, ne, pbytes, total)
         pos += total
     return mv, meta
-
-
-def decode_one_block(mv: np.ndarray, meta_row, cnt: int) -> np.ndarray:
-    """Decode a single block from its stream metadata row (skip-read path)."""
-    pstart, w, ne, pbytes = (int(meta_row[0]), int(meta_row[1]),
-                             int(meta_row[2]), int(meta_row[3]))
-    vals = unpack_ints(mv[pstart:pstart + pbytes].tobytes(), cnt, w)
-    if ne:
-        pairs = mv[pstart + pbytes:pstart + pbytes + 2 * ne]
-        vals[pairs[0::2].astype(np.int64)] |= \
-            pairs[1::2].astype(np.int64) << w
-    return vals
 
 
 def decode_blocks(buf, n: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 _cfor.c, reached through util/cfor.py and util/forutil.py).
 
 The engine runs only the C. These are the vectorized numpy forms the
-fuzz tests hold it to, byte for byte and value for value: the FOR / PFor
-matrix encoders (``for_blocks_matrix``, ``pfor_blocks_matrix``, and
+fuzz tests hold it to, byte for byte and value for value: the bit
+packer (``pack_ints`` / ``unpack_ints``), the FOR / PFor matrix
+encoders (``for_blocks_matrix``, ``pfor_blocks_matrix``, and
 ``encode_csr`` over a CSR layout), the stream decoders (``decode_blocks``,
 ``decode_blocks_masked``, ``decode_streams``), the positional skip-read
 (``positions_select``) and the term dictionary search (``BisectTerms``).
@@ -16,7 +17,7 @@ import numpy as np
 from lucene_kmp_ray.util.cfor import CEIL, EXACT, PREFIX_END, string_parts
 from lucene_kmp_ray.util.forutil import (BLOCK_SIZE, MAX_EXCEPTIONS,
                                          MAX_PATCH_BITS, PATCHED_FLAG,
-                                         block_stream_meta, unpack_ints)
+                                         block_stream_meta)
 
 
 def bit_length(v: np.ndarray) -> np.ndarray:
@@ -36,6 +37,26 @@ def bit_length(v: np.ndarray) -> np.ndarray:
         v[mask] >>= s
     out[v > 0] += 1
     return out
+
+
+def pack_ints(vals: np.ndarray, width: int) -> bytes:
+    """Pack non-negative ints into `width` bits each, LSB-first."""
+    n = len(vals)
+    if width == 0 or n == 0:
+        return b""
+    v = np.ascontiguousarray(vals, dtype=np.uint64)
+    bits = ((v[:, None] >> np.arange(width, dtype=np.uint64)) & 1).astype(np.uint8)
+    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+
+
+def unpack_ints(buf: memoryview | bytes, n: int, width: int) -> np.ndarray:
+    """Inverse of pack_ints → int64 array of length n."""
+    if width == 0 or n == 0:
+        return np.zeros(n, dtype=np.int64)
+    raw = np.frombuffer(buf, dtype=np.uint8, count=(n * width + 7) // 8)
+    bits = np.unpackbits(raw, bitorder="little", count=n * width)
+    weights = (np.int64(1) << np.arange(width, dtype=np.int64))
+    return bits.reshape(n, width).astype(np.int64) @ weights
 
 
 def pack_ragged(out: np.ndarray, pay_start: np.ndarray, widths: np.ndarray,

@@ -12,7 +12,8 @@ such a table into the ``(dictionary, .doc, .pos)`` triple, which must
 equal the engine's bytes. ``logical_segment`` and ``flush_postings`` run
 that over a segment's inverted fields, the flush's reference.
 ``logical_table`` reads a stored segment back into a logical terms
-table, row by row through the engine's ``SegmentPostings.row``;
+table, row by row through the engine's ``SegmentPostings.row`` (the
+block columns through ``block_meta``, since no engine reader uses them);
 ``write_old_layout`` rewrites a stored segment in one of the layouts
 the engine no longer reads.
 """
@@ -271,11 +272,27 @@ def split_postings(t: pa.Table) -> tuple[pa.Table, pa.Buffer, pa.Buffer]:
     return pa.table(cols), doc, pos
 
 
+def block_meta(row, norms: np.ndarray) -> dict:
+    """A ``TermRow``'s skip/impact metadata, ``{name: list}`` for each of
+    ``BLOCK_COLS``: a multi-block term's stored int32 lists, and for a
+    single-block term (which stores none) its re-derivation from its one
+    block; ``norms`` = the field's norm bytes."""
+    nb = (row["df"] + BLOCK_SIZE - 1) // BLOCK_SIZE
+    if nb > 1:
+        meta = np.frombuffer(row.rec, "<i4", offset=row.payload)
+        return dict(zip(BLOCK_COLS, meta.reshape(3, nb).tolist()))
+    docs, freqs = row.docs_freqs()
+    return {"block_last_doc": [int(docs[-1])],
+            "block_max_freq": [int(freqs.max())],
+            "block_min_norm": [int(norms[docs].min())]}
+
+
 def logical_table(seg_dir: str, columns=PAYLOAD_COLS + BLOCK_COLS
                   ) -> pa.Table:
     """A stored segment's logical terms table (``field, term, df, ttf``
-    plus ``columns``), one ``SegmentPostings.row`` per term: each column
-    as the engine's ``TermRow`` derives it."""
+    plus ``columns``), one ``SegmentPostings.row`` per term: each payload
+    column as the engine's ``TermRow`` derives it, the block columns as
+    ``block_meta`` reads them."""
     sp = SegmentPostings(seg_dir)
     fields = sp.dictionary["field"].to_pylist()
     norms = {}
@@ -287,7 +304,10 @@ def logical_table(seg_dir: str, columns=PAYLOAD_COLS + BLOCK_COLS
                                      columns=[col])[col].to_numpy()
         return norms[f]
 
-    rows = [sp.row(i, lambda f=f: norms_of(f)) for i, f in enumerate(fields)]
+    rows = [sp.row(i) for i in range(len(fields))]
+    if set(columns) & set(BLOCK_COLS):
+        for r, f in zip(rows, fields):
+            r.update(block_meta(r, norms_of(f)))
     types = {"docs_enc": pa.binary(), "freqs_enc": pa.binary(),
              "pos_enc": pa.binary()}
     return pa.table({

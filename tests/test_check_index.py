@@ -344,3 +344,42 @@ def test_merged_field_without_terms_passes(tmp_path, titled):
     commit_index(idx, [merged])
     report = check_index(idx, parallel=False)
     assert report["ok"], report["errors"]
+
+
+@pytest.mark.corrupts_index
+def test_merged_title_only_segments_keep_top_level_stats(tmp_path):
+    """Without a ``text`` field the flush and the merge both repeat the
+    ``title`` field's stats at the manifest's top level, the figure the
+    merge policies size a segment by; CheckIndex compares the two."""
+    from lucene_kmp_ray.analysis.core import WhitespaceAnalyzer
+    from lucene_kmp_ray.index.builder import commit_index
+    from lucene_kmp_ray.index.format import (TOP_STATS,
+                                             build_and_write_segment)
+    from lucene_kmp_ray.index.merge import merge_segments
+
+    idx = str(tmp_path / "idx")
+    for seg in range(2):
+        ids = range(seg * 5, seg * 5 + 5)
+        man = build_and_write_segment(
+            pa.table({"doc_id": pa.array(ids, pa.int64()),
+                      "url": [f"u{i}" for i in ids],
+                      "title": [f"a{i} b c" for i in ids]}),
+            seg, idx, analyzer=WhitespaceAnalyzer(), fields=("title",))
+        assert man["sum_total_term_freq"] == 15
+    merged = merge_segments(idx, [0, 1], 2)
+    assert {k: merged[k] for k in TOP_STATS} == \
+        {k: merged["fields"]["title"][k] for k in TOP_STATS}
+    assert merged["sum_total_term_freq"] == 30
+    commit_index(idx, [merged])
+    report = check_index(idx, parallel=False)
+    assert report["ok"], report["errors"]
+
+    path = os.path.join(idx, "segments", "seg=00002", "manifest.json")
+    with open(path) as f:
+        man = json.load(f)
+    man["sum_total_term_freq"] = 0
+    with open(path, "w") as f:
+        json.dump(man, f)
+    rep = check_segment(idx, "segments/seg=00002")
+    assert rep["errors"] == [
+        "top-level sum_total_term_freq != field title's"]

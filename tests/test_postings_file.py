@@ -106,7 +106,9 @@ def test_rows_match_logical_table(built):
                 term = t["term"][i].as_py()
                 row = sr.term_row(term, field)
                 want = _row(t, i)
-                assert {c: row[c] for c in want} == want, (field, kind)
+                meta = refp.block_meta(row, sr.norms_for(field))
+                assert {c: meta[c] if c in meta else row[c]
+                        for c in want} == want, (field, kind)
                 got = sr.postings(term, positions=True, field=field)
                 exp = decode_postings(want["df"], want["ttf"],
                                       want["docs_enc"], want["freqs_enc"],
@@ -125,12 +127,13 @@ def test_multi_block_metadata_rederives(built):
     docs, freqs = decode_postings(row["df"], row["ttf"], row["docs_enc"],
                                   row["freqs_enc"])
     norms = sr.norms_for("text")
+    meta = refp.block_meta(row, norms)
     starts = np.arange(0, len(docs), fu.BLOCK_SIZE)
     ends = np.minimum(starts + fu.BLOCK_SIZE, len(docs))
-    assert row["block_last_doc"] == docs[ends - 1].tolist()
-    assert row["block_max_freq"] == \
+    assert meta["block_last_doc"] == docs[ends - 1].tolist()
+    assert meta["block_max_freq"] == \
         np.maximum.reduceat(freqs, starts).tolist()
-    assert row["block_min_norm"] == \
+    assert meta["block_min_norm"] == \
         np.minimum.reduceat(norms[docs].astype(np.int64), starts).tolist()
 
 
@@ -170,7 +173,7 @@ def test_one_doc_read_per_miss_no_pos_read(built, monkeypatch):
     for n, term in enumerate(terms, 1):
         sr.postings(term)
         row = sr.term_row(term)  # a hit: no read
-        row["block_max_freq"]
+        row["freqs_enc"]  # a key split from the record: no read
         assert reads == [pf.DOC_FILE] * n
     sr.postings(terms[0], positions=True)  # cached row: the .pos record
     assert reads == [pf.DOC_FILE] * len(terms) + [pf.POS_FILE]

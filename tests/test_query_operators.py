@@ -403,13 +403,6 @@ def test_msm_exceeding_should_count_matches_nothing(searcher):
     assert _docs_of(searcher.search(q3, k=10_000)) == _docs_of(both)
 
 
-def test_pruned_paths_honor_timeout(searcher):
-    """timeout_s applies on the WAND/MaxScore routes too (ADVICE r1)."""
-    td = searcher.search(TermQuery("the"), k=5, prune=True, timeout_s=0.0)
-    assert td.relation == "GREATER_THAN_OR_EQUAL_TO"
-    assert td.score_docs == []
-
-
 def test_multi_field_parse_expansion():
     """MultiFieldQueryParser.kt: un-fielded leaves expand SHOULD-per-field;
     explicit field prefixes survive."""

@@ -145,13 +145,10 @@ def test_tie_break_order(searcher):
     assert hits == sorted(hits, key=lambda x: (-x[0], x[1], x[2]))
 
 
-def test_pruned_search_equivalent(searcher):
-    """Block-max pruned term search returns identical top-k."""
-    for term in ["spark", "the", "join"]:
-        exact = searcher.search(TermQuery(term), k=10)
-        pruned = searcher.search(TermQuery(term), k=10, prune=True)
-        assert [(h.doc_id, h.score) for h in exact.score_docs] == \
-            [(h.doc_id, h.score) for h in pruned.score_docs]
+def test_search_has_no_prune_option(searcher):
+    """One top-k path: a ``prune`` argument is refused, not ignored."""
+    with pytest.raises(TypeError):
+        searcher.search(TermQuery("spark"), k=5, prune=True)
 
 
 def test_boost_query(searcher):
@@ -162,52 +159,6 @@ def test_boost_query(searcher):
         [h.doc_id for h in boosted.score_docs]
     for hb, h in zip(boosted.score_docs, base.score_docs):
         assert hb.score == pytest.approx(2 * h.score, rel=1e-5)
-
-
-def test_maxscore_or_pruned_topk_matches_exhaustive(searcher):
-    """MaxScore-pruned disjunction returns the same top-k docIDs+scores as
-    the exhaustive path (TestApproximationSearchEquivalence style); only
-    the total-hit relation may weaken to a lower bound."""
-    from lucene_kmp_ray.search import BooleanQuery, Occur, TermQuery
-    q = BooleanQuery.build((Occur.SHOULD, TermQuery("data")),
-                           (Occur.SHOULD, TermQuery("spark")),
-                           (Occur.SHOULD, TermQuery("join")))
-    full = searcher.search(q, k=10)
-    pruned = searcher.search(q, k=10, prune=True)
-    assert [(h.doc_id, h.score) for h in full.score_docs] == \
-        [(h.doc_id, h.score) for h in pruned.score_docs]
-    assert pruned.total_hits <= full.total_hits or \
-        pruned.relation == "EQUAL_TO"
-
-
-def test_term_pruned_topk_matches_exhaustive(searcher):
-    from lucene_kmp_ray.search import TermQuery
-    for term in ("the", "spark", "scan"):
-        full = searcher.search(TermQuery(term), k=10)
-        pruned = searcher.search(TermQuery(term), k=10, prune=True)
-        assert [(h.doc_id, h.score) for h in full.score_docs] == \
-            [(h.doc_id, h.score) for h in pruned.score_docs]
-
-
-def test_pruning_engages_and_stays_rank_identical(searcher, monkeypatch):
-    """With the hit threshold forced low the pruned paths actually skip
-    blocks/terms (relation becomes a lower bound) yet the top-k docIDs and
-    scores stay identical (minCompetitiveScore is a sound bound)."""
-    import lucene_kmp_ray.search.searcher as smod
-    from lucene_kmp_ray.search import BooleanQuery, Occur, TermQuery
-    monkeypatch.setattr(smod, "TOTAL_HITS_THRESHOLD", 20)
-    full_t = searcher.search(TermQuery("the"), k=5)
-    pruned_t = searcher.search(TermQuery("the"), k=5, prune=True)
-    assert [(h.doc_id, h.score) for h in full_t.score_docs] == \
-        [(h.doc_id, h.score) for h in pruned_t.score_docs]
-    q = BooleanQuery.build((Occur.SHOULD, TermQuery("the")),
-                           (Occur.SHOULD, TermQuery("data")))
-    full_b = searcher.search(q, k=5)
-    pruned_b = searcher.search(q, k=5, prune=True)
-    assert [(h.doc_id, h.score) for h in full_b.score_docs] == \
-        [(h.doc_id, h.score) for h in pruned_b.score_docs]
-    assert pruned_b.relation == "GREATER_THAN_OR_EQUAL_TO" or \
-        pruned_t.relation == "GREATER_THAN_OR_EQUAL_TO"
 
 
 def test_explain_matches_score(searcher):
@@ -289,16 +240,13 @@ def test_ann_lsh_multiprobe_improves_recall(ray_session):
 
 
 def test_duplicate_should_terms_score_per_clause(searcher):
-    """Regression: duplicate SHOULD clauses each score (Lucene semantics);
-    the MaxScore prune path must not dedup them (it declines such shapes)."""
+    """Regression: duplicate SHOULD clauses each score (Lucene
+    semantics), not deduplicated."""
     from lucene_kmp_ray.search import BooleanQuery, Occur, TermQuery
     q = BooleanQuery.build((Occur.SHOULD, TermQuery("spark")),
                            (Occur.SHOULD, TermQuery("spark")))
     single = searcher.search(TermQuery("spark"), k=5)
     dup_full = searcher.search(q, k=5)
-    dup_pruned = searcher.search(q, k=5, prune=True)
-    assert [(h.doc_id, h.score) for h in dup_full.score_docs] == \
-        [(h.doc_id, h.score) for h in dup_pruned.score_docs]
     # each clause contributes: doubled score vs the single term
     assert dup_full.score_docs[0].score == \
         pytest.approx(2 * single.score_docs[0].score, rel=1e-6)
